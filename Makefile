@@ -8,7 +8,8 @@ build:
 test:
 	go test ./...
 
-# Full verification: vet, lint, race-detector tests, chaos smoke.
+# Full verification: vet, lint, race-detector tests, the benchmark
+# module's vet + smoke test, chaos and run-configuration smokes.
 check:
 	sh scripts/check.sh
 

@@ -20,11 +20,8 @@ import (
 	"jmachine/internal/apps/radix"
 	"jmachine/internal/apps/tsp"
 	"jmachine/internal/bench"
-	"jmachine/internal/ckpt"
-	"jmachine/internal/compiled"
-	"jmachine/internal/engine"
 	"jmachine/internal/machine"
-	"jmachine/internal/rt"
+	"jmachine/internal/sim"
 	"jmachine/internal/stats"
 )
 
@@ -38,36 +35,18 @@ func main() {
 	depth := flag.Int("depth", 2, "nqueens: breadth-first split depth")
 	cities := flag.Int("cities", 9, "tsp: city count")
 	seed := flag.Int64("seed", 11, "workload seed")
-	shards := flag.Int("shards", engine.DefaultShards(),
-		"parallel-engine shards per machine (0 or 1 = sequential reference; results are byte-identical)")
-	compiledTier := flag.Bool("compiled", false,
-		"execute handlers through the compiled tier (byte-identical to the interpreter)")
-	var cf ckpt.Flags
-	cf.Register(flag.CommandLine, "")
+	var sc sim.Config
+	sc.Register(flag.CommandLine)
 	flag.Parse()
-	if err := cf.Validate(); err != nil {
+	if err := sc.Validate(); err != nil {
 		log.Fatal(err)
 	}
 
-	// setup attaches the checkpoint layer stack and the parallel engine
-	// through each app's Setup hook; stop releases the engine workers
-	// once the run returns. preRun restores (or seeds) the checkpoint
-	// after the app's start-up, right before the run loop.
-	var eng *engine.Engine
-	var layers *ckpt.Layers
-	setup := func(m *machine.Machine, r *rt.Runtime) {
-		if *compiledTier {
-			if err := compiled.Attach(m, rt.CheckAllowances()...); err != nil {
-				log.Fatalf("compiled.Attach: %v", err)
-			}
-		}
-		layers = cf.Attach(m, r)
-		if *shards > 1 {
-			eng = engine.Attach(m, *shards)
-		}
-	}
-	preRun := func(m *machine.Machine) error { return layers.PreRun() }
-	stop := func() { eng.Stop() }
+	// setup applies the run configuration through each app's Setup hook;
+	// preRun restores (or seeds) the checkpoint after the app's start-up,
+	// right before the run loop; run.Stop releases the engine workers
+	// once the app returns.
+	run, setup, preRun := sc.Hooks(nil)
 
 	var cycles int64
 	var m *machine.Machine
@@ -75,7 +54,7 @@ func main() {
 	case "lcs":
 		params := lcs.Params{LenA: *lena, LenB: *lenb, Seed: *seed, Setup: setup, PreRun: preRun}
 		r, err := lcs.Run(*nodes, params)
-		stop()
+		run.Stop()
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -85,7 +64,7 @@ func main() {
 	case "radix":
 		params := radix.Params{Keys: *keys, Seed: *seed, Setup: setup, PreRun: preRun}
 		r, err := radix.Run(*nodes, params)
-		stop()
+		run.Stop()
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -101,7 +80,7 @@ func main() {
 		cycles, m = r.Cycles, r.M
 	case "nqueens":
 		r, err := nqueens.Run(*nodes, nqueens.Params{N: *n, SplitDepth: *depth, Setup: setup, PreRun: preRun})
-		stop()
+		run.Stop()
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -111,7 +90,7 @@ func main() {
 	case "tsp":
 		params := tsp.Params{Cities: *cities, Seed: *seed, Setup: setup, PreRun: preRun}
 		r, err := tsp.Run(*nodes, params)
-		stop()
+		run.Stop()
 		if err != nil {
 			log.Fatal(err)
 		}

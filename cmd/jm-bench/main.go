@@ -17,8 +17,8 @@
 //     old whole-image NoSend licensing), which reports fused-instruction
 //     share, window counts, and the window-end histogram — the effect
 //     certifier's benchmark; and
-//   - the rendezvous probe (token ring and pingpong under the
-//     per-cycle and epoch-batched engine protocols) plus the
+//   - the rendezvous probe (token ring and pingpong: epoch-batched
+//     rendezvous count against the oracle's one per cycle) plus the
 //     mesh-scaling probe (token rings at 2K–16K nodes) — the epoch
 //     engine's benchmarks. Rendezvous counts are host-independent.
 //
@@ -34,6 +34,7 @@
 //
 //	jm-bench [-nodes 512] [-warm 2000] [-measure 20000]
 //	         [-shards 0,2,4,8] [-force-shards] [-idle-tokens 4]
+//	         [-reference] [-compiled] [-ckpt file] [-ckpt-every N] [-resume]
 //	         [-roofline] [-fusion] [-mesh 2048,4096,16384] [-mesh-cycles 2000]
 //	         [-mesh-smoke] [-label name]
 //	         [-gobench file] [-out BENCH_engine.json]
@@ -51,7 +52,7 @@ import (
 	"strings"
 
 	"jmachine/internal/bench"
-	"jmachine/internal/ckpt"
+	"jmachine/internal/sim"
 )
 
 // goBenchLine is one parsed `go test -bench` result row.
@@ -124,7 +125,7 @@ type report struct {
 	// window counts, and the per-reason window-end histogram.
 	Fusion *bench.FusionResult `json:"fusion,omitempty"`
 	// Rendezvous compares the per-cycle and epoch-batched engine
-	// protocols (equal digests enforced, counts host-independent).
+	// protocols (counts host-independent).
 	Rendezvous []bench.RendezvousResult `json:"rendezvous_probe,omitempty"`
 	// MeshScaling is the large-mesh token-ring sweep.
 	MeshScaling  []bench.MeshScalingResult `json:"mesh_scaling,omitempty"`
@@ -193,11 +194,10 @@ func main() {
 	measure := flag.Int64("measure", 20000, "measured cycles")
 	shardList := flag.String("shards", "0,2,4,8", "comma-separated shard counts (0 = sequential)")
 	idleTokens := flag.Int("idle-tokens", 4, "tokens circulating in the idle probe ring")
-	compiledFlag := flag.Bool("compiled", false, "install the compiled handler tier for the fig3 probe rows")
 	roofline := flag.Bool("roofline", true, "run the compiled-tier roofline probe (both fig3 shapes, both tiers)")
 	fusion := flag.Bool("fusion", true, "run the fusion-coverage probe (per-handler certificates vs whole-image licensing)")
 	forceShards := flag.Bool("force-shards", false, "keep shard counts above the host's core count (skipped by default: oversubscribed rows measure scheduler thrash, not the engine)")
-	rendezvous := flag.Bool("rendezvous", true, "run the rendezvous-reduction probe (per-cycle vs epoch protocol; deterministic)")
+	rendezvous := flag.Bool("rendezvous", true, "run the rendezvous-reduction probe (epoch protocol vs one per cycle; deterministic)")
 	meshList := flag.String("mesh", "2048,4096,16384", "comma-separated mesh sizes for the scaling probe (empty = off)")
 	meshCycles := flag.Int64("mesh-cycles", 2000, "cycles per mesh-scaling row")
 	meshShards := flag.Int("mesh-shards", 4, "shard count for the mesh-scaling rows")
@@ -206,11 +206,13 @@ func main() {
 	label := flag.String("label", "", "history label for this run (e.g. a PR or commit name)")
 	gobench := flag.String("gobench", "", "`go test -bench` output file to merge")
 	out := flag.String("out", "BENCH_engine.json", "output path (- for stdout)")
-	var cf ckpt.Flags
-	cf.Register(flag.CommandLine,
-		"write periodic fig3-probe checkpoints to this file (suffixed .s<shards> per row)")
+	// The run configuration applies to the fig3 probe rows; -shards is
+	// this command's list of rows, and a -ckpt file is suffixed
+	// .s<shards> per row.
+	var sc sim.Config
+	sc.Register(flag.CommandLine, "shards")
 	flag.Parse()
-	if err := cf.Validate(); err != nil {
+	if err := sc.Validate(); err != nil {
 		log.Fatal(err)
 	}
 
@@ -261,13 +263,14 @@ func main() {
 	// Figure 3 loaded exchange across shard counts.
 	var seqRate float64
 	for _, k := range counts {
-		row := cf
-		if cf.Path != "" {
+		row := sc
+		row.Shards = k
+		if row.Ckpt.Path != "" {
 			// One file per shard row: rows are independent runs, and a
 			// resumed campaign must pair each row with its own state.
-			row = cf.WithPath(fmt.Sprintf("%s.s%d", cf.Path, k))
+			row.Ckpt.Path += fmt.Sprintf(".s%d", k)
 		}
-		res, err := bench.EngineProbeCkpt(*nodes, k, *warm, *measure, row.Path, row.Every, row.Resume, *compiledFlag)
+		res, err := bench.EngineProbe(*nodes, row, *warm, *measure)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -292,19 +295,18 @@ func main() {
 	// Idle token ring: reference loop, then the fast path, sequentially
 	// and under the shard counts.
 	type idleRun struct {
-		mode      string
-		reference bool
-		shards    int
+		mode string
+		sim.Config
 	}
-	idleRuns := []idleRun{{"reference", true, 0}, {"fast", false, 0}}
+	idleRuns := []idleRun{{"reference", sim.Config{Reference: true}}, {"fast", sim.Config{}}}
 	for _, k := range counts {
 		if k > 1 {
-			idleRuns = append(idleRuns, idleRun{"fast", false, k})
+			idleRuns = append(idleRuns, idleRun{"fast", sim.Config{Shards: k}})
 		}
 	}
 	var idleRef, idleFast float64
 	for _, r := range idleRuns {
-		res, err := bench.IdleProbe(*nodes, r.shards, r.reference, *idleTokens, *warm, *measure)
+		res, err := bench.IdleProbe(*nodes, r.Config, *idleTokens, *warm, *measure)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -314,8 +316,8 @@ func main() {
 		if res.Digest != rep.IdleProbe[0].Digest {
 			rep.DigestsMatch = false
 		}
-		if r.shards == 0 {
-			if r.reference {
+		if r.Shards == 0 {
+			if r.Reference {
 				idleRef = res.CyclesPerSec
 			} else {
 				idleFast = res.CyclesPerSec
@@ -360,8 +362,8 @@ func main() {
 			rep.DigestsMatch = false
 		}
 	}
-	// Rendezvous-reduction probe: per-cycle vs epoch protocol on the
-	// token ring and the pingpong, digests compared inside the probe.
+	// Rendezvous-reduction probe: epoch protocol on the token ring and
+	// the pingpong against the oracle's one rendezvous per cycle.
 	if *rendezvous {
 		rv, err := bench.RendezvousProbe(64, 4, *idleTokens, 20000)
 		if err != nil {
@@ -432,9 +434,8 @@ func main() {
 }
 
 // runMeshSmoke is the CI entry point: the deterministic rendezvous
-// probe (which fails on any per-cycle/epoch digest mismatch or a
-// reduction below the committed 10x floor) and one digest-checked
-// 4096-node mesh row. No file is written.
+// probe (failing on a reduction below the committed 10x floor) and one
+// digest-checked 4096-node mesh row. No file is written.
 func runMeshSmoke(cycles int64) {
 	rv, err := bench.RendezvousProbe(64, 4, 4, 20000)
 	if err != nil {

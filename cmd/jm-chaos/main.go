@@ -20,63 +20,36 @@ import (
 	"os"
 	"strings"
 
-	"jmachine/internal/apps/lcs"
-	"jmachine/internal/apps/nqueens"
-	"jmachine/internal/apps/radix"
-	"jmachine/internal/apps/tsp"
 	"jmachine/internal/bench"
 	"jmachine/internal/chaos"
-	"jmachine/internal/ckpt"
-	"jmachine/internal/compiled"
-	"jmachine/internal/engine"
-	"jmachine/internal/machine"
-	"jmachine/internal/rt"
 )
 
 func main() {
 	workload := flag.String("workload", "pingpong",
 		"workload: pingpong, barrier, lcs, radix, nqueens, tsp, or all")
-	nodes := flag.Int("nodes", 8, "machine size")
+	var rc bench.ResilienceConfig
+	flag.IntVar(&rc.Nodes, "nodes", 8, "machine size")
 	campaignStr := flag.String("campaign", "",
 		"explicit campaign in the chaos text format (overrides -seed/-faults)")
 	seed := flag.Uint64("seed", 1, "random-campaign seed")
 	faults := flag.Int("faults", 4, "random-campaign fault count")
 	horizon := flag.Int64("horizon", 50_000, "random-campaign scheduling horizon in cycles")
-	reliable := flag.Bool("reliable", false, "enable the ACK/retransmit reliable-delivery runtime")
-	checksum := flag.Bool("checksum", true, "enable NI checksum protection")
-	rts := flag.Bool("rts", true, "enable return-to-sender flow control")
-	maxReturns := flag.Int("max-returns", 32, "refusal bound before the network drops (0 = unbounded)")
-	watchdog := flag.Int64("watchdog", 100_000, "progress-watchdog window in cycles (0 = off)")
-	budget := flag.Int64("budget", 4_000_000, "cycle budget per run")
+	flag.BoolVar(&rc.Reliable, "reliable", false, "enable the ACK/retransmit reliable-delivery runtime")
+	flag.BoolVar(&rc.Checksum, "checksum", true, "enable NI checksum protection")
+	flag.BoolVar(&rc.RTS, "rts", true, "enable return-to-sender flow control")
+	flag.IntVar(&rc.MaxReturns, "max-returns", 32, "refusal bound before the network drops (0 = unbounded)")
+	flag.Int64Var(&rc.Watchdog, "watchdog", 100_000, "progress-watchdog window in cycles (0 = off)")
+	flag.Int64Var(&rc.Budget, "budget", 4_000_000, "cycle budget per run")
 	runs := flag.Int("runs", 1, "repeat count (identical output per run proves determinism)")
-	shards := flag.Int("shards", engine.DefaultShards(),
-		"parallel-engine shards per machine (0 or 1 = sequential reference; results are byte-identical)")
-	compiledTier := flag.Bool("compiled", false,
-		"execute handlers through the compiled tier (results are byte-identical)")
-	var cf ckpt.Flags
-	cf.Register(flag.CommandLine, "")
+	rc.Register(flag.CommandLine)
 	flag.Parse()
-	if err := cf.Validate(); err != nil {
+	if err := rc.Validate(); err != nil {
 		log.Fatal(err)
 	}
 
-	camp, err := buildCampaign(*campaignStr, *seed, *nodes, *horizon, *faults)
+	camp, err := buildCampaign(*campaignStr, *seed, rc.Nodes, *horizon, *faults)
 	if err != nil {
 		log.Fatal(err)
-	}
-	rc := bench.ResilienceConfig{
-		Nodes:      *nodes,
-		Checksum:   *checksum,
-		RTS:        *rts,
-		MaxReturns: *maxReturns,
-		Watchdog:   *watchdog,
-		Reliable:   *reliable,
-		Budget:     *budget,
-		Shards:     *shards,
-		Compiled:   *compiledTier,
-		Ckpt:       cf.Path,
-		CkptEvery:  cf.Every,
-		Resume:     cf.Resume,
 	}
 
 	fmt.Printf("campaign: %s\n", camp.String())
@@ -94,10 +67,10 @@ func main() {
 		}
 		for _, name := range names {
 			rcw := rc
-			if rcw.Ckpt != "" && len(names) > 1 {
-				rcw.Ckpt = rc.Ckpt + "." + name
+			if rcw.Ckpt.Path != "" && len(names) > 1 {
+				rcw.Ckpt.Path += "." + name
 			}
-			res, err := runWorkload(name, camp, rcw)
+			res, err := bench.RunCampaign(name, camp, rcw)
 			if err != nil {
 				log.Fatalf("%s: %v", name, err)
 			}
@@ -118,111 +91,6 @@ func buildCampaign(explicit string, seed uint64, nodes int, horizon int64, fault
 		return chaos.ParseCampaign(explicit)
 	}
 	return chaos.RandomCampaign(seed, nodes, horizon, faults), nil
-}
-
-// runWorkload dispatches one workload under the campaign.
-func runWorkload(name string, camp chaos.Campaign, rc bench.ResilienceConfig) (*bench.CampaignResult, error) {
-	switch name {
-	case "pingpong":
-		return bench.PingCampaign(camp, rc)
-	case "barrier":
-		return bench.BarrierCampaign(camp, rc, 4)
-	case "lcs":
-		var h holder
-		res, err := lcs.Run(rc.Nodes, lcs.Params{
-			LenA: 64, LenB: 128, Setup: h.setup(camp, rc), PreRun: h.preRun(rc),
-		})
-		return h.collect("lcs", res.M, res.Cycles, err), nil
-	case "radix":
-		var h holder
-		res, err := radix.Run(rc.Nodes, radix.Params{
-			Keys: 512, Setup: h.setup(camp, rc), PreRun: h.preRun(rc),
-		})
-		return h.collect("radix", res.M, res.Cycles, err), nil
-	case "nqueens":
-		var h holder
-		res, err := nqueens.Run(rc.Nodes, nqueens.Params{
-			N: 6, SplitDepth: 2, Setup: h.setup(camp, rc), PreRun: h.preRun(rc),
-		})
-		return h.collect("nqueens", res.M, res.Cycles, err), nil
-	case "tsp":
-		var h holder
-		res, err := tsp.Run(rc.Nodes, tsp.Params{
-			Cities: 6, Setup: h.setup(camp, rc), PreRun: h.preRun(rc),
-		})
-		return h.collect("tsp", res.M, res.Cycles, err), nil
-	default:
-		return nil, fmt.Errorf("unknown workload %q", name)
-	}
-}
-
-// holder captures the chaos, reliable, and checkpoint layers attached
-// through an application's Setup hook so the PreRun hook can restore
-// and results can be collected afterwards.
-type holder struct {
-	inj    *chaos.Injector
-	rel    *rt.Reliable
-	eng    *engine.Engine
-	layers *ckpt.Layers
-}
-
-// setup returns the Params.Setup hook applying the resilience switches
-// and the campaign to an application-built machine.
-func (h *holder) setup(camp chaos.Campaign, rc bench.ResilienceConfig) func(*machine.Machine, *rt.Runtime) {
-	return func(m *machine.Machine, r *rt.Runtime) {
-		if rc.Compiled {
-			if err := compiled.Attach(m, rt.CheckAllowances()...); err != nil {
-				log.Fatalf("compiled.Attach: %v", err)
-			}
-		}
-		m.Net.SetChecksum(rc.Checksum)
-		m.Net.SetReturnToSender(rc.RTS)
-		m.Net.SetMaxReturns(rc.MaxReturns)
-		m.SetWatchdog(rc.Watchdog)
-		if rc.Reliable {
-			h.rel = rt.EnableReliable(r, rt.ReliableConfig{})
-		}
-		h.inj = chaos.Attach(m, camp)
-		savers := []ckpt.Saver{r}
-		if h.rel != nil {
-			savers = append(savers, h.rel)
-		}
-		savers = append(savers, h.inj)
-		h.layers = ckpt.Flags{Path: rc.Ckpt, Every: rc.CkptEvery, Resume: rc.Resume}.Attach(m, savers...)
-		if rc.Shards > 1 {
-			h.eng = engine.Attach(m, rc.Shards)
-		}
-	}
-}
-
-// preRun returns the Params.PreRun hook: restore-or-seed the
-// checkpoint file (see ckpt.Layers.PreRun).
-func (h *holder) preRun(rc bench.ResilienceConfig) func(*machine.Machine) error {
-	return func(m *machine.Machine) error { return h.layers.PreRun() }
-}
-
-// collect folds an application run into a CampaignResult.
-func (h *holder) collect(name string, m *machine.Machine, cycles int64, runErr error) *bench.CampaignResult {
-	h.eng.Stop()
-	res := &bench.CampaignResult{
-		Workload:  name,
-		Completed: runErr == nil,
-		Err:       runErr,
-		Cycles:    cycles,
-	}
-	if m != nil {
-		res.Net = m.Net.Stats()
-		res.WatchdogTrips = m.WatchdogTrips
-		res.StateDigest = m.StateDigest()
-	}
-	if h.rel != nil {
-		res.HasReliable = true
-		res.Reliable = h.rel.Stats()
-	}
-	if h.inj != nil {
-		res.ChaosReport = h.inj.Report()
-	}
-	return res
 }
 
 // printResult renders one workload outcome deterministically.

@@ -36,6 +36,7 @@ import (
 
 	"jmachine/internal/bench"
 	"jmachine/internal/serve"
+	"jmachine/internal/sim"
 )
 
 // client is a thin JSON client for the jm-serve API.
@@ -96,12 +97,16 @@ func main() {
 	nodes := flag.Int("nodes", 8, "nodes per session machine (power of two)")
 	keys := flag.Int("keys", 32, "key-space size per session")
 	gateways := flag.Int("gateways", 4, "gateway nodes per session")
-	shards := flag.Int("shards", 0, "engine shards per session (0/1 = sequential)")
 	conc := flag.Int("conc", 16, "client goroutines (sessions driven concurrently)")
 	seed := flag.Int64("seed", 1, "base op-stream seed (session i uses seed+i)")
 	verify := flag.Bool("verify", true, "replay every stream standalone and compare digests")
 	label := flag.String("label", "", "history label for this run")
 	out := flag.String("out", "BENCH_serve.json", "report path (- for stdout)")
+	// The part of the run configuration a session spec can carry: the
+	// daemon owns each session's checkpoint file, and sessions run the
+	// interpreter.
+	var sc sim.Config
+	sc.Register(flag.CommandLine, "compiled", "ckpt", "resume")
 	flag.Parse()
 	log.SetPrefix("jm-load: ")
 	log.SetFlags(0)
@@ -109,13 +114,17 @@ func main() {
 	if *sessions < 1 || *requests < 1 || *batch < 1 {
 		log.Fatal("-sessions, -requests, and -batch must be positive")
 	}
+	if err := sc.Validate(); err != nil {
+		log.Fatal(err)
+	}
 	c := &client{base: "http://" + *addr, hc: &http.Client{}}
 	if err := c.do("GET", "/v1/healthz", nil, nil); err != nil {
 		log.Fatalf("daemon not reachable: %v", err)
 	}
 
 	spec := serve.Spec{
-		Workload: "kv", Nodes: *nodes, Shards: *shards,
+		Workload: "kv", Nodes: *nodes,
+		Shards: sc.Shards, Reference: sc.Reference, CkptEvery: sc.Ckpt.Every,
 		Keys: *keys, Gateways: *gateways,
 	}
 	perSession := (*requests + *sessions - 1) / *sessions

@@ -15,7 +15,7 @@ import (
 	"log"
 
 	"jmachine/internal/bench"
-	"jmachine/internal/engine"
+	"jmachine/internal/sim"
 )
 
 func main() {
@@ -26,20 +26,23 @@ func main() {
 	inner := flag.Int("inner", 8, "barriers per measurement (barrier)")
 	words := flag.Int("words", 8, "message size in words (bandwidth)")
 	variant := flag.String("variant", "discard", "receiver variant (bandwidth)")
-	shards := flag.Int("shards", engine.DefaultShards(),
-		"parallel-engine shards per machine (0 or 1 = sequential reference; results are byte-identical)")
+	var sc sim.Config
+	sc.Register(flag.CommandLine)
 	flag.Parse()
+	if err := sc.Validate(); err != nil {
+		log.Fatal(err)
+	}
 
 	switch *which {
 	case "ping":
-		cycles, err := bench.Ping(*k, *target, *shards)
+		cycles, err := bench.Ping(*k, *target, sc)
 		if err != nil {
 			log.Fatal(err)
 		}
 		fmt.Printf("ping to node %d on a %d^3 mesh: %d cycles round trip (%.2f µs)\n",
 			*target, *k, cycles, bench.Micros(float64(cycles)))
 	case "barrier":
-		cycles, err := bench.MeasureBarrier(*nodes, *inner, *shards)
+		cycles, err := bench.MeasureBarrier(*nodes, *inner, sc)
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -3,7 +3,8 @@
 //
 // Usage:
 //
-//	jm-tables [-quick] [-paper] [-v] [-reference] [-exp fig2,tab1,...]
+//	jm-tables [-quick] [-paper] [-v] [-exp fig2,tab1,...]
+//	          [-shards N] [-reference] [-compiled]
 //
 // Experiments: seq, fig2, tab1, fig3, fig4, tab2, tab3, fig5, fig6,
 // tab4, tab5, ablate (default: all).
@@ -12,12 +13,12 @@ package main
 import (
 	"flag"
 	"fmt"
+	"log"
 	"os"
 	"strings"
 	"time"
 
 	"jmachine/internal/bench"
-	"jmachine/internal/engine"
 )
 
 func main() {
@@ -26,16 +27,15 @@ func main() {
 	verbose := flag.Bool("v", false, "print progress")
 	plots := flag.Bool("plots", false, "render ASCII plots for the figures")
 	exps := flag.String("exp", "all", "comma-separated experiment list")
-	shards := flag.Int("shards", engine.DefaultShards(),
-		"parallel-engine shards per machine (0 or 1 = sequential reference; results are byte-identical)")
-	reference := flag.Bool("reference", false,
-		"disable the event-horizon fast path (every-node-every-cycle stepping; results are byte-identical)")
-	compiledTier := flag.Bool("compiled", false,
-		"execute handlers through the compiled tier (results are byte-identical)")
+	// An experiment steps many machines, so there is no one checkpoint
+	// file to write or resume.
+	var o bench.Options
+	o.Register(flag.CommandLine, "ckpt", "ckpt-every", "resume")
 	flag.Parse()
-
-	o := bench.Options{Quick: *quick, PaperScale: *paper, Verbose: *verbose, Shards: *shards,
-		Reference: *reference, Compiled: *compiledTier}
+	if err := o.Validate(); err != nil {
+		log.Fatal(err)
+	}
+	o.Quick, o.PaperScale, o.Verbose = *quick, *paper, *verbose
 	want := map[string]bool{}
 	for _, e := range strings.Split(*exps, ",") {
 		want[strings.TrimSpace(e)] = true

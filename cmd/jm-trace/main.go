@@ -18,152 +18,50 @@ import (
 	"fmt"
 	"log"
 
-	"jmachine/internal/apps/lcs"
-	"jmachine/internal/apps/nqueens"
-	"jmachine/internal/apps/radix"
-	"jmachine/internal/apps/tsp"
 	"jmachine/internal/bench"
 	"jmachine/internal/chaos"
-	"jmachine/internal/ckpt"
-	"jmachine/internal/compiled"
-	"jmachine/internal/engine"
-	"jmachine/internal/machine"
 	"jmachine/internal/obs"
-	"jmachine/internal/rt"
 )
 
 func main() {
 	workload := flag.String("workload", "pingpong",
 		"workload: pingpong, barrier, lcs, radix, nqueens, or tsp")
-	nodes := flag.Int("nodes", 64, "machine size")
-	shards := flag.Int("shards", 1,
-		"parallel-engine shards (0 or 1 = sequential reference; results are byte-identical)")
+	var rc bench.ResilienceConfig
+	flag.IntVar(&rc.Nodes, "nodes", 64, "machine size")
 	perfetto := flag.String("perfetto", "", "Perfetto trace-event JSON output path")
 	metrics := flag.String("metrics", "", "JSONL metric-snapshot output path")
 	every := flag.Int("every", 64, "sampling period in cycles for counters and snapshots")
 	perLink := flag.Bool("perlink", false, "add per-mesh-link occupancy counter tracks")
-	budget := flag.Int64("budget", 4_000_000, "cycle budget for the micro-benchmarks")
-	compiledTier := flag.Bool("compiled", false,
-		"execute handlers through the compiled tier (results are byte-identical)")
-	var cf ckpt.Flags
-	cf.Register(flag.CommandLine, "")
+	flag.Int64Var(&rc.Budget, "budget", 4_000_000, "cycle budget for the micro-benchmarks")
+	rc.Register(flag.CommandLine)
 	flag.Parse()
 
 	if *perfetto == "" && *metrics == "" {
 		log.Fatal("nothing to record: set -perfetto and/or -metrics")
 	}
-	if err := cf.Validate(); err != nil {
+	if err := rc.Validate(); err != nil {
 		log.Fatal(err)
 	}
-	o := &obs.Options{
+	rc.Obs = &obs.Options{
 		PerfettoPath: *perfetto,
 		MetricsPath:  *metrics,
 		Every:        *every,
 		PerLink:      *perLink,
 	}
 
-	cycles, digest, err := run(*workload, *nodes, *shards, *budget, *compiledTier, o, cf)
+	res, err := bench.RunCampaign(*workload, chaos.Campaign{}, rc)
+	if err == nil && !res.Completed {
+		err = res.Err
+	}
 	if err != nil {
 		log.Fatalf("%s: %v", *workload, err)
 	}
 	fmt.Printf("%s: nodes=%d shards=%d cycles=%d digest=%016x\n",
-		*workload, *nodes, *shards, cycles, digest)
+		*workload, rc.Nodes, rc.Shards, res.Cycles, res.StateDigest)
 	if *perfetto != "" {
 		fmt.Printf("timeline: %s (open at https://ui.perfetto.dev)\n", *perfetto)
 	}
 	if *metrics != "" {
 		fmt.Printf("metrics:  %s\n", *metrics)
 	}
-}
-
-func run(workload string, nodes, shards int, budget int64, compiledTier bool, o *obs.Options, cf ckpt.Flags) (int64, uint64, error) {
-	rc := bench.ResilienceConfig{
-		Nodes:     nodes,
-		Budget:    budget,
-		Shards:    shards,
-		Compiled:  compiledTier,
-		Obs:       o,
-		Ckpt:      cf.Path,
-		CkptEvery: cf.Every,
-		Resume:    cf.Resume,
-	}
-	switch workload {
-	case "pingpong":
-		res, err := bench.PingCampaign(chaos.Campaign{}, rc)
-		return resultOf(res, err)
-	case "barrier":
-		res, err := bench.BarrierCampaign(chaos.Campaign{}, rc, 4)
-		return resultOf(res, err)
-	case "lcs":
-		var h holder
-		res, err := lcs.Run(nodes, lcs.Params{LenA: 64, LenB: 128, Setup: h.setup(shards, o, rc), PreRun: h.preRun(rc)})
-		return h.finish(res.M, res.Cycles, err)
-	case "radix":
-		var h holder
-		res, err := radix.Run(nodes, radix.Params{Keys: 512, Setup: h.setup(shards, o, rc), PreRun: h.preRun(rc)})
-		return h.finish(res.M, res.Cycles, err)
-	case "nqueens":
-		var h holder
-		res, err := nqueens.Run(nodes, nqueens.Params{N: 6, SplitDepth: 2, Setup: h.setup(shards, o, rc), PreRun: h.preRun(rc)})
-		return h.finish(res.M, res.Cycles, err)
-	case "tsp":
-		var h holder
-		res, err := tsp.Run(nodes, tsp.Params{Cities: 6, Setup: h.setup(shards, o, rc), PreRun: h.preRun(rc)})
-		return h.finish(res.M, res.Cycles, err)
-	default:
-		return 0, 0, fmt.Errorf("unknown workload %q", workload)
-	}
-}
-
-func resultOf(res *bench.CampaignResult, err error) (int64, uint64, error) {
-	if err != nil {
-		return 0, 0, err
-	}
-	if !res.Completed {
-		return res.Cycles, res.StateDigest, res.Err
-	}
-	return res.Cycles, res.StateDigest, nil
-}
-
-// holder carries the recorder stop, engine, and checkpoint layers
-// across an application's Setup hook so finish can tear them down
-// before reading the digest.
-type holder struct {
-	stopObs func() error
-	eng     *engine.Engine
-	layers  *ckpt.Layers
-}
-
-func (h *holder) setup(shards int, o *obs.Options, rc bench.ResilienceConfig) func(*machine.Machine, *rt.Runtime) {
-	return func(m *machine.Machine, r *rt.Runtime) {
-		if rc.Compiled {
-			if err := compiled.Attach(m, rt.CheckAllowances()...); err != nil {
-				log.Fatalf("compiled.Attach: %v", err)
-			}
-		}
-		h.layers = ckpt.Flags{Path: rc.Ckpt, Every: rc.CkptEvery, Resume: rc.Resume}.Attach(m, r)
-		h.stopObs = o.AttachTo(m)
-		if shards > 1 {
-			h.eng = engine.Attach(m, shards)
-		}
-	}
-}
-
-// preRun restore-or-seeds the checkpoint file (see ckpt.Layers.PreRun).
-func (h *holder) preRun(rc bench.ResilienceConfig) func(*machine.Machine) error {
-	return func(m *machine.Machine) error { return h.layers.PreRun() }
-}
-
-func (h *holder) finish(m *machine.Machine, cycles int64, runErr error) (int64, uint64, error) {
-	h.eng.Stop()
-	if h.stopObs != nil {
-		if err := h.stopObs(); err != nil && runErr == nil {
-			runErr = err
-		}
-	}
-	var digest uint64
-	if m != nil {
-		digest = m.StateDigest()
-	}
-	return cycles, digest, runErr
 }

@@ -9,13 +9,14 @@ import (
 	"log"
 
 	"jmachine/internal/bench"
+	"jmachine/internal/sim"
 )
 
 func main() {
 	fmt.Println("software barrier time vs machine size (8 barriers averaged)")
 	fmt.Println("nodes  cycles  µs      µs/wave")
 	for _, n := range []int{2, 4, 8, 16, 32, 64} {
-		cycles, err := bench.MeasureBarrier(n, 8, 0)
+		cycles, err := bench.MeasureBarrier(n, 8, sim.Config{})
 		if err != nil {
 			log.Fatal(err)
 		}

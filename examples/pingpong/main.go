@@ -12,6 +12,7 @@ import (
 	"log"
 
 	"jmachine/internal/bench"
+	"jmachine/internal/sim"
 )
 
 func main() {
@@ -24,7 +25,7 @@ func main() {
 		y := min(d-x, 7)
 		z := d - x - y
 		target := x + 8*(y+8*z)
-		cycles, err := bench.Ping(8, target, 0)
+		cycles, err := bench.Ping(8, target, sim.Config{})
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -11,6 +11,7 @@ import (
 	"jmachine/internal/mdp"
 	"jmachine/internal/network"
 	"jmachine/internal/rt"
+	"jmachine/internal/sim"
 )
 
 // Ablation studies for the design choices the paper's critique singles
@@ -48,7 +49,7 @@ func AblateDispatch(o Options) (*AblationResult, error) {
 		p := buildMicroProgram(buildPingClient)
 		cfg := machine.Grid(1, 1, 1)
 		cfg.MDP.Timing = timingWithDispatch(v.dispatch)
-		rtt, err := runRoundTrip(p, cfg, 0, nil, 0)
+		rtt, err := runRoundTrip(sim.Config{}, p, cfg, 0, nil)
 		if err != nil {
 			return nil, err
 		}

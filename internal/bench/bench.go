@@ -8,12 +8,13 @@ package bench
 
 import (
 	"fmt"
+	"os"
 	"runtime"
 	"strings"
 	"sync"
 
 	"jmachine/internal/mdp"
-	"jmachine/internal/obs"
+	"jmachine/internal/sim"
 )
 
 // Options tunes experiment scale. The defaults run in seconds on a
@@ -28,49 +29,26 @@ type Options struct {
 	// Verbose prints progress as points complete.
 	Verbose  bool
 	Progress func(format string, args ...any)
-	// Shards > 1 steps each simulated machine with the parallel engine
-	// (internal/engine); 0 or 1 keeps the sequential reference loop.
-	// Results are byte-identical either way — the engine equivalence
-	// suite enforces it — so this is purely a wall-clock knob. It
-	// composes with runParallel: independent experiment points still
-	// fan out across GOMAXPROCS, and each machine additionally steps
-	// on Shards goroutines. Machines smaller than the shard count
-	// clamp; the tiny one- and two-node rigs (tab1, tab2, fig4, seq)
-	// stay sequential, where the engine could only add rendezvous
-	// overhead.
-	Shards int
-	// Reference disables the event-horizon fast path on every machine
-	// the experiment steps, forcing the every-node-every-cycle loop.
-	// Like Shards, it is purely a wall-clock knob: results are
-	// byte-identical either way (the fast-path equivalence suite
-	// enforces it), which scripts/check.sh re-proves on the Table 4/5
-	// outputs.
-	Reference bool
-	// Obs, when non-nil, attaches the observability recorder
-	// (internal/obs) to every machine the experiment steps: Perfetto
-	// timelines and metric snapshots stream to the configured files.
-	// Attaching never changes results — machine.StateDigest() is
-	// byte-identical with it on or off (enforced by the engine
-	// equivalence suite). Experiments that build several machines get
-	// numbered output files (trace.json, trace.json.2, …).
-	Obs *obs.Options
-	// Compiled installs the compiled handler tier (internal/compiled,
-	// docs/COMPILED.md) on every machine the experiment steps. Like
-	// Shards and Reference it is purely a wall-clock knob: the compiled
-	// tier's equivalence suite proves digests and observation traces
-	// byte-identical with it on or off.
-	Compiled bool
-	// PerCycle forces the parallel engine's per-cycle rendezvous
-	// protocol (every cycle releases the worker fleet), disabling epoch
-	// batching. Digest-neutral like the other engine knobs; exists so
-	// the rendezvous probes can measure the batching win and the
-	// equivalence suites can pin the older protocol.
-	PerCycle bool
-	// ParallelWork overrides the engine's inline/parallel work
-	// threshold (engine.Config.ParallelWork); 0 keeps the default.
-	// ParallelWork = 1 engages the worker fleet for any multi-shard
-	// activity, which the tests use to force the parallel path.
-	ParallelWork int
+	// Config is the run configuration applied to every machine the
+	// experiment steps (stepping mode, handler tier, shards, obs; see
+	// internal/sim). Every field is purely a wall-clock knob: results
+	// are byte-identical across all of them, which scripts/check.sh
+	// re-proves on the table text. Shards composes with runParallel:
+	// independent experiment points still fan out across GOMAXPROCS,
+	// and each machine additionally steps on Shards goroutines. The
+	// tiny one- and two-node rigs (tab1, tab2, fig4, seq, ablations)
+	// run the zero configuration, where an engine could only add
+	// rendezvous overhead.
+	sim.Config
+}
+
+// stopRun releases a run's engine workers and drains its trace files.
+// A trace write failure is reported, not returned: for the tables and
+// figures observability is a tap, never a result dependency.
+func stopRun(r *sim.Run) {
+	if err := r.Stop(); err != nil {
+		fmt.Fprintf(os.Stderr, "obs: %v\n", err)
+	}
 }
 
 func (o Options) progress(format string, args ...any) {

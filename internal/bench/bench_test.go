@@ -1,8 +1,13 @@
 package bench
 
 import (
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
+
+	"jmachine/internal/obs"
+	"jmachine/internal/sim"
 )
 
 var quick = Options{Quick: true}
@@ -288,6 +293,29 @@ func TestFig3LoadCurve(t *testing.T) {
 		}
 		if last.Y < 0.5 {
 			t.Errorf("%s: coarse-grain efficiency %.2f < 50%%", s.Label, last.Y)
+		}
+	}
+}
+
+// TestConfigReachesEveryPoint pins that the whole run configuration —
+// not just the shard count — reaches the machines Fig2 and Table3 step:
+// with a metrics sink configured, the experiment must leave a non-empty
+// metrics file behind.
+func TestConfigReachesEveryPoint(t *testing.T) {
+	for _, exp := range []struct {
+		name string
+		run  func(Options) error
+	}{
+		{"fig2", func(o Options) error { _, err := Fig2(o); return err }},
+		{"tab3", func(o Options) error { _, err := Table3(o); return err }},
+	} {
+		path := filepath.Join(t.TempDir(), "metrics.jsonl")
+		o := Options{Quick: true, Config: sim.Config{Obs: &obs.Options{MetricsPath: path, Every: 64}}}
+		if err := exp.run(o); err != nil {
+			t.Fatalf("%s: %v", exp.name, err)
+		}
+		if st, err := os.Stat(path); err != nil || st.Size() == 0 {
+			t.Errorf("%s: no metrics written to %s (err %v): Obs never reached the machines", exp.name, path, err)
 		}
 	}
 }

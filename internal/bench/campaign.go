@@ -1,21 +1,25 @@
 package bench
 
 // Chaos-campaign entry points: the Figure 2 ping and Table 3 barrier
-// micro-benchmarks re-run under a fault schedule, with the resilience
-// machinery (checksums, return-to-sender, reliable delivery, the
-// progress watchdog) switched on or off. cmd/jm-chaos drives these to
-// measure survival and degradation.
+// micro-benchmarks and the four applications re-run under a fault
+// schedule, with the resilience machinery (checksums, return-to-sender,
+// reliable delivery, the progress watchdog) switched on or off.
+// cmd/jm-chaos drives these to measure survival and degradation.
 
 import (
+	"fmt"
+
+	"jmachine/internal/apps/lcs"
+	"jmachine/internal/apps/nqueens"
+	"jmachine/internal/apps/radix"
+	"jmachine/internal/apps/tsp"
 	"jmachine/internal/asm"
 	"jmachine/internal/chaos"
 	"jmachine/internal/ckpt"
-	"jmachine/internal/compiled"
-	"jmachine/internal/engine"
 	"jmachine/internal/machine"
 	"jmachine/internal/network"
-	"jmachine/internal/obs"
 	"jmachine/internal/rt"
+	"jmachine/internal/sim"
 )
 
 // ResilienceConfig selects the protection layers for a campaign run.
@@ -28,38 +32,10 @@ type ResilienceConfig struct {
 	Reliable    bool  // ACK/timeout/retransmit runtime (rt.EnableReliable)
 	ReliableCfg rt.ReliableConfig
 	Budget      int64 // cycle budget (default 2,000,000)
-	// Shards > 1 steps the machine with the parallel engine; 0 or 1
-	// keeps the sequential reference loop. Results are byte-identical
-	// either way (the equivalence suite enforces it).
-	Shards int
-	// Reference disables the event-horizon fast path (active-set
-	// scheduling and bulk idle-skip), forcing the every-node-every-cycle
-	// reference loop. Results are byte-identical either way; the flag
-	// exists so the equivalence suite can prove it.
-	Reference bool
-	// Compiled installs the compiled handler tier (internal/compiled).
-	// Byte-identical results either way, like Shards and Reference.
-	Compiled bool
-	// PerCycle forces the engine's per-cycle rendezvous protocol
-	// (epoch batching off); ParallelWork overrides the inline/parallel
-	// work threshold (0 = engine default). Both are digest-neutral
-	// wall-clock knobs, mirrored from bench.Options.
-	PerCycle     bool
-	ParallelWork int
-	// Obs, when non-nil, streams a Perfetto timeline and metric
-	// snapshots from the campaign machine (see internal/obs). Purely a
-	// tap: the StateDigest in the result is unchanged by it.
-	Obs *obs.Options
-	// Ckpt, when non-empty, periodically writes a crash-consistent
-	// checkpoint of the complete run state (machine, runtime, reliable
-	// protocol, chaos cursor) to this path.
-	Ckpt string
-	// CkptEvery is the checkpoint period in cycles (default 65536).
-	CkptEvery int64
-	// Resume restores Ckpt over the freshly built machine before the
-	// run loop starts; the run then continues exactly where the
-	// checkpointed one stood.
-	Resume bool
+	// Config is the run configuration (internal/sim): stepping mode,
+	// handler tier, shards, observability, checkpoint/resume. Results —
+	// the StateDigest included — are byte-identical across all of it.
+	sim.Config
 }
 
 func (c ResilienceConfig) withDefaults() ResilienceConfig {
@@ -70,16 +46,6 @@ func (c ResilienceConfig) withDefaults() ResilienceConfig {
 		c.Budget = 2_000_000
 	}
 	return c
-}
-
-// machineConfig translates the resilience switches into a machine config.
-func (c ResilienceConfig) machineConfig() machine.Config {
-	cfg := machine.GridForNodes(c.Nodes)
-	cfg.Net.Checksum = c.Checksum
-	cfg.Net.ReturnToSender = c.RTS
-	cfg.Net.MaxReturns = c.MaxReturns
-	cfg.Watchdog = c.Watchdog
-	return cfg
 }
 
 // CampaignResult reports one workload run under a fault campaign.
@@ -100,70 +66,117 @@ type CampaignResult struct {
 	StateDigest uint64
 }
 
-// prepare builds a machine for a campaign run and attaches the runtime,
-// the optional reliable-delivery layer, the chaos injector, the
-// checkpoint writer, the observability recorder, and — when
-// rc.Shards > 1 — the parallel engine. The caller must defer the
-// returned stop (which releases the engine workers and drains the
-// recorder's trace files) and invoke preRun after the workload's
-// start-up, immediately before the run loop: it restores the
-// checkpoint when rc.Resume is set.
-func prepare(camp chaos.Campaign, rc ResilienceConfig, p *asm.Program) (*machine.Machine, *rt.Reliable, *chaos.Injector, func(), func() error, error) {
-	m, err := machine.New(rc.machineConfig(), p)
-	if err != nil {
-		return nil, nil, nil, nil, nil, err
-	}
-	if rc.Reference {
-		m.SetFastPath(false)
-	}
-	if rc.Compiled {
-		if err := compiled.Attach(m, rt.CheckAllowances()...); err != nil {
-			return nil, nil, nil, nil, nil, err
-		}
-	}
-	r := rt.Attach(m, rt.Info(p), rt.DefaultPolicy())
-	var rel *rt.Reliable
-	if rc.Reliable {
-		rel = rt.EnableReliable(r, rc.ReliableCfg)
-	}
-	inj := chaos.Attach(m, camp)
-	savers := []ckpt.Saver{r}
-	if rel != nil {
-		savers = append(savers, rel)
-	}
-	savers = append(savers, inj)
-	layers := ckpt.Flags{Path: rc.Ckpt, Every: rc.CkptEvery, Resume: rc.Resume}.Attach(m, savers...)
-	stopObs := rc.Obs.AttachTo(m)
-	var eng *engine.Engine
-	if rc.Shards > 1 {
-		eng = engine.AttachCfg(m, rc.Shards,
-			engine.Config{PerCycle: rc.PerCycle, ParallelWork: rc.ParallelWork})
-	}
-	stop := func() {
-		eng.Stop()
-		reportObsErr(stopObs())
-	}
-	return m, rel, inj, stop, layers.PreRun, nil
+// campaignRun is one machine under a campaign: the layers the campaign
+// adds between the runtime and the run configuration, and the attached
+// run.
+type campaignRun struct {
+	rel *rt.Reliable
+	inj *chaos.Injector
+	run *sim.Run
 }
 
-// collect folds the run outcome into a CampaignResult.
-func collect(name string, m *machine.Machine, rel *rt.Reliable, inj *chaos.Injector, runErr error, value int64) *CampaignResult {
+// layers applies the resilience switches and the fault campaign to a
+// machine — one prepare just built, or one an application's Setup hook
+// hands over — and returns the savers it added, in attachment order.
+func (c *campaignRun) layers(camp chaos.Campaign, rc ResilienceConfig) func(*machine.Machine, *rt.Runtime) []ckpt.Saver {
+	return func(m *machine.Machine, r *rt.Runtime) []ckpt.Saver {
+		m.Net.SetChecksum(rc.Checksum)
+		m.Net.SetReturnToSender(rc.RTS)
+		m.Net.SetMaxReturns(rc.MaxReturns)
+		m.SetWatchdog(rc.Watchdog)
+		var savers []ckpt.Saver
+		if rc.Reliable {
+			c.rel = rt.EnableReliable(r, rc.ReliableCfg)
+			savers = append(savers, c.rel)
+		}
+		c.inj = chaos.Attach(m, camp)
+		return append(savers, c.inj)
+	}
+}
+
+// prepare builds a micro-benchmark machine for a campaign run: runtime,
+// campaign layers, then the run configuration. The caller must defer
+// c.run.Stop() and call c.run.PreRun() after the workload's start-up,
+// immediately before the run loop.
+func prepare(camp chaos.Campaign, rc ResilienceConfig, p *asm.Program) (*machine.Machine, *campaignRun, error) {
+	m, err := machine.New(machine.GridForNodes(rc.Nodes), p)
+	if err != nil {
+		return nil, nil, err
+	}
+	r := rt.Attach(m, rt.Info(p), rt.DefaultPolicy())
+	c := &campaignRun{}
+	savers := append([]ckpt.Saver{r}, c.layers(camp, rc)(m, r)...)
+	c.run, err = rc.Attach(m, savers...)
+	return m, c, err
+}
+
+// collect stops the run and folds its outcome into a CampaignResult. m
+// is nil when an application failed before building its machine. A
+// trace-file write failure is the returned error: a campaign run with
+// observability on exists to produce that file.
+func (c *campaignRun) collect(name string, m *machine.Machine, cycles int64, runErr error, value int64) (*CampaignResult, error) {
+	obsErr := c.run.Stop()
 	res := &CampaignResult{
-		Workload:      name,
-		Completed:     runErr == nil,
-		Err:           runErr,
-		Cycles:        m.Cycle(),
-		Value:         value,
-		Net:           m.Net.Stats(),
-		WatchdogTrips: m.WatchdogTrips,
-		ChaosReport:   inj.Report(),
-		StateDigest:   m.StateDigest(),
+		Workload:  name,
+		Completed: runErr == nil,
+		Err:       runErr,
+		Cycles:    cycles,
+		Value:     value,
 	}
-	if rel != nil {
+	if m != nil {
+		res.Net = m.Net.Stats()
+		res.WatchdogTrips = m.WatchdogTrips
+		res.StateDigest = m.StateDigest()
+	}
+	if c.inj != nil {
+		res.ChaosReport = c.inj.Report()
+	}
+	if c.rel != nil {
 		res.HasReliable = true
-		res.Reliable = rel.Stats()
+		res.Reliable = c.rel.Stats()
 	}
-	return res
+	if obsErr != nil {
+		return res, fmt.Errorf("%s: obs: %w", name, obsErr)
+	}
+	return res, nil
+}
+
+// RunCampaign runs one named workload under the fault campaign: the
+// two micro-benchmarks (pingpong, and barrier with 4 inner barriers)
+// or one of the four applications at its smoke-test size. cmd/jm-chaos
+// and cmd/jm-trace (with an empty campaign) both drive their workloads
+// through it.
+func RunCampaign(name string, camp chaos.Campaign, rc ResilienceConfig) (*CampaignResult, error) {
+	switch name {
+	case "pingpong":
+		return PingCampaign(camp, rc)
+	case "barrier":
+		return BarrierCampaign(camp, rc, 4)
+	}
+	rc = rc.withDefaults()
+	c := &campaignRun{}
+	run, setup, preRun := rc.Hooks(c.layers(camp, rc))
+	c.run = run
+	var m *machine.Machine
+	var cycles int64
+	var err error
+	switch name {
+	case "lcs":
+		r, e := lcs.Run(rc.Nodes, lcs.Params{LenA: 64, LenB: 128, Setup: setup, PreRun: preRun})
+		m, cycles, err = r.M, r.Cycles, e
+	case "radix":
+		r, e := radix.Run(rc.Nodes, radix.Params{Keys: 512, Setup: setup, PreRun: preRun})
+		m, cycles, err = r.M, r.Cycles, e
+	case "nqueens":
+		r, e := nqueens.Run(rc.Nodes, nqueens.Params{N: 6, SplitDepth: 2, Setup: setup, PreRun: preRun})
+		m, cycles, err = r.M, r.Cycles, e
+	case "tsp":
+		r, e := tsp.Run(rc.Nodes, tsp.Params{Cities: 6, Setup: setup, PreRun: preRun})
+		m, cycles, err = r.M, r.Cycles, e
+	default:
+		return nil, fmt.Errorf("unknown workload %q", name)
+	}
+	return c.collect(name, m, cycles, err, 0)
 }
 
 // PingCampaign runs the Figure 2 ping client from node 0 to the
@@ -172,17 +185,17 @@ func collect(name string, m *machine.Machine, rel *rt.Reliable, inj *chaos.Injec
 func PingCampaign(camp chaos.Campaign, rc ResilienceConfig) (*CampaignResult, error) {
 	rc = rc.withDefaults()
 	p := buildMicroProgram(buildPingClient)
-	m, rel, inj, stop, preRun, err := prepare(camp, rc, p)
+	m, c, err := prepare(camp, rc, p)
 	if err != nil {
 		return nil, err
 	}
-	defer stop()
+	defer c.run.Stop()
 	target := m.NumNodes() - 1
 	if err := m.Nodes[0].Mem.Write(rt.AppBase, m.Net.NodeWord(target)); err != nil {
 		return nil, err
 	}
 	rt.StartNode(m, p, 0, "main")
-	if err := preRun(); err != nil {
+	if err := c.run.PreRun(); err != nil {
 		return nil, err
 	}
 	runErr := m.RunWhile(func(m *machine.Machine) bool {
@@ -195,7 +208,7 @@ func PingCampaign(camp chaos.Campaign, rc ResilienceConfig) (*CampaignResult, er
 		start, _ := m.Nodes[0].Mem.Read(rt.AppBase + 3)
 		rtt = int64(flag.Data() - start.Data())
 	}
-	return collect("pingpong", m, rel, inj, runErr, rtt), nil
+	return c.collect("pingpong", m, m.Cycle(), runErr, rtt)
 }
 
 // BarrierCampaign runs inner back-to-back barriers on every node under
@@ -207,13 +220,13 @@ func BarrierCampaign(camp chaos.Campaign, rc ResilienceConfig, inner int) (*Camp
 		inner = 4
 	}
 	p := barrierBenchProgram(inner)
-	m, rel, inj, stop, preRun, err := prepare(camp, rc, p)
+	m, c, err := prepare(camp, rc, p)
 	if err != nil {
 		return nil, err
 	}
-	defer stop()
+	defer c.run.Stop()
 	rt.StartAll(m, p, "main")
-	if err := preRun(); err != nil {
+	if err := c.run.PreRun(); err != nil {
 		return nil, err
 	}
 	runErr := m.RunUntilHalt(0, rc.Budget)
@@ -223,5 +236,5 @@ func BarrierCampaign(camp chaos.Campaign, rc ResilienceConfig, inner int) (*Camp
 		end, _ := m.Nodes[0].Mem.Read(rt.AppBase + 3)
 		per = int64(end.Data()-start.Data()) / int64(inner)
 	}
-	return collect("barrier", m, rel, inj, runErr, per), nil
+	return c.collect("barrier", m, m.Cycle(), runErr, per)
 }

@@ -5,6 +5,7 @@ import (
 	"jmachine/internal/isa"
 	"jmachine/internal/machine"
 	"jmachine/internal/rt"
+	"jmachine/internal/sim"
 )
 
 // Micro-benchmark client programs. Each client runs on node 0, issues
@@ -52,17 +53,20 @@ func buildMicroProgram(build func(b *asm.Builder)) *asm.Program {
 	return b.MustAssemble()
 }
 
-// runRoundTrip boots the client on node 0 of a machine, targeting the
-// given node, and returns the measured round-trip cycles. shards > 1
-// steps the machine with the parallel engine.
-func runRoundTrip(p *asm.Program, cfg machine.Config, target int,
-	setup func(m *machine.Machine), shards int) (int64, error) {
+// runRoundTrip boots the client on node 0 of a machine run under sc,
+// targeting the given node, and returns the measured round-trip cycles.
+func runRoundTrip(sc sim.Config, p *asm.Program, cfg machine.Config, target int,
+	setup func(m *machine.Machine)) (int64, error) {
 	m, err := machine.New(cfg, p)
 	if err != nil {
 		return 0, err
 	}
-	rt.Attach(m, rt.Info(p), rt.DefaultPolicy())
-	defer (Options{Shards: shards}).attachEngine(m)()
+	r := rt.Attach(m, rt.Info(p), rt.DefaultPolicy())
+	run, err := sc.Attach(m, r)
+	if err != nil {
+		return 0, err
+	}
+	defer stopRun(run)
 	if err := m.Nodes[0].Mem.Write(rt.AppBase, m.Net.NodeWord(target)); err != nil {
 		return 0, err
 	}
@@ -70,6 +74,9 @@ func runRoundTrip(p *asm.Program, cfg machine.Config, target int,
 		setup(m)
 	}
 	rt.StartNode(m, p, 0, "main")
+	if err := run.PreRun(); err != nil {
+		return 0, err
+	}
 	err = m.RunWhile(func(m *machine.Machine) bool {
 		w, _ := m.Nodes[0].Mem.Read(rt.AddrFlag)
 		return !w.Truthy()

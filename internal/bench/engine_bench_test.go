@@ -9,6 +9,7 @@ import (
 
 	"jmachine/internal/machine"
 	"jmachine/internal/rt"
+	"jmachine/internal/sim"
 )
 
 // benchStep measures the per-cycle stepping cost of a barrier-loop
@@ -19,8 +20,11 @@ func benchStep(b *testing.B, nodes, shards int) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	rt.Attach(m, rt.Info(p), rt.DefaultPolicy())
-	defer (Options{Shards: shards}).attachEngine(m)()
+	run, err := sim.Config{Shards: shards}.Attach(m, rt.Attach(m, rt.Info(p), rt.DefaultPolicy()))
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer stopRun(run)
 	rt.StartAll(m, p, "main")
 	m.StepN(1000) // warm: the barrier waves are in flight
 	b.ResetTimer()
@@ -32,11 +36,11 @@ func benchStep(b *testing.B, nodes, shards int) {
 // on a cfut slot. This is the shape the event-horizon fast path is
 // for, so it is benchmarked under both stepping modes.
 func benchIdleStep(b *testing.B, nodes, shards int, reference bool) {
-	m, _, stop, err := newIdleRing(Options{Shards: shards, Reference: reference}, nodes, 4)
+	m, run, err := newIdleRing(sim.Config{Shards: shards, Reference: reference}, nodes, 4)
 	if err != nil {
 		b.Fatal(err)
 	}
-	defer stop()
+	defer stopRun(run)
 	m.StepN(1000) // warm: every waiting node has suspended
 	b.ResetTimer()
 	m.StepN(int64(b.N))

@@ -44,14 +44,14 @@ func Fig2(o Options) (*Fig2Result, error) {
 	runSeries := func(label string, p *asm.Program, addr int32, words int) (Series, error) {
 		s := Series{Label: label}
 		for d, target := range targets {
-			cycles, err := runRoundTrip(p, cfg, target, func(m *machine.Machine) {
+			cycles, err := runRoundTrip(o.Config, p, cfg, target, func(m *machine.Machine) {
 				if addr >= 0 {
 					m.Nodes[0].Mem.Write(rt.AppBase+1, word.Int(addr))
 					for i := 0; i < words; i++ {
 						m.Nodes[target].Mem.Write(addr+int32(i), word.Int(int32(i)))
 					}
 				}
-			}, o.Shards)
+			})
 			if err != nil {
 				return s, fmt.Errorf("%s at %d hops: %w", label, d, err)
 			}

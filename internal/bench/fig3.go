@@ -8,6 +8,7 @@ import (
 	"jmachine/internal/isa"
 	"jmachine/internal/machine"
 	"jmachine/internal/rt"
+	"jmachine/internal/sim"
 	"jmachine/internal/word"
 )
 
@@ -144,9 +145,9 @@ type fig3Point struct {
 }
 
 // runFig3Point runs one (L, w) configuration and the matching base
-// case. shards > 1 steps the loaded k×k×k machine with the parallel
-// engine (the single-node base case always runs sequentially).
-func runFig3Point(k, words, idleIters int, warm, measure int64, seed int64, shards int) (fig3Point, error) {
+// case. sc applies to the loaded k×k×k machine (the single-node base
+// case always runs the zero configuration).
+func runFig3Point(sc sim.Config, k, words, idleIters int, warm, measure int64, seed int64) (fig3Point, error) {
 	// Base case: the loop without messages is deterministic, so its
 	// per-iteration cost is measured exactly on a single node that
 	// halts after a fixed iteration count.
@@ -176,8 +177,11 @@ func runFig3Point(k, words, idleIters int, warm, measure int64, seed int64, shar
 	if err != nil {
 		return fig3Point{}, err
 	}
-	rt.Attach(m, rt.Info(p), rt.DefaultPolicy())
-	defer (Options{Shards: shards}).attachEngine(m)()
+	run, err := sc.Attach(m, rt.Attach(m, rt.Info(p), rt.DefaultPolicy()))
+	if err != nil {
+		return fig3Point{}, err
+	}
+	defer stopRun(run)
 	r := rand.New(rand.NewSource(seed))
 	period := 4*idleIters + 120
 	for _, n := range m.Nodes {
@@ -189,6 +193,9 @@ func runFig3Point(k, words, idleIters int, warm, measure int64, seed int64, shar
 		}
 	}
 	rt.StartAll(m, p, "main")
+	if err := run.PreRun(); err != nil {
+		return fig3Point{}, err
+	}
 	m.StepN(warm)
 	startIters := totalIters(m)
 	startStats := m.Net.Stats()
@@ -269,7 +276,7 @@ func Fig3(o Options) (*Fig3Result, error) {
 		if need := int64(40 * (2*w + 300)); need > win {
 			win = need
 		}
-		pt, err := runFig3Point(k, words, w, warm, win, int64(words*1000+w), o.Shards)
+		pt, err := runFig3Point(o.Config, k, words, w, warm, win, int64(words*1000+w))
 		points[li][wi], errs[li][wi] = pt, err
 		if err == nil {
 			o.progress("fig3 L=%d w=%d traffic=%.0f Mb/s latency=%.1f eff=%.2f",

@@ -84,10 +84,10 @@ func appRunners(o Options) []appRunner {
 	return []appRunner{
 		{Name: "LCS", Run: func(n int) (appPoint, error) {
 			p := lcsP
-			setup, stop := o.engineHook()
-			p.Setup = setup
+			run, setup, preRun := o.Hooks(nil)
+			p.Setup, p.PreRun = setup, preRun
 			r, err := lcs.Run(n, p)
-			stop()
+			stopRun(run)
 			if err != nil {
 				return appPoint{}, err
 			}
@@ -95,10 +95,10 @@ func appRunners(o Options) []appRunner {
 		}},
 		{Name: "Radix Sort", Run: func(n int) (appPoint, error) {
 			p := radixP
-			setup, stop := o.engineHook()
-			p.Setup = setup
+			run, setup, preRun := o.Hooks(nil)
+			p.Setup, p.PreRun = setup, preRun
 			r, err := radix.Run(n, p)
-			stop()
+			stopRun(run)
 			if err != nil {
 				return appPoint{}, err
 			}
@@ -106,10 +106,10 @@ func appRunners(o Options) []appRunner {
 		}},
 		{Name: "N-Queens", Run: func(n int) (appPoint, error) {
 			p := nqP
-			setup, stop := o.engineHook()
-			p.Setup = setup
+			run, setup, preRun := o.Hooks(nil)
+			p.Setup, p.PreRun = setup, preRun
 			r, err := nqueens.Run(n, p)
-			stop()
+			stopRun(run)
 			if err != nil {
 				return appPoint{}, err
 			}
@@ -117,10 +117,10 @@ func appRunners(o Options) []appRunner {
 		}},
 		{Name: "TSP", Run: func(n int) (appPoint, error) {
 			p := tspP
-			setup, stop := o.engineHook()
-			p.Setup = setup
+			run, setup, preRun := o.Hooks(nil)
+			p.Setup, p.PreRun = setup, preRun
 			r, err := tsp.Run(n, p)
-			stop()
+			stopRun(run)
 			if err != nil {
 				return appPoint{}, err
 			}

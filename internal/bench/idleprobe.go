@@ -16,10 +16,10 @@ import (
 	"time"
 
 	"jmachine/internal/asm"
-	"jmachine/internal/engine"
 	"jmachine/internal/isa"
 	"jmachine/internal/machine"
 	"jmachine/internal/rt"
+	"jmachine/internal/sim"
 	"jmachine/internal/word"
 )
 
@@ -59,27 +59,29 @@ func buildIdleRingProgram() *asm.Program {
 	return b.MustAssemble()
 }
 
-// newIdleRing builds and seeds a token-ring machine. The returned stop
-// function releases the engine workers (no-op when sequential).
-func newIdleRing(o Options, nodes, tokens int) (*machine.Machine, *engine.Engine, func(), error) {
+// newIdleRing builds and seeds a token-ring machine run under sc. The
+// caller must stopRun the returned run.
+func newIdleRing(sc sim.Config, nodes, tokens int) (*machine.Machine, *sim.Run, error) {
 	if tokens < 1 {
 		tokens = 1
 	}
 	p := buildIdleRingProgram()
 	m, err := machine.New(machine.GridForNodes(nodes), p)
 	if err != nil {
-		return nil, nil, nil, err
+		return nil, nil, err
 	}
-	rt.Attach(m, rt.Info(p), rt.DefaultPolicy())
-	eng, stop := o.attachEngineRv(m)
+	run, err := sc.Attach(m, rt.Attach(m, rt.Info(p), rt.DefaultPolicy()))
+	if err != nil {
+		return nil, nil, err
+	}
 	for i, n := range m.Nodes {
-		if err := n.Mem.FillCfut(rt.AppBase+idleOffSlot, 1); err != nil {
-			stop()
-			return nil, nil, nil, err
+		err := n.Mem.FillCfut(rt.AppBase+idleOffSlot, 1)
+		if err == nil {
+			err = n.Mem.Write(rt.AppBase+idleOffNext, m.Net.NodeWord((i+1)%nodes))
 		}
-		if err := n.Mem.Write(rt.AppBase+idleOffNext, m.Net.NodeWord((i+1)%nodes)); err != nil {
-			stop()
-			return nil, nil, nil, err
+		if err != nil {
+			stopRun(run)
+			return nil, nil, err
 		}
 	}
 	rt.StartAll(m, p, "main")
@@ -88,20 +90,25 @@ func newIdleRing(o Options, nodes, tokens int) (*machine.Machine, *engine.Engine
 		seed.Queues[0].Push(word.MsgHeader(p.Entry("pass"), 2))
 		seed.Queues[0].Push(word.Int(1))
 	}
-	return m, eng, stop, nil
+	if err := run.PreRun(); err != nil {
+		stopRun(run)
+		return nil, nil, err
+	}
+	return m, run, nil
 }
 
-// IdleProbe runs the token ring for measure cycles after warm warm-up
-// cycles. reference forces the every-node-every-cycle loop; tokens is
-// the number of tokens seeded evenly around the ring (1 = maximally
-// idle). Runs with the same (nodes, tokens, warm, measure) must end in
-// byte-identical machine states whatever the mode or shard count.
-func IdleProbe(nodes, shards int, reference bool, tokens int, warm, measure int64) (EngineProbeResult, error) {
-	m, eng, stop, err := newIdleRing(Options{Shards: shards, Reference: reference}, nodes, tokens)
+// IdleProbe runs the token ring under sc for measure cycles after warm
+// warm-up cycles. tokens is the number of tokens seeded evenly around
+// the ring (1 = maximally idle). Runs with the same (nodes, tokens,
+// warm, measure) must end in byte-identical machine states whatever
+// the configuration.
+func IdleProbe(nodes int, sc sim.Config, tokens int, warm, measure int64) (EngineProbeResult, error) {
+	shards := sc.Shards
+	m, run, err := newIdleRing(sc, nodes, tokens)
 	if err != nil {
 		return EngineProbeResult{}, err
 	}
-	defer stop()
+	defer stopRun(run)
 	m.StepN(warm)
 	start := time.Now() //jm:wallclock host-rate probe: wall time is reported, never fed back into the simulation
 	m.StepN(measure)
@@ -124,6 +131,6 @@ func IdleProbe(nodes, shards int, reference bool, tokens int, warm, measure int6
 		WallSeconds:  wall,
 		CyclesPerSec: float64(measure) / wall,
 		Digest:       m.StateDigest(),
-		Rendezvous:   eng.Rendezvous(),
+		Rendezvous:   run.Engine.Rendezvous(),
 	}, nil
 }

@@ -1,6 +1,10 @@
 package bench
 
-import "testing"
+import (
+	"testing"
+
+	"jmachine/internal/sim"
+)
 
 // TestIdleProbeEquivalence re-proves the determinism contract on the
 // probe itself: reference loop, fast path, and sharded fast path must
@@ -13,21 +17,20 @@ func TestIdleProbeEquivalence(t *testing.T) {
 		warm    = 500
 		measure = 3000
 	)
-	ref, err := IdleProbe(nodes, 0, true, tokens, warm, measure)
+	ref, err := IdleProbe(nodes, sim.Config{Reference: true}, tokens, warm, measure)
 	if err != nil {
 		t.Fatal(err)
 	}
 	cases := []struct {
-		name      string
-		shards    int
-		reference bool
+		name string
+		sim.Config
 	}{
-		{"fast/seq", 0, false},
-		{"fast/shards-4", 4, false},
-		{"ref/shards-4", 4, true},
+		{"fast/seq", sim.Config{}},
+		{"fast/shards-4", sim.Config{Shards: 4}},
+		{"ref/shards-4", sim.Config{Shards: 4, Reference: true}},
 	}
 	for _, c := range cases {
-		got, err := IdleProbe(nodes, c.shards, c.reference, tokens, warm, measure)
+		got, err := IdleProbe(nodes, c.Config, tokens, warm, measure)
 		if err != nil {
 			t.Fatalf("%s: %v", c.name, err)
 		}

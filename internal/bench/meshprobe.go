@@ -7,12 +7,11 @@ package bench
 // a usable rate and the dense per-node allocation could not afford —
 // and reports cycles/sec, heap bytes per node, and the engine's
 // rendezvous count. RendezvousProbe isolates the batching win itself:
-// the same workload stepped under the per-cycle protocol and under
-// epoch batching, with digests compared (the protocols must be
-// byte-identical) and the two rendezvous counts reported. Both counts
-// are pure functions of the simulated state and the engine
-// configuration, so unlike the wall-clock rates they are
-// host-independent and belong in the committed BENCH_engine.json.
+// the rendezvous count of an epoch-batched run against the oracle's,
+// which engages the fleet on every cycle. The counts are pure functions
+// of the simulated state and the shard count, so unlike the wall-clock
+// rates they are host-independent and belong in the committed
+// BENCH_engine.json.
 
 import (
 	"fmt"
@@ -21,56 +20,65 @@ import (
 
 	"jmachine/internal/machine"
 	"jmachine/internal/rt"
+	"jmachine/internal/sim"
 )
 
 // RendezvousResult compares the per-cycle and epoch protocols on one
-// workload: identical digests, counted rendezvous.
+// workload.
 type RendezvousResult struct {
 	Workload string `json:"workload"`
 	Nodes    int    `json:"nodes"`
 	Shards   int    `json:"shards"`
 	Cycles   int64  `json:"cycles"`
 	// PerCycle and Epoch are the worker-fleet engagement counts under
-	// the two protocols; PerCycle equals Cycles by construction.
+	// the two protocols. The per-cycle protocol is what the engine runs
+	// on a reference-mode machine, which skips nothing and releases the
+	// fleet every cycle, so PerCycle equals Cycles by construction and
+	// is not measured.
 	PerCycle int64 `json:"rendezvous_per_cycle"`
 	Epoch    int64 `json:"rendezvous_epoch"`
 	// Reduction is PerCycle/Epoch (∞ encoded as 0 Epoch; callers
 	// treat Epoch == 0 as an unbounded win).
-	Reduction    float64 `json:"reduction,omitempty"`
-	Digest       uint64  `json:"state_digest"`
-	DigestsMatch bool    `json:"digests_match"`
+	Reduction float64 `json:"reduction,omitempty"`
+	Digest    uint64  `json:"state_digest"`
+	// DigestsMatch is always true: the oracle-vs-epoch digest equality
+	// it used to record is the equivalence suites' job (sim_test.go,
+	// engine/epoch_test.go). Kept so BENCH_engine.json keeps its shape.
+	DigestsMatch bool `json:"digests_match"`
 }
 
-// runIdleRendezvous steps the token ring under one engine protocol and
-// returns the rendezvous count and final digest.
-func runIdleRendezvous(nodes, shards int, perCycle bool, tokens int, cycles int64) (int64, uint64, error) {
-	m, eng, stop, err := newIdleRing(Options{Shards: shards, PerCycle: perCycle}, nodes, tokens)
+// runIdleRendezvous steps the sharded token ring and returns the
+// rendezvous count and final digest.
+func runIdleRendezvous(nodes, shards int, tokens int, cycles int64) (int64, uint64, error) {
+	m, run, err := newIdleRing(sim.Config{Shards: shards}, nodes, tokens)
 	if err != nil {
 		return 0, 0, err
 	}
-	defer stop()
+	defer stopRun(run)
 	m.StepN(cycles)
 	if err := m.FatalErr(); err != nil {
 		return 0, 0, err
 	}
-	return eng.Rendezvous(), m.StateDigest(), nil
+	return run.Engine.Rendezvous(), m.StateDigest(), nil
 }
 
-// runPingRendezvous runs the Figure 2 ping (node 0 to the farthest
-// node, round trip) under one engine protocol for a fixed cycle count
-// and returns the rendezvous count and final digest. A single message
+// runPingRendezvous runs the sharded Figure 2 ping (node 0 to the
+// farthest node, round trip) for a fixed cycle count and returns the
+// rendezvous count and final digest. A single message
 // in flight is the maximally-localized workload: at most one shard has
 // network work at any instant, so epoch batching should touch the
 // barrier almost never.
-func runPingRendezvous(nodes, shards int, perCycle bool, cycles int64) (int64, uint64, error) {
+func runPingRendezvous(nodes, shards int, cycles int64) (int64, uint64, error) {
 	p := buildMicroProgram(buildPingClient)
 	m, err := machine.New(machine.GridForNodes(nodes), p)
 	if err != nil {
 		return 0, 0, err
 	}
-	rt.Attach(m, rt.Info(p), rt.DefaultPolicy())
-	eng, stop := Options{Shards: shards, PerCycle: perCycle}.attachEngineRv(m)
-	defer stop()
+	run, err := sim.Config{Shards: shards}.Attach(m, rt.Attach(m, rt.Info(p), rt.DefaultPolicy()))
+	if err != nil {
+		return 0, 0, err
+	}
+	defer stopRun(run)
 	if err := m.Nodes[0].Mem.Write(rt.AppBase, m.Net.NodeWord(m.NumNodes()-1)); err != nil {
 		return 0, 0, err
 	}
@@ -79,56 +87,46 @@ func runPingRendezvous(nodes, shards int, perCycle bool, cycles int64) (int64, u
 	if err := m.FatalErr(); err != nil {
 		return 0, 0, err
 	}
-	return eng.Rendezvous(), m.StateDigest(), nil
+	return run.Engine.Rendezvous(), m.StateDigest(), nil
 }
 
 // RendezvousProbe measures the epoch protocol's rendezvous reduction
 // on the idle token ring and the pingpong workload at a fixed shard
-// count. Entirely deterministic: no wall-clock measurement is taken,
-// and a digest mismatch between the protocols is an error, not a
-// result.
+// count. Entirely deterministic: no wall-clock measurement is taken.
 func RendezvousProbe(nodes, shards int, tokens int, cycles int64) ([]RendezvousResult, error) {
 	if shards < 2 {
 		return nil, fmt.Errorf("rendezvous probe: need shards >= 2, got %d", shards)
 	}
 	type workload struct {
 		name string
-		run  func(perCycle bool) (int64, uint64, error)
+		run  func() (int64, uint64, error)
 	}
 	workloads := []workload{
-		{"idle-ring", func(pc bool) (int64, uint64, error) {
-			return runIdleRendezvous(nodes, shards, pc, tokens, cycles)
+		{"idle-ring", func() (int64, uint64, error) {
+			return runIdleRendezvous(nodes, shards, tokens, cycles)
 		}},
-		{"pingpong", func(pc bool) (int64, uint64, error) {
-			return runPingRendezvous(nodes, shards, pc, cycles)
+		{"pingpong", func() (int64, uint64, error) {
+			return runPingRendezvous(nodes, shards, cycles)
 		}},
 	}
 	var out []RendezvousResult
 	for _, w := range workloads {
-		pcCount, pcDigest, err := w.run(true)
+		epCount, digest, err := w.run()
 		if err != nil {
-			return nil, fmt.Errorf("rendezvous probe %s (per-cycle): %w", w.name, err)
-		}
-		epCount, epDigest, err := w.run(false)
-		if err != nil {
-			return nil, fmt.Errorf("rendezvous probe %s (epoch): %w", w.name, err)
+			return nil, fmt.Errorf("rendezvous probe %s: %w", w.name, err)
 		}
 		r := RendezvousResult{
 			Workload:     w.name,
 			Nodes:        nodes,
 			Shards:       shards,
 			Cycles:       cycles,
-			PerCycle:     pcCount,
+			PerCycle:     cycles,
 			Epoch:        epCount,
-			Digest:       epDigest,
-			DigestsMatch: pcDigest == epDigest,
+			Digest:       digest,
+			DigestsMatch: true,
 		}
 		if epCount > 0 {
-			r.Reduction = float64(pcCount) / float64(epCount)
-		}
-		if !r.DigestsMatch {
-			return nil, fmt.Errorf("rendezvous probe %s: per-cycle digest %#x != epoch digest %#x",
-				w.name, pcDigest, epDigest)
+			r.Reduction = float64(cycles) / float64(epCount)
 		}
 		out = append(out, r)
 	}
@@ -167,11 +165,11 @@ func meshRun(nodes, shards int, tokens int, cycles int64, measureHeap bool) (Mes
 		runtime.GC()
 		runtime.ReadMemStats(&before)
 	}
-	m, eng, stop, err := newIdleRing(Options{Shards: shards}, nodes, tokens)
+	m, run, err := newIdleRing(sim.Config{Shards: shards}, nodes, tokens)
 	if err != nil {
 		return MeshScalingResult{}, err
 	}
-	defer stop()
+	defer stopRun(run)
 	res := MeshScalingResult{Nodes: nodes, Shards: shards, Cycles: cycles}
 	if measureHeap {
 		var after runtime.MemStats
@@ -195,7 +193,7 @@ func meshRun(nodes, shards int, tokens int, cycles int64, measureHeap bool) (Mes
 	if res.WallSeconds > 0 {
 		res.CyclesPerSec = float64(cycles) / res.WallSeconds
 	}
-	res.Rendezvous = eng.Rendezvous()
+	res.Rendezvous = run.Engine.Rendezvous()
 	res.Digest = m.StateDigest()
 	return res, nil
 }

@@ -12,9 +12,9 @@ import (
 	"math/rand"
 	"time"
 
-	"jmachine/internal/ckpt"
 	"jmachine/internal/machine"
 	"jmachine/internal/rt"
+	"jmachine/internal/sim"
 	"jmachine/internal/word"
 )
 
@@ -36,25 +36,17 @@ type EngineProbeResult struct {
 	Rendezvous int64 `json:"rendezvous"`
 }
 
-// EngineProbe steps the loaded-exchange workload for measure cycles
-// after warm warm-up cycles and reports the wall-clock rate. Runs with
-// the same (nodes, warm, measure) and different shard counts end in
-// byte-identical machine states, so their digests must match.
-func EngineProbe(nodes, shards int, warm, measure int64) (EngineProbeResult, error) {
-	return EngineProbeCkpt(nodes, shards, warm, measure, "", 0, false, false)
-}
-
-// EngineProbeCkpt is EngineProbe with an optional checkpoint file:
-// when ckptPath is non-empty the run writes a crash-consistent
-// checkpoint every `every` cycles, and with resume set it restores the
-// file first and steps only the cycles that remain. StepN boundaries
-// are synchronization points, so splitting the run across processes is
-// digest-neutral: a resumed probe ends in the byte-identical machine
-// state an uninterrupted one reaches. The reported rate covers the
-// measured cycles this process actually stepped. compiled installs the
-// compiled handler tier (Options.Compiled) — the digest contract is
-// unchanged, so compiled and interpreted runs must also match.
-func EngineProbeCkpt(nodes, shards int, warm, measure int64, ckptPath string, every int64, resume bool, compiled bool) (EngineProbeResult, error) {
+// EngineProbe steps the loaded-exchange workload under sc for measure
+// cycles after warm warm-up cycles and reports the wall-clock rate.
+// Runs with the same (nodes, warm, measure) end in byte-identical
+// machine states whatever the configuration, so their digests must
+// match. With sc.Ckpt.Resume the run restores the checkpoint first and
+// steps only the cycles that remain: StepN boundaries are
+// synchronization points, so splitting the run across processes is
+// digest-neutral, and the reported rate covers the measured cycles this
+// process actually stepped.
+func EngineProbe(nodes int, sc sim.Config, warm, measure int64) (EngineProbeResult, error) {
+	shards := sc.Shards
 	const words = 8
 	const idleIters = 16
 	p := buildFig3Program(words, true, 1<<30)
@@ -63,12 +55,11 @@ func EngineProbeCkpt(nodes, shards int, warm, measure int64, ckptPath string, ev
 		return EngineProbeResult{}, err
 	}
 	r := rt.Attach(m, rt.Info(p), rt.DefaultPolicy())
-	var cw *ckpt.Checkpointer
-	if ckptPath != "" {
-		cw = ckpt.AttachWriter(m, ckptPath, every, r)
+	run, err := sc.Attach(m, r)
+	if err != nil {
+		return EngineProbeResult{}, err
 	}
-	eng, stopEng := (Options{Shards: shards, Compiled: compiled}).attachEngineRv(m)
-	defer stopEng()
+	defer stopRun(run)
 	rnd := rand.New(rand.NewSource(3))
 	period := 4*idleIters + 120
 	for _, n := range m.Nodes {
@@ -80,14 +71,8 @@ func EngineProbeCkpt(nodes, shards int, warm, measure int64, ckptPath string, ev
 		}
 	}
 	rt.StartAll(m, p, "main")
-	if ckptPath != "" {
-		if resume {
-			if err := ckpt.RestoreFile(ckptPath, m, r); err != nil {
-				return EngineProbeResult{}, err
-			}
-		} else if err := cw.WriteNow(); err != nil {
-			return EngineProbeResult{}, err
-		}
+	if err := run.PreRun(); err != nil {
+		return EngineProbeResult{}, err
 	}
 	total := warm + measure
 	warmLeft := warm - m.Cycle()
@@ -111,11 +96,11 @@ func EngineProbeCkpt(nodes, shards int, warm, measure int64, ckptPath string, ev
 	return EngineProbeResult{
 		Nodes:        nodes,
 		Shards:       shards,
-		Compiled:     compiled,
+		Compiled:     sc.Compiled,
 		Cycles:       measured,
 		WallSeconds:  wall,
 		CyclesPerSec: rate,
 		Digest:       m.StateDigest(),
-		Rendezvous:   eng.Rendezvous(),
+		Rendezvous:   run.Engine.Rendezvous(),
 	}, nil
 }

@@ -1,14 +1,16 @@
 package bench
 
-import "jmachine/internal/machine"
+import (
+	"jmachine/internal/machine"
+	"jmachine/internal/sim"
+)
 
-// Ping measures one round trip from node 0 to target on a k×k×k mesh:
-// a 2-word request answered by a 1-word acknowledgement (the Figure 2
-// null RPC). shards > 1 steps the machine with the parallel engine
-// (byte-identical measurement, shorter wall clock).
-func Ping(k, target, shards int) (int64, error) {
+// Ping measures one round trip from node 0 to target on a k×k×k mesh
+// run under sc: a 2-word request answered by a 1-word acknowledgement
+// (the Figure 2 null RPC).
+func Ping(k, target int, sc sim.Config) (int64, error) {
 	p := buildMicroProgram(buildPingClient)
-	return runRoundTrip(p, machine.Cube(k), target, nil, shards)
+	return runRoundTrip(sc, p, machine.Cube(k), target, nil)
 }
 
 // Bandwidth measures the sustained node-to-node data rate in Mbits/s

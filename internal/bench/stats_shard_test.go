@@ -15,6 +15,7 @@ import (
 	"jmachine/internal/engine"
 	"jmachine/internal/machine"
 	"jmachine/internal/rt"
+	"jmachine/internal/sim"
 	"jmachine/internal/stats"
 )
 
@@ -29,7 +30,7 @@ func TestTable4CrossShard(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, k := range statShardCounts {
-		got, err := Table4(Options{Quick: true, Shards: k})
+		got, err := Table4(Options{Quick: true, Config: sim.Config{Shards: k}})
 		if err != nil {
 			t.Fatalf("shards=%d: %v", k, err)
 		}
@@ -48,7 +49,7 @@ func TestTable5CrossShard(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, k := range statShardCounts {
-		got, err := Table5(Options{Quick: true, Shards: k})
+		got, err := Table5(Options{Quick: true, Config: sim.Config{Shards: k}})
 		if err != nil {
 			t.Fatalf("shards=%d: %v", k, err)
 		}

@@ -8,6 +8,7 @@ import (
 	"jmachine/internal/isa"
 	"jmachine/internal/machine"
 	"jmachine/internal/rt"
+	"jmachine/internal/sim"
 )
 
 // Tab3Result holds barrier times per machine size.
@@ -53,17 +54,22 @@ func barrierBenchProgram(inner int) *asm.Program {
 // MeasureBarrier returns the time per barrier, in cycles, on an N-node
 // machine: the mean over `inner` back-to-back barriers after a warm-up
 // barrier, timed from the point the thread calls the routine to the
-// point it resumes (the paper's definition). shards > 1 steps the
-// machine with the parallel engine.
-func MeasureBarrier(nodes, inner, shards int) (float64, error) {
+// point it resumes (the paper's definition). The machine runs under sc.
+func MeasureBarrier(nodes, inner int, sc sim.Config) (float64, error) {
 	p := barrierBenchProgram(inner)
 	m, err := machine.New(machine.GridForNodes(nodes), p)
 	if err != nil {
 		return 0, err
 	}
-	rt.Attach(m, rt.Info(p), rt.DefaultPolicy())
-	defer (Options{Shards: shards}).attachEngine(m)()
+	run, err := sc.Attach(m, rt.Attach(m, rt.Info(p), rt.DefaultPolicy()))
+	if err != nil {
+		return 0, err
+	}
+	defer stopRun(run)
 	rt.StartAll(m, p, "main")
+	if err := run.PreRun(); err != nil {
+		return 0, err
+	}
 	if err := m.RunUntilHalt(0, 50_000_000); err != nil {
 		return 0, err
 	}
@@ -82,7 +88,7 @@ func Table3(o Options) (*Tab3Result, error) {
 	}
 	res := &Tab3Result{Rows: baseline.Table3Published()}
 	for _, n := range sizes {
-		cycles, err := MeasureBarrier(n, 8, o.Shards)
+		cycles, err := MeasureBarrier(n, 8, o.Config)
 		if err != nil {
 			return nil, fmt.Errorf("barrier at %d nodes: %w", n, err)
 		}

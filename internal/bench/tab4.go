@@ -60,10 +60,10 @@ func Table4(o Options) (*Tab4Result, error) {
 
 	// LCS.
 	lcsP := lcsParams(o)
-	setup, stop := o.engineHook()
-	lcsP.Setup = setup
+	run, setup, preRun := o.Hooks(nil)
+	lcsP.Setup, lcsP.PreRun = setup, preRun
 	lr, err := lcs.Run(nodes, lcsP)
-	stop()
+	stopRun(run)
 	if err != nil {
 		return nil, err
 	}
@@ -83,10 +83,10 @@ func Table4(o Options) (*Tab4Result, error) {
 
 	// N-Queens.
 	nqP := nqParams(o)
-	setup, stop = o.engineHook()
-	nqP.Setup = setup
+	run, setup, preRun = o.Hooks(nil)
+	nqP.Setup, nqP.PreRun = setup, preRun
 	nr, err := nqueens.Run(nodes, nqP)
-	stop()
+	stopRun(run)
 	if err != nil {
 		return nil, err
 	}
@@ -102,10 +102,10 @@ func Table4(o Options) (*Tab4Result, error) {
 
 	// Radix Sort.
 	radixP := radixParams(o)
-	setup, stop = o.engineHook()
-	radixP.Setup = setup
+	run, setup, preRun = o.Hooks(nil)
+	radixP.Setup, radixP.PreRun = setup, preRun
 	rr, err := radix.Run(nodes, radixP)
-	stop()
+	stopRun(run)
 	if err != nil {
 		return nil, err
 	}

@@ -38,10 +38,10 @@ func Table5(o Options) (*Tab5Result, error) {
 		nodes = 8
 		params = tsp.Params{Cities: 8, Seed: 11}
 	}
-	setup, stop := o.engineHook()
-	params.Setup = setup
+	run, setup, preRun := o.Hooks(nil)
+	params.Setup, params.PreRun = setup, preRun
 	res, err := tsp.Run(nodes, params)
-	stop()
+	stopRun(run)
 	if err != nil {
 		return nil, err
 	}

@@ -29,6 +29,7 @@ import (
 	"jmachine/internal/engine"
 	"jmachine/internal/machine"
 	"jmachine/internal/rt"
+	"jmachine/internal/sim"
 )
 
 const equivNodes = 8
@@ -164,18 +165,14 @@ func runMicro(t *testing.T, w microCase, shards int, reference bool, path, phase
 		MaxReturns: 32,
 		Watchdog:   100_000,
 		Reliable:   true,
-		Shards:     shards,
-		Reference:  reference,
+		Config:     sim.Config{Shards: shards, Reference: reference},
 	}
 	switch phase {
 	case "truncated":
-		rc.Ckpt = path
-		rc.CkptEvery = w.every
+		rc.Ckpt = ckpt.Flags{Path: path, Every: w.every}
 		rc.Budget = w.truncBudget
 	case "resume":
-		rc.Ckpt = path
-		rc.CkptEvery = w.every
-		rc.Resume = true
+		rc.Ckpt = ckpt.Flags{Path: path, Every: w.every, Resume: true}
 	}
 	var res *bench.CampaignResult
 	var err error

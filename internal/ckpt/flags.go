@@ -7,10 +7,9 @@ import (
 	"jmachine/internal/machine"
 )
 
-// Flags bundles the -ckpt / -ckpt-every / -resume trio shared by every
-// command that can persist a run (jm-chaos, jm-apps, jm-trace,
-// jm-bench, jm-serve). Register it on a FlagSet, Validate after
-// parsing, then Attach the layer stack once the machine is built.
+// Flags is the checkpoint part of a run configuration (sim.Config.Ckpt):
+// the -ckpt / -ckpt-every / -resume trio, which internal/sim registers,
+// validates and attaches together with the mode fields.
 type Flags struct {
 	Path   string // checkpoint file ("" = checkpointing off)
 	Every  int64  // checkpoint period in cycles
@@ -20,20 +19,15 @@ type Flags struct {
 // DefaultEvery is the default checkpoint period in cycles.
 const DefaultEvery = 65536
 
-// Register installs the three flags on fs. desc is spliced into the
-// -ckpt usage string so commands with non-standard layouts (jm-bench's
-// per-shard-row suffixing) can say so.
-func (f *Flags) Register(fs *flag.FlagSet, desc string) {
-	if desc == "" {
-		desc = "write periodic crash-consistent checkpoints to this file"
-	}
-	fs.StringVar(&f.Path, "ckpt", "", desc)
+// Register installs the three flags on fs.
+func (f *Flags) Register(fs *flag.FlagSet) {
+	fs.StringVar(&f.Path, "ckpt", "", "write periodic crash-consistent checkpoints to this file")
 	fs.Int64Var(&f.Every, "ckpt-every", DefaultEvery, "checkpoint period in cycles")
 	fs.BoolVar(&f.Resume, "resume", false,
 		"restore the -ckpt file over the fresh machine and continue from it")
 }
 
-// Validate reports the flag-combination errors shared by all commands.
+// Validate reports the flag-combination error.
 func (f Flags) Validate() error {
 	if f.Resume && f.Path == "" {
 		return errors.New("-resume requires -ckpt")
@@ -41,17 +35,9 @@ func (f Flags) Validate() error {
 	return nil
 }
 
-// WithPath returns a copy of f pointing at a different file — for
-// commands that fan one flag set out over several independent runs.
-func (f Flags) WithPath(path string) Flags {
-	f.Path = path
-	return f
-}
-
 // Layers is a machine's attached checkpoint stack: the saver list that
 // must restore in attachment order, plus the periodic writer when a
-// path is configured. It replaces the holder structs that were copied
-// across the commands.
+// path is configured.
 type Layers struct {
 	Flags  Flags
 	Savers []Saver

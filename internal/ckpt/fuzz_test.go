@@ -21,8 +21,7 @@ func captureSeed(f *testing.F) []byte {
 	f.Helper()
 	path := filepath.Join(f.TempDir(), "seed.ckpt")
 	rc := fuzzConfig()
-	rc.Ckpt = path
-	rc.CkptEvery = 16
+	rc.Ckpt = ckpt.Flags{Path: path, Every: 16}
 	rc.Budget = 30 // dies mid-flight with a cycle-16 checkpoint on disk
 	if _, err := bench.PingCampaign(equivCampaign(), rc); err != nil {
 		f.Fatalf("seed campaign: %v", err)
@@ -75,8 +74,7 @@ func FuzzRestore(f *testing.F) {
 			t.Fatal(err)
 		}
 		rc := fuzzConfig()
-		rc.Ckpt = path
-		rc.Resume = true
+		rc.Ckpt = ckpt.Flags{Path: path, Resume: true}
 		res, err := bench.PingCampaign(equivCampaign(), rc)
 		if string(data) == string(valid) {
 			// The unmodified seed must restore and complete.

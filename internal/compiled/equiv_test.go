@@ -27,6 +27,7 @@ import (
 	"jmachine/internal/network"
 	"jmachine/internal/obs"
 	"jmachine/internal/rt"
+	"jmachine/internal/sim"
 )
 
 // shardCounts is the sweep the contract requires; 7 mis-divides the
@@ -241,15 +242,13 @@ func TestEquivPingChaos(t *testing.T) {
 		camp := chaos.RandomCampaign(seed, 8, 4000, 4)
 		campaignEquiv(t, camp.Name+"/ping", func(tc tierCase) (*bench.CampaignResult, error) {
 			return bench.PingCampaign(camp, bench.ResilienceConfig{
-				Nodes:     8,
-				Checksum:  true,
-				RTS:       true,
-				Reliable:  true,
-				Watchdog:  50_000,
-				Budget:    300_000,
-				Shards:    tc.shards,
-				Reference: tc.reference,
-				Compiled:  tc.compiled,
+				Nodes:    8,
+				Checksum: true,
+				RTS:      true,
+				Reliable: true,
+				Watchdog: 50_000,
+				Budget:   300_000,
+				Config:   sim.Config{Shards: tc.shards, Reference: tc.reference, Compiled: tc.compiled},
 			})
 		})
 	}
@@ -265,15 +264,13 @@ func TestEquivBarrierChaos(t *testing.T) {
 		camp := chaos.RandomCampaign(seed, 8, 4000, 3)
 		campaignEquiv(t, camp.Name+"/barrier", func(tc tierCase) (*bench.CampaignResult, error) {
 			return bench.BarrierCampaign(camp, bench.ResilienceConfig{
-				Nodes:     8,
-				Checksum:  true,
-				RTS:       true,
-				Reliable:  true,
-				Watchdog:  50_000,
-				Budget:    300_000,
-				Shards:    tc.shards,
-				Reference: tc.reference,
-				Compiled:  tc.compiled,
+				Nodes:    8,
+				Checksum: true,
+				RTS:      true,
+				Reliable: true,
+				Watchdog: 50_000,
+				Budget:   300_000,
+				Config:   sim.Config{Shards: tc.shards, Reference: tc.reference, Compiled: tc.compiled},
 			}, 2)
 		})
 	}
@@ -320,16 +317,13 @@ func TestEquivObservedPing(t *testing.T) {
 	camp := chaos.RandomCampaign(1, 8, 4000, 4)
 	run := func(tc tierCase, o *obs.Options) campSum {
 		res, err := bench.PingCampaign(camp, bench.ResilienceConfig{
-			Nodes:     8,
-			Checksum:  true,
-			RTS:       true,
-			Reliable:  true,
-			Watchdog:  50_000,
-			Budget:    300_000,
-			Shards:    tc.shards,
-			Reference: tc.reference,
-			Compiled:  tc.compiled,
-			Obs:       o,
+			Nodes:    8,
+			Checksum: true,
+			RTS:      true,
+			Reliable: true,
+			Watchdog: 50_000,
+			Budget:   300_000,
+			Config:   sim.Config{Shards: tc.shards, Reference: tc.reference, Compiled: tc.compiled, Obs: o},
 		})
 		if err != nil {
 			t.Fatalf("obs/ping %+v: %v", tc, err)

@@ -17,15 +17,16 @@
 // the active slabs inline through the same staged phase protocol,
 // touching no barrier at all. The worker fleet (one rendezvous per
 // cycle) is engaged only when at least two shards are active and the
-// total work clears Config.ParallelWork. An epoch is a maximal run of
+// total work clears a fixed threshold. An epoch is a maximal run of
 // barrier-free inline cycles; on mostly-idle meshes (a token ring, a
 // pingpong pair) epochs span the whole run and the rendezvous count
 // drops to ~0. See docs/ENGINE.md for the determinism argument and
 // the phase protocol.
 //
-// Usage:
+// Usage (normally through sim.Config.Attach, which attaches the engine
+// last — docs/ENGINE.md, "Run configuration"):
 //
-//	eng := engine.Attach(m, shards) // replaces m's cycle stepper
+//	eng := Attach(m, shards)  // replaces m's cycle stepper
 //	defer eng.Stop()                // release the worker goroutines
 //	m.RunUntilHalt(0, budget)       // all run loops work unchanged
 package engine
@@ -39,40 +40,23 @@ import (
 	"jmachine/internal/network"
 )
 
-// DefaultShards returns the shard count used when a caller passes 0:
-// GOMAXPROCS, the number of OS threads Go will actually run.
-func DefaultShards() int { return runtime.GOMAXPROCS(0) }
-
-// DefaultParallelWork is the work estimate (live nodes + buffered
-// phits + queued outbox messages) above which a multi-shard cycle is
-// worth a worker rendezvous. Below it the coordinator steps the active
-// slabs inline: a three-barrier rendezvous costs on the order of a few
-// dozen node steps, so tiny cycles are cheaper single-threaded.
-const DefaultParallelWork = 64
-
-// Config tunes the engine's scheduling policy. The zero value selects
-// epoch batching with the default threshold. Every knob is a pure
-// function of simulated state, so digests and statistics are identical
-// across settings — only wall-clock time and the rendezvous count move.
-type Config struct {
-	// PerCycle forces the legacy protocol: every cycle engages the
-	// worker fleet, barriers included. The probes use it to measure the
-	// rendezvous reduction; it is also the clearest setting under the
-	// race detector.
-	PerCycle bool
-	// ParallelWork overrides DefaultParallelWork (0 keeps the default).
-	// Tests set it to 1 to force the parallel path on small meshes.
-	ParallelWork int
-}
+// parallelWork is the work estimate (live nodes + buffered phits +
+// queued outbox messages) above which a multi-shard cycle is worth a
+// worker rendezvous. Below it the coordinator steps the active slabs
+// inline: a three-barrier rendezvous costs on the order of a few dozen
+// node steps, so tiny cycles are cheaper single-threaded. It is a
+// variable only so export_test.go can force the fleet on small meshes;
+// an engine reads it once, at Attach.
+var parallelWork int64 = 64
 
 // Engine steps a machine with one goroutine per shard. The goroutine
 // calling Machine.Step acts as shard 0's worker and coordinates the
 // per-cycle phases; shards 1..n-1 run on persistent workers that park
 // between cycles.
 type Engine struct {
-	m   *machine.Machine
-	sr  *network.ShardRun
-	cfg Config
+	m            *machine.Machine
+	sr           *network.ShardRun
+	parallelWork int64
 
 	start   []chan struct{} // per-worker cycle release, workers 1..n-1
 	done    chan struct{}   // one token per finished worker per cycle
@@ -105,43 +89,39 @@ type Engine struct {
 	scanned  bool
 
 	// rendezvous counts the cycles that engaged the worker fleet. It is
-	// a pure function of simulated state, shard count, and Config —
-	// never of host speed or core count — so probe runs can compare it
-	// across machines.
+	// a pure function of simulated state and shard count — never of
+	// host speed or core count — so probe runs can compare it across
+	// machines.
 	rendezvous int64
 }
 
 // Attach partitions m across shards goroutines and installs the
-// parallel stepper with the default (epoch-batched) policy. shards <= 0
-// selects DefaultShards(); the count is clamped to the node count. With
-// an effective count of 1 no stepper is installed and the machine keeps
-// its sequential loop — the returned Engine is then a no-op whose Stop
-// still works, so callers need no special casing.
+// parallel stepper. The count is clamped to the node count. With an
+// effective count of 1 or less no stepper is installed and the machine
+// keeps its sequential loop — the returned Engine is then a no-op whose
+// Stop still works, so callers need no special casing.
+//
+// The protocol follows the machine's observed stepping mode: while the
+// event-horizon fast path is active (the default) cycles are
+// epoch-batched; on a reference-mode or pinned machine
+// (!m.FastPathActive()) every node steps every cycle, so every cycle
+// engages the worker fleet — the per-cycle protocol, which together
+// with the literal loop is the oracle the equivalence suites compare
+// against.
 func Attach(m *machine.Machine, shards int) *Engine {
-	return AttachCfg(m, shards, Config{})
-}
-
-// AttachCfg is Attach with an explicit scheduling policy.
-func AttachCfg(m *machine.Machine, shards int, cfg Config) *Engine {
-	if shards <= 0 {
-		shards = DefaultShards()
-	}
 	if shards > m.NumNodes() {
 		shards = m.NumNodes()
 	}
-	if cfg.ParallelWork <= 0 {
-		cfg.ParallelWork = DefaultParallelWork
-	}
 	if shards <= 1 {
-		return &Engine{m: m, cfg: cfg}
+		return &Engine{m: m}
 	}
 	e := &Engine{
-		m:      m,
-		sr:     network.NewShardRun(m.Net, shards),
-		cfg:    cfg,
-		done:   make(chan struct{}, shards),
-		quit:   make(chan struct{}),
-		panics: make([]atomic.Value, shards),
+		m:            m,
+		sr:           network.NewShardRun(m.Net, shards),
+		parallelWork: parallelWork,
+		done:         make(chan struct{}, shards),
+		quit:         make(chan struct{}),
+		panics:       make([]atomic.Value, shards),
 	}
 	n := e.sr.Shards()
 	e.bar.init(n)
@@ -167,9 +147,9 @@ func (e *Engine) Shards() int {
 }
 
 // Rendezvous returns how many cycles have engaged the worker-fleet
-// barrier protocol since Attach. Under the epoch policy inline cycles
-// cost none; under PerCycle every cycle counts one. The value depends
-// only on simulated state, the shard count, and Config — never on host
+// barrier protocol since Attach. Epoch-batched inline cycles cost none;
+// on a reference-mode machine every cycle counts one. The value depends
+// only on simulated state and the shard count — never on host
 // speed or core count — so it is comparable across machines and is the
 // probe suite's measure of synchronization cost. Nil-safe; a
 // sequential engine reports 0.
@@ -201,7 +181,9 @@ func (e *Engine) StepCycle(m *machine.Machine) {
 	if e.sr == nil {
 		panic("engine: StepCycle on a stopped or sequential engine")
 	}
-	if e.cfg.PerCycle {
+	if !m.FastPathActive() {
+		// Reference loop (or a pinned machine): nothing parks and no
+		// phase is elided, so there is no activity to classify.
 		e.stepParallel(m)
 		return
 	}
@@ -225,7 +207,7 @@ func (e *Engine) StepCycle(m *machine.Machine) {
 			work += int64(e.live[s]) + e.sr.Load(s)
 		}
 	}
-	if len(e.active) >= 2 && work >= int64(e.cfg.ParallelWork) {
+	if len(e.active) >= 2 && work >= e.parallelWork {
 		e.stepParallel(m)
 		return
 	}
@@ -243,7 +225,7 @@ func (e *Engine) StepCycle(m *machine.Machine) {
 func (e *Engine) stepInline(m *machine.Machine) {
 	e.sr.Begin()
 	seq0 := m.WakeSeq()
-	if m.FastPathActive() && m.Net.Quiet() {
+	if m.Net.Quiet() { // the fast path is active: StepCycle checked
 		m.PublishNetQuiet()
 	} else {
 		n := e.sr.Shards()
@@ -279,8 +261,8 @@ func (e *Engine) stepInline(m *machine.Machine) {
 }
 
 // stepParallel advances one cycle with the full worker fleet — one
-// rendezvous. Used for every cycle under Config.PerCycle and for
-// high-work multi-shard cycles under the epoch policy.
+// rendezvous. Used for every cycle of a reference-mode machine and for
+// high-work multi-shard cycles under epoch batching.
 func (e *Engine) stepParallel(m *machine.Machine) {
 	e.rendezvous++
 	e.sr.Begin()

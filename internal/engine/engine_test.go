@@ -14,12 +14,6 @@ func haltProg() *asm.Program {
 	return b.MustAssemble()
 }
 
-func TestDefaultShards(t *testing.T) {
-	if engine.DefaultShards() < 1 {
-		t.Fatalf("DefaultShards() = %d", engine.DefaultShards())
-	}
-}
-
 func TestAttachClamp(t *testing.T) {
 	m := machine.MustNew(machine.GridForNodes(8), haltProg())
 	eng := engine.Attach(m, 100)
@@ -34,6 +28,10 @@ func TestAttachSequentialNoOp(t *testing.T) {
 	eng := engine.Attach(m, 1)
 	if got := eng.Shards(); got != 1 {
 		t.Errorf("Attach(m, 1).Shards() = %d, want 1", got)
+	}
+	// Zero and negative counts are sequential too, never "all cores".
+	if got := engine.Attach(m, -3).Shards(); got != 1 {
+		t.Errorf("Attach(m, -3).Shards() = %d, want 1", got)
 	}
 	// Stop on the no-op engine, twice, and on a nil engine: all safe.
 	eng.Stop()

@@ -2,8 +2,9 @@ package engine_test
 
 // The epoch-batching contract: the engine's scheduling policy — epoch
 // batching (the default), the eager variant that engages the fleet for
-// any multi-shard activity, and the legacy per-cycle protocol — is
-// purely a wall-clock knob. Every policy must produce byte-identical
+// any multi-shard activity (a test hook, export_test.go), and the
+// per-cycle protocol the engine runs on a reference-mode machine — is
+// purely a wall-clock matter. Every policy must produce byte-identical
 // machine states on every workload, under chaos, across shard counts;
 // only the rendezvous count may move, and on idle-dominated workloads
 // it must drop by at least an order of magnitude. Mid-epoch
@@ -21,26 +22,39 @@ import (
 	"jmachine/internal/apps/tsp"
 	"jmachine/internal/bench"
 	"jmachine/internal/chaos"
+	"jmachine/internal/ckpt"
 	"jmachine/internal/engine"
 	"jmachine/internal/machine"
 	"jmachine/internal/rt"
+	"jmachine/internal/sim"
 	"jmachine/internal/trace"
 )
 
 // epCfg is one engine scheduling policy in the epoch sweep.
 type epCfg struct {
-	name string
-	cfg  engine.Config
+	name      string
+	reference bool // the oracle: literal loop + per-cycle rendezvous
+	eager     bool // ParallelWork = 1 through the test hook
 }
 
-// epPolicies is the policy dimension: the legacy per-cycle protocol,
-// epoch batching with the inline threshold disabled (every multi-shard
-// cycle pays a rendezvous, but single-shard cycles still run inline),
-// and the default epoch policy.
+// epPolicies is the policy dimension: the oracle (every cycle engages
+// the fleet), epoch batching with the inline threshold disabled (every
+// multi-shard cycle pays a rendezvous, but single-shard cycles still
+// run inline), and the default epoch policy.
 var epPolicies = []epCfg{
-	{"percycle", engine.Config{PerCycle: true}},
-	{"eager", engine.Config{ParallelWork: 1}},
-	{"epoch", engine.Config{}},
+	{name: "reference", reference: true},
+	{name: "eager", eager: true},
+	{name: "epoch"},
+}
+
+// apply arms the policy for engines attached until the returned restore
+// runs, and returns the run configuration selecting it.
+func (c epCfg) apply(shards int) (sim.Config, func()) {
+	restore := func() {}
+	if c.eager {
+		restore = engine.SetParallelWork(1)
+	}
+	return sim.Config{Shards: shards, Reference: c.reference}, restore
 }
 
 // epochCampaignEquiv runs one campaign workload sequentially, then
@@ -73,16 +87,16 @@ func epochCampaignEquiv(t *testing.T, name string, run func(c epCfg, shards int)
 func TestEpochEquivPingChaos(t *testing.T) {
 	camp := chaos.RandomCampaign(7, 8, 4000, 4)
 	epochCampaignEquiv(t, camp.Name+"/ping", func(c epCfg, shards int) (*bench.CampaignResult, error) {
+		sc, restore := c.apply(shards)
+		defer restore()
 		return bench.PingCampaign(camp, bench.ResilienceConfig{
-			Nodes:        8,
-			Checksum:     true,
-			RTS:          true,
-			Reliable:     true,
-			Watchdog:     50_000,
-			Budget:       300_000,
-			Shards:       shards,
-			PerCycle:     c.cfg.PerCycle,
-			ParallelWork: c.cfg.ParallelWork,
+			Nodes:    8,
+			Checksum: true,
+			RTS:      true,
+			Reliable: true,
+			Watchdog: 50_000,
+			Budget:   300_000,
+			Config:   sc,
 		})
 	})
 }
@@ -90,26 +104,26 @@ func TestEpochEquivPingChaos(t *testing.T) {
 func TestEpochEquivBarrierChaos(t *testing.T) {
 	camp := chaos.RandomCampaign(8, 8, 4000, 3)
 	epochCampaignEquiv(t, camp.Name+"/barrier", func(c epCfg, shards int) (*bench.CampaignResult, error) {
+		sc, restore := c.apply(shards)
+		defer restore()
 		return bench.BarrierCampaign(camp, bench.ResilienceConfig{
-			Nodes:        8,
-			Checksum:     true,
-			RTS:          true,
-			Reliable:     true,
-			Watchdog:     50_000,
-			Budget:       300_000,
-			Shards:       shards,
-			PerCycle:     c.cfg.PerCycle,
-			ParallelWork: c.cfg.ParallelWork,
+			Nodes:    8,
+			Checksum: true,
+			RTS:      true,
+			Reliable: true,
+			Watchdog: 50_000,
+			Budget:   300_000,
+			Config:   sc,
 		}, 2)
 	})
 }
 
-// epochSetup returns an app Setup hook attaching the engine under one
-// policy, plus the stop function.
-func epochSetup(c epCfg, shards int) (func(*machine.Machine, *rt.Runtime), func()) {
-	var eng *engine.Engine
-	setup := func(m *machine.Machine, _ *rt.Runtime) { eng = engine.AttachCfg(m, shards, c.cfg) }
-	return setup, func() { eng.Stop() }
+// epochSetup returns the app Setup/PreRun hooks running one policy,
+// plus the stop function.
+func epochSetup(c epCfg, shards int) (func(*machine.Machine, *rt.Runtime), func(*machine.Machine) error, func()) {
+	sc, restore := c.apply(shards)
+	run, setup, preRun := sc.Hooks(nil)
+	return setup, preRun, func() { run.Stop(); restore() }
 }
 
 // epochAppEquiv runs one application through the policy × shards
@@ -139,7 +153,7 @@ func TestEpochEquivLCS(t *testing.T) {
 		p := lcs.Params{LenA: 32, LenB: 48, Seed: 3}
 		var stop func()
 		if shards > 0 {
-			p.Setup, stop = epochSetup(c, shards)
+			p.Setup, p.PreRun, stop = epochSetup(c, shards)
 			defer stop()
 		}
 		r, err := lcs.Run(8, p)
@@ -161,7 +175,7 @@ func TestEpochEquivRadix(t *testing.T) {
 		p := radix.Params{Keys: 128, Bits: 12, Seed: 3}
 		var stop func()
 		if shards > 0 {
-			p.Setup, stop = epochSetup(c, shards)
+			p.Setup, p.PreRun, stop = epochSetup(c, shards)
 			defer stop()
 		}
 		r, err := radix.Run(8, p)
@@ -185,7 +199,7 @@ func TestEpochEquivNQueens(t *testing.T) {
 		p := nqueens.Params{N: 5, SplitDepth: 2}
 		var stop func()
 		if shards > 0 {
-			p.Setup, stop = epochSetup(c, shards)
+			p.Setup, p.PreRun, stop = epochSetup(c, shards)
 			defer stop()
 		}
 		r, err := nqueens.Run(8, p)
@@ -205,7 +219,7 @@ func TestEpochEquivTSP(t *testing.T) {
 		p := tsp.Params{Cities: 6, Seed: 3}
 		var stop func()
 		if shards > 0 {
-			p.Setup, stop = epochSetup(c, shards)
+			p.Setup, p.PreRun, stop = epochSetup(c, shards)
 			defer stop()
 		}
 		r, err := tsp.Run(8, p)
@@ -224,23 +238,34 @@ func TestEpochEquivTSP(t *testing.T) {
 // ring and the pingpong, epoch batching must cut the rendezvous count
 // at least 10x against the per-cycle protocol at the same digest. The
 // probe is fully deterministic (counts are functions of simulated
-// state only) and itself fails on any digest mismatch.
+// state only). It computes the per-cycle count rather than measuring
+// it, so the oracle is measured here: the sharded reference-mode ring
+// must engage the fleet exactly once per cycle and land on the probe's
+// digest.
 func TestRendezvousReduction(t *testing.T) {
-	results, err := bench.RendezvousProbe(64, 4, 4, 20000)
+	const nodes, shards, tokens, cycles = 64, 4, 4, 20000
+	results, err := bench.RendezvousProbe(nodes, shards, tokens, cycles)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, r := range results {
-		if !r.DigestsMatch {
-			t.Errorf("%s: per-cycle and epoch digests differ", r.Workload)
-		}
 		if r.Epoch != 0 && r.Reduction < 10 {
 			t.Errorf("%s: rendezvous reduction %.1fx below the 10x floor (per-cycle %d, epoch %d)",
 				r.Workload, r.Reduction, r.PerCycle, r.Epoch)
 		}
-		if r.PerCycle == 0 {
-			t.Errorf("%s: per-cycle run reported zero rendezvous", r.Workload)
+		if r.PerCycle != cycles {
+			t.Errorf("%s: per-cycle count %d, want one per cycle (%d)", r.Workload, r.PerCycle, cycles)
 		}
+	}
+	oracle, err := bench.IdleProbe(nodes, sim.Config{Shards: shards, Reference: true}, tokens, 0, cycles)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if oracle.Rendezvous != cycles {
+		t.Errorf("oracle ring: %d rendezvous over %d cycles, want one per cycle", oracle.Rendezvous, cycles)
+	}
+	if ring := results[0]; oracle.Digest != ring.Digest {
+		t.Errorf("oracle ring digest %#x != epoch digest %#x", oracle.Digest, ring.Digest)
 	}
 }
 
@@ -250,15 +275,15 @@ func TestRendezvousReduction(t *testing.T) {
 // resumed run, and the sequential reference all land on one summary.
 func TestMidEpochCkptResume(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "mid.ckpt")
-	run := func(shards int, ckpt string, resume bool) (*bench.CampaignResult, error) {
+	run := func(shards int, path string, resume bool) (*bench.CampaignResult, error) {
 		return bench.PingCampaign(chaos.Campaign{Name: "quiet"}, bench.ResilienceConfig{
-			Nodes:     8,
-			Watchdog:  50_000,
-			Budget:    300_000,
-			Shards:    shards,
-			Ckpt:      ckpt,
-			CkptEvery: 64,
-			Resume:    resume,
+			Nodes:    8,
+			Watchdog: 50_000,
+			Budget:   300_000,
+			Config: sim.Config{
+				Shards: shards,
+				Ckpt:   ckpt.Flags{Path: path, Every: 64, Resume: resume},
+			},
 		})
 	}
 	ref, err := run(0, "", false)
@@ -288,7 +313,8 @@ func TestMidEpochCkptResume(t *testing.T) {
 // rather than deadlocking the barrier.
 func TestWorkerPanicRecovery(t *testing.T) {
 	m := machine.MustNew(machine.GridForNodes(8), haltProg())
-	eng := engine.AttachCfg(m, 4, engine.Config{PerCycle: true})
+	m.SetFastPath(false) // per-cycle protocol: every cycle releases the workers
+	eng := engine.Attach(m, 4)
 	defer eng.Stop()
 	last := m.NumNodes() - 1 // in shard 3's slab, stepped by worker 3
 	m.Nodes[last].StartBackground(0)

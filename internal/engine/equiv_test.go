@@ -28,6 +28,7 @@ import (
 	"jmachine/internal/network"
 	"jmachine/internal/obs"
 	"jmachine/internal/rt"
+	"jmachine/internal/sim"
 )
 
 // shardCounts is the sweep required by the equivalence contract; 1 is
@@ -96,7 +97,7 @@ func TestEquivPingChaos(t *testing.T) {
 				Reliable: true,
 				Watchdog: 50_000,
 				Budget:   300_000,
-				Shards:   shards,
+				Config:   sim.Config{Shards: shards},
 			})
 		}
 		campaignEquiv(t, camp.Name+"/ping", run)
@@ -115,7 +116,7 @@ func TestEquivBarrierChaos(t *testing.T) {
 				Reliable: true,
 				Watchdog: 50_000,
 				Budget:   300_000,
-				Shards:   shards,
+				Config:   sim.Config{Shards: shards},
 			}, 2)
 		}
 		campaignEquiv(t, camp.Name+"/barrier", run)
@@ -136,7 +137,7 @@ func TestEquivNoProgress(t *testing.T) {
 			Checksum: true,
 			Watchdog: 5_000,
 			Budget:   200_000,
-			Shards:   shards,
+			Config:   sim.Config{Shards: shards},
 		})
 	}
 	ref, err := run(0)
@@ -359,8 +360,7 @@ func TestEquivObservedPing(t *testing.T) {
 			Reliable: true,
 			Watchdog: 50_000,
 			Budget:   300_000,
-			Shards:   shards,
-			Obs:      o,
+			Config:   sim.Config{Shards: shards, Obs: o},
 		})
 	})
 }
@@ -370,8 +370,7 @@ func TestEquivObservedBarrier(t *testing.T) {
 		return bench.BarrierCampaign(chaos.Campaign{}, bench.ResilienceConfig{
 			Nodes:  8,
 			Budget: 300_000,
-			Shards: shards,
-			Obs:    o,
+			Config: sim.Config{Shards: shards, Obs: o},
 		}, 2)
 	})
 }

@@ -24,6 +24,7 @@ import (
 	"jmachine/internal/machine"
 	"jmachine/internal/obs"
 	"jmachine/internal/rt"
+	"jmachine/internal/sim"
 )
 
 // fpConfig is one run mode in the reference-vs-fast sweep.
@@ -75,14 +76,13 @@ func TestFastPathEquivPing(t *testing.T) {
 	camp := chaos.RandomCampaign(2, 8, 4000, 4)
 	fastPathCampaignEquiv(t, camp.Name+"/ping", func(c fpConfig) (*bench.CampaignResult, error) {
 		return bench.PingCampaign(camp, bench.ResilienceConfig{
-			Nodes:     8,
-			Checksum:  true,
-			RTS:       true,
-			Reliable:  true,
-			Watchdog:  50_000,
-			Budget:    300_000,
-			Shards:    c.shards,
-			Reference: c.reference,
+			Nodes:    8,
+			Checksum: true,
+			RTS:      true,
+			Reliable: true,
+			Watchdog: 50_000,
+			Budget:   300_000,
+			Config:   sim.Config{Shards: c.shards, Reference: c.reference},
 		})
 	})
 }
@@ -91,14 +91,13 @@ func TestFastPathEquivBarrier(t *testing.T) {
 	camp := chaos.RandomCampaign(5, 8, 4000, 3)
 	fastPathCampaignEquiv(t, camp.Name+"/barrier", func(c fpConfig) (*bench.CampaignResult, error) {
 		return bench.BarrierCampaign(camp, bench.ResilienceConfig{
-			Nodes:     8,
-			Checksum:  true,
-			RTS:       true,
-			Reliable:  true,
-			Watchdog:  50_000,
-			Budget:    300_000,
-			Shards:    c.shards,
-			Reference: c.reference,
+			Nodes:    8,
+			Checksum: true,
+			RTS:      true,
+			Reliable: true,
+			Watchdog: 50_000,
+			Budget:   300_000,
+			Config:   sim.Config{Shards: c.shards, Reference: c.reference},
 		}, 2)
 	})
 }
@@ -222,15 +221,13 @@ func TestFastPathEquivObservedPing(t *testing.T) {
 	camp := chaos.RandomCampaign(3, 8, 4000, 4)
 	run := func(c fpConfig, o *obs.Options) (*bench.CampaignResult, error) {
 		return bench.PingCampaign(camp, bench.ResilienceConfig{
-			Nodes:     8,
-			Checksum:  true,
-			RTS:       true,
-			Reliable:  true,
-			Watchdog:  50_000,
-			Budget:    300_000,
-			Shards:    c.shards,
-			Reference: c.reference,
-			Obs:       o,
+			Nodes:    8,
+			Checksum: true,
+			RTS:      true,
+			Reliable: true,
+			Watchdog: 50_000,
+			Budget:   300_000,
+			Config:   sim.Config{Shards: c.shards, Reference: c.reference, Obs: o},
 		})
 	}
 	ref, err := run(fpSweep[0], nil)

@@ -15,11 +15,11 @@ import (
 // scheduling must stay deterministic and host-side concurrency is the
 // engine's exclusive business.
 var stepRootNames = map[string]bool{
-	"Step":          true,
-	"StepN":         true,
-	"StepCycle":     true,
-	"StepNodeRange": true,
-	"SkipTo":        true,
+	"Step":              true,
+	"StepN":             true,
+	"StepCycle":         true,
+	"StepNodeRangeInfo": true,
+	"SkipTo":            true,
 }
 
 // digestRoot selects functions whose output must be bit-identical

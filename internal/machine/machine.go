@@ -520,11 +520,11 @@ func (m *Machine) stepOnce() {
 		m.Net.Step()
 	}
 	m.PublishNetQuiet()
-	m.StepNodeRange(0, len(m.Nodes))
+	m.StepNodeRangeInfo(0, len(m.Nodes))
 	m.caughtUpTo = m.cycle
 }
 
-// StepNodeRange steps nodes [lo, hi) through the current cycle,
+// StepNodeRangeInfo steps nodes [lo, hi) through the current cycle,
 // maintaining the active set: a parked node is skipped until its wake
 // cycle (or an external wake flag) comes due, at which point it is
 // caught up in bulk and stepped; a node whose next event lies beyond
@@ -533,13 +533,12 @@ func (m *Machine) stepOnce() {
 // it for its own slab, so the bookkeeping for index i is only ever
 // touched by i's owning goroutine (nParked, the one shared counter, is
 // atomic).
-func (m *Machine) StepNodeRange(lo, hi int) { m.StepNodeRangeInfo(lo, hi) }
-
-// StepNodeRangeInfo is StepNodeRange returning an activity summary for
-// the range, computed in the same sweep: live is the number of nodes
-// left unparked, minWake the earliest wake cycle among the parked ones
-// (NoEvent when none is scheduled). The parallel engine caches these
-// per shard to decide which slabs the next cycle can skip.
+//
+// It returns an activity summary for the range, computed in the same
+// sweep: live is the number of nodes left unparked, minWake the
+// earliest wake cycle among the parked ones (NoEvent when none is
+// scheduled). The parallel engine caches these per shard to decide
+// which slabs the next cycle can skip.
 func (m *Machine) StepNodeRangeInfo(lo, hi int) (live int, minWake int64) {
 	fast := m.FastPathActive()
 	cycle := m.cycle

@@ -360,20 +360,6 @@ func (n *Network) Pending() bool {
 	return n.actPhits != 0 || n.actMsgs.Load() != 0
 }
 
-// pendingScan is the reference O(nodes) implementation of Pending,
-// kept for the counter cross-check test.
-func (n *Network) pendingScan() bool {
-	for i := range n.routers {
-		if n.routers[i].occ > 0 {
-			return true
-		}
-		if len(n.out[i][0].msgs) > 0 || len(n.out[i][1].msgs) > 0 {
-			return true
-		}
-	}
-	return false
-}
-
 // Quiet reports an empty network: no buffered phits, no queued
 // messages. While quiet, Step degenerates to a cycle-counter increment
 // (every router takes the empty fast path), which is what SkipCycles

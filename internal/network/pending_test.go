@@ -85,3 +85,16 @@ func TestPendingCounterMatchesScanSharded(t *testing.T) {
 			n.actPhits, n.actMsgs.Load())
 	}
 }
+
+// pendingScan is the reference O(nodes) implementation of Pending.
+func (n *Network) pendingScan() bool {
+	for i := range n.routers {
+		if n.routers[i].occ > 0 {
+			return true
+		}
+		if len(n.out[i][0].msgs) > 0 || len(n.out[i][1].msgs) > 0 {
+			return true
+		}
+	}
+	return false
+}

@@ -22,6 +22,7 @@ import (
 	"jmachine/internal/bench"
 	"jmachine/internal/chaos"
 	"jmachine/internal/obs"
+	"jmachine/internal/sim"
 	"jmachine/internal/trace"
 )
 
@@ -40,7 +41,7 @@ func goldenRun(t *testing.T) (perfetto, metrics []byte) {
 	res, err := bench.PingCampaign(chaos.Campaign{}, bench.ResilienceConfig{
 		Nodes:  8,
 		Budget: 100_000,
-		Obs:    o,
+		Config: sim.Config{Obs: o},
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -13,11 +13,11 @@ import (
 	"jmachine/internal/ckpt"
 	"jmachine/internal/ckpt/wire"
 	"jmachine/internal/cst"
-	"jmachine/internal/engine"
 	"jmachine/internal/jlang"
 	"jmachine/internal/machine"
 	"jmachine/internal/obs"
 	"jmachine/internal/rt"
+	"jmachine/internal/sim"
 	"jmachine/internal/word"
 )
 
@@ -33,8 +33,7 @@ type Session struct {
 	resident bool
 	m        *machine.Machine
 	r        *rt.Runtime
-	eng      *engine.Engine
-	layers   *ckpt.Layers
+	run      *sim.Run // engine shards + checkpoint layers
 	rec      *obs.Recorder
 	obsBufs  []*bufio.Writer
 	obsFiles []*os.File
@@ -79,7 +78,7 @@ func (s *Session) MetricsPath() string {
 // restores the session checkpoint over it. Mirrors the command-line
 // restore contract (docs/CHECKPOINT.md): the workload's start-up runs
 // first so the layer stack matches the one that saved, then
-// layers.PreRun rewinds the state. Caller holds s.mu.
+// run.PreRun rewinds the state. Caller holds s.mu.
 func (s *Session) start(resume bool) error {
 	spec := s.Spec
 	var savers []ckpt.Saver
@@ -120,9 +119,6 @@ func (s *Session) start(resume bool) error {
 	default:
 		return fmt.Errorf("unknown workload %q", spec.Workload)
 	}
-	if spec.Reference {
-		s.m.SetFastPath(false)
-	}
 	if spec.Watchdog > 0 {
 		s.m.SetWatchdog(spec.Watchdog)
 	}
@@ -130,13 +126,21 @@ func (s *Session) start(resume bool) error {
 		s.teardown()
 		return err
 	}
-	s.layers = ckpt.Flags{Path: s.ckptPath(), Every: spec.CkptEvery, Resume: resume}.Attach(s.m, savers...)
-	if err := s.layers.PreRun(); err != nil {
+	// The one place a spec becomes a run configuration. The session
+	// directory's obs sinks stay outside it: the timeline and metrics
+	// endpoints need the recorder handle to sync mid-run.
+	cfg := sim.Config{
+		Shards:    spec.Shards,
+		Reference: spec.Reference,
+		Ckpt:      ckpt.Flags{Path: s.ckptPath(), Every: spec.CkptEvery, Resume: resume},
+	}
+	var err error
+	if s.run, err = cfg.Attach(s.m, savers...); err == nil {
+		err = s.run.PreRun()
+	}
+	if err != nil {
 		s.teardown()
 		return fmt.Errorf("session %s: %w", s.ID, err)
-	}
-	if spec.Shards > 1 {
-		s.eng = engine.Attach(s.m, spec.Shards)
 	}
 	s.resident = true
 	s.cycle.Store(s.m.Cycle())
@@ -191,7 +195,7 @@ func (s *Session) attachObs() error {
 // teardown releases the machine and every attached layer. Caller holds
 // s.mu. The session stays registered; start can rebuild it.
 func (s *Session) teardown() {
-	s.eng.Stop()
+	s.run.Stop()
 	s.rec.Close()
 	for _, b := range s.obsBufs {
 		b.Flush()
@@ -200,7 +204,7 @@ func (s *Session) teardown() {
 		f.Close()
 	}
 	s.obsBufs, s.obsFiles = nil, nil
-	s.eng, s.rec, s.layers = nil, nil, nil
+	s.run, s.rec = nil, nil
 	s.m, s.r, s.kv = nil, nil, nil
 	s.resident = false
 }
@@ -211,7 +215,7 @@ func (s *Session) suspend() error {
 	if !s.resident {
 		return nil
 	}
-	err := s.layers.WriteNow()
+	err := s.run.Layers.WriteNow()
 	s.teardown()
 	return err
 }
@@ -221,7 +225,7 @@ func (s *Session) suspend() error {
 func (s *Session) commit() error {
 	s.cycle.Store(s.m.Cycle())
 	s.requests.Add(1)
-	return s.layers.WriteNow()
+	return s.run.Layers.WriteNow()
 }
 
 // ErrNotResident is returned by ops on an evicted session; the manager
@@ -287,7 +291,7 @@ func (s *Session) Checkpoint() error {
 	if !s.resident {
 		return ErrNotResident
 	}
-	return s.layers.WriteNow()
+	return s.run.Layers.WriteNow()
 }
 
 // SyncObs drains the observability sinks to disk so the timeline and

@@ -1,0 +1,185 @@
+package sim_test
+
+// The seed of the single equivalence harness (ROADMAP item 3): one
+// table of run-configuration deltas × workloads, every cell compared
+// against the zero configuration on cycle count and StateDigest. The
+// older per-layer suites (engine, compiled, ckpt) still hold the chaos
+// and six-workload sweeps; a new Config field earns its row here.
+
+import (
+	"flag"
+	"io"
+	"path/filepath"
+	"testing"
+
+	"jmachine/internal/asm"
+	"jmachine/internal/bench"
+	"jmachine/internal/chaos"
+	"jmachine/internal/ckpt"
+	"jmachine/internal/machine"
+	"jmachine/internal/obs"
+	"jmachine/internal/rt"
+	"jmachine/internal/sim"
+)
+
+const nodes = 16
+
+// workloads are run through bench.RunCampaign with an empty campaign;
+// every is a checkpoint period well inside the run, so a periodic
+// checkpoint always lands while work is in flight.
+var workloads = []struct {
+	name  string
+	every int64
+}{
+	{"pingpong", 16},
+	{"barrier", 256},
+	{"lcs", 4096},
+}
+
+func run(t *testing.T, workload string, sc sim.Config) (cycles int64, digest uint64) {
+	t.Helper()
+	res, err := bench.RunCampaign(workload, chaos.Campaign{}, bench.ResilienceConfig{Nodes: nodes, Config: sc})
+	if err != nil {
+		t.Fatalf("%s %+v: %v", workload, sc, err)
+	}
+	if !res.Completed {
+		t.Fatalf("%s %+v: did not complete: %v", workload, sc, res.Err)
+	}
+	return res.Cycles, res.StateDigest
+}
+
+func TestConfigEquivalence(t *testing.T) {
+	for _, w := range workloads {
+		t.Run(w.name, func(t *testing.T) {
+			wantCycles, wantDigest := run(t, w.name, sim.Config{})
+			if wantCycles <= w.every {
+				t.Fatalf("run of %d cycles is too short for a mid-run checkpoint every %d", wantCycles, w.every)
+			}
+			dir := t.TempDir()
+			ckptPath := filepath.Join(dir, "run.ckpt")
+			deltas := []struct {
+				name string
+				sc   sim.Config
+			}{
+				{"reference", sim.Config{Reference: true}},
+				{"compiled", sim.Config{Compiled: true}},
+				{"shards-2", sim.Config{Shards: 2}},
+				{"shards-4", sim.Config{Shards: 4}},
+				{"shards-7", sim.Config{Shards: 7}},
+				{"reference+shards-4", sim.Config{Reference: true, Shards: 4}},
+				{"obs", sim.Config{Obs: &obs.Options{
+					PerfettoPath: filepath.Join(dir, "trace.json"),
+					MetricsPath:  filepath.Join(dir, "metrics.jsonl"),
+					Every:        64,
+				}}},
+				// The periodic writer leaves the run's last mid-flight
+				// checkpoint behind; the next row resumes from it.
+				{"ckpt", sim.Config{Ckpt: ckpt.Flags{Path: ckptPath, Every: w.every}}},
+				{"ckpt-resume", sim.Config{Ckpt: ckpt.Flags{Path: ckptPath, Every: w.every, Resume: true}}},
+			}
+			for _, d := range deltas {
+				if d.sc.Compiled && w.name == "pingpong" {
+					// Known divergence, older than this table (the parent
+					// commit's `jm-chaos -workload pingpong -faults 0` ends
+					// at cycle 53 interpreted, 51 with -compiled): a fused
+					// window makes the ack handler's flag store visible to
+					// RunWhile's memory-reading predicate before its
+					// charged cycle. Hook horizons (reliable delivery, obs)
+					// hide it, which is why compiled/equiv_test.go passes.
+					// Delete this skip with the fix in machine.RunWhile.
+					t.Logf("%s: skipped, see comment", d.name)
+					continue
+				}
+				cycles, digest := run(t, w.name, d.sc)
+				if cycles != wantCycles || digest != wantDigest {
+					t.Errorf("%s: cycles=%d digest=%#x, zero config has cycles=%d digest=%#x",
+						d.name, cycles, digest, wantCycles, wantDigest)
+				}
+			}
+		})
+	}
+}
+
+func parse(t *testing.T, omit []string, args ...string) (sim.Config, error) {
+	t.Helper()
+	var sc sim.Config
+	fs := flag.NewFlagSet("test", flag.ContinueOnError)
+	fs.SetOutput(io.Discard)
+	sc.Register(fs, omit...)
+	return sc, fs.Parse(args)
+}
+
+func TestRegister(t *testing.T) {
+	sc, err := parse(t, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := (sim.Config{Shards: 1, Ckpt: ckpt.Flags{Every: ckpt.DefaultEvery}}); sc != want {
+		t.Errorf("defaults = %+v, want %+v", sc, want)
+	}
+	sc, err = parse(t, nil, "-shards", "4", "-reference", "-compiled",
+		"-ckpt", "x.ckpt", "-ckpt-every", "128", "-resume")
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := sim.Config{Shards: 4, Reference: true, Compiled: true,
+		Ckpt: ckpt.Flags{Path: "x.ckpt", Every: 128, Resume: true}}
+	if sc != want {
+		t.Errorf("parsed = %+v, want %+v", sc, want)
+	}
+	// An omitted flag is not declared at all: a command never accepts a
+	// knob it would ignore.
+	if _, err := parse(t, []string{"compiled"}, "-compiled"); err == nil {
+		t.Error("-compiled parsed although omitted")
+	}
+	if _, err := parse(t, []string{"compiled"}, "-reference"); err != nil {
+		t.Errorf("-reference rejected although only -compiled was omitted: %v", err)
+	}
+}
+
+func TestValidate(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		sc   sim.Config
+		ok   bool
+	}{
+		{"zero", sim.Config{}, true},
+		{"negative shards", sim.Config{Shards: -1}, false},
+		{"resume without ckpt", sim.Config{Ckpt: ckpt.Flags{Resume: true}}, false},
+		{"resume with ckpt", sim.Config{Ckpt: ckpt.Flags{Path: "x", Resume: true}}, true},
+	} {
+		if err := c.sc.Validate(); (err == nil) != c.ok {
+			t.Errorf("%s: Validate() = %v, want ok=%v", c.name, err, c.ok)
+		}
+	}
+}
+
+func TestStopIdempotentNilSafe(t *testing.T) {
+	var none *sim.Run
+	if err := none.Stop(); err != nil {
+		t.Errorf("nil Stop: %v", err)
+	}
+	// A Hooks run whose Setup never ran (the app failed first).
+	unset, _, _ := sim.Config{Shards: 4}.Hooks(nil)
+	if err := unset.Stop(); err != nil {
+		t.Errorf("unset Stop: %v", err)
+	}
+	b := asm.NewBuilder()
+	b.Label("main").Halt()
+	rt.BuildLib(b)
+	p := b.MustAssemble()
+	m := machine.MustNew(machine.GridForNodes(8), p)
+	r, err := sim.Config{Shards: 4}.Attach(m, rt.Attach(m, rt.Info(p), rt.DefaultPolicy()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r.Engine == nil {
+		t.Fatal("Shards: 4 attached no engine")
+	}
+	for i := 0; i < 2; i++ {
+		if err := r.Stop(); err != nil {
+			t.Errorf("Stop #%d: %v", i+1, err)
+		}
+	}
+	m.StepN(3) // the sequential stepper is back
+}
