@@ -8,8 +8,9 @@ build:
 test:
 	go test ./...
 
-# Full verification: vet, lint, race-detector tests, the benchmark
-# module's vet + smoke test, chaos and run-configuration smokes.
+# Full verification: vet, lint, race-detector tests, a time-boxed fuzz
+# run, the benchmark module's vet + smoke test (inside `go test`), chaos
+# and run-configuration smokes.
 check:
 	sh scripts/check.sh
 

@@ -115,7 +115,11 @@ func runApp(t *testing.T, w appCase, shards int, reference bool, path string, re
 		if !resume {
 			return nil
 		}
-		return ckpt.RestoreFile(path, mm, savers...)
+		if err := ckpt.RestoreFile(path, mm, savers...); err != nil {
+			return err
+		}
+		// The sets the step loops iterate are rebuilt, not restored.
+		return mm.CheckInvariants()
 	}
 	resM, err := w.run(setup, preRun)
 	eng.Stop()

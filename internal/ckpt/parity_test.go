@@ -74,7 +74,10 @@ var paritySpecs = map[string]paritySpec{
 			"horizons",   // attached hook horizons; re-attached
 			"compiledOn", // compiled-tier attachment flag; re-attached (compiled.Attach)
 			"fuse",       // fusion fence, republished by every StepN; dead between runs
-			"hznValid", "hznSeq", "hznRetry", // send-horizon cache; invalidated by the wakeSeq bump on restore
+			// send-horizon cache; invalidated by the wakeSeq bump on restore
+			"hznValid", "hznSeq", "hznRetry",
+			"hot",        // live-node set, a function of parked/needWake/wakeAt; rebuilt on restore
+			"nodeVisits", // host-work counter, outside StateDigest
 		},
 	},
 	"jmachine/internal/machine.progressSig": {
@@ -87,7 +90,8 @@ var paritySpecs = map[string]paritySpec{
 			"nbr",                                                                 // topology, rebuilt by New
 			"midX",                                                                // topology
 			"wakeFn", "injectFns", "deliverFns", "dropFns", "stallFn", "filterFn", // attached hooks
-			"loadFn", // engine activity-ledger callback; re-attached (NewShardRun), ledger rescanned on restore
+			"act",          // active-router set, a function of occ and the outboxes; rebuilt on restore
+			"routerVisits", // host-work counter, outside StateDigest
 		},
 	},
 	"jmachine/internal/network.router": {
@@ -95,6 +99,7 @@ var paritySpecs = map[string]paritySpec{
 		derived: []string{
 			"x", "y", "z", // topology
 			"pushStamp", "pushedNew", // within-cycle scratch, dead between cycles
+			"busy", // occupied-port masks, a function of the buffers' n; rebuilt on restore
 		},
 	},
 	"jmachine/internal/network.buf": {

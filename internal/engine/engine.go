@@ -11,8 +11,8 @@
 // cycle counts, same statistics, same watchdog and chaos behaviour.
 //
 // Cycles are epoch-batched: the engine tracks per-shard activity — the
-// network's phit/outbox load ledger (ShardRun.Load), live node counts
-// and parked wake times from the event-horizon scheduler — and while
+// network's active-router count (ShardRun.Load), live node counts and
+// parked wake times from the event-horizon scheduler — and while
 // the machine's work is localized or small, the coordinator steps just
 // the active slabs inline through the same staged phase protocol,
 // touching no barrier at all. The worker fleet (one rendezvous per
@@ -40,8 +40,8 @@ import (
 	"jmachine/internal/network"
 )
 
-// parallelWork is the work estimate (live nodes + buffered phits +
-// queued outbox messages) above which a multi-shard cycle is worth a
+// parallelWork is the work estimate (live nodes + active routers)
+// above which a multi-shard cycle is worth a
 // worker rendezvous. Below it the coordinator steps the active slabs
 // inline: a three-barrier rendezvous costs on the order of a few dozen
 // node steps, so tiny cycles are cheaper single-threaded. It is a
@@ -79,8 +79,9 @@ type Engine struct {
 	// slot, ordered before the coordinator's read by the done-channel
 	// drain. seq is the machine WakeSeq generation the cache reflects;
 	// when the machine reports out-of-band changes (host injection,
-	// chaos, restore) the cache is rebuilt from NodeActivity and the
-	// network ledger is rescanned.
+	// chaos, restore) the cache is rebuilt from NodeActivity. The
+	// network side needs no cache: Load reads the network's own active
+	// set, which every injection and restore already maintains.
 	live     []int
 	minWake  []int64
 	isActive []bool
@@ -170,7 +171,6 @@ func (e *Engine) Stop() {
 	}
 	e.stopped = true
 	e.m.SetStepper(nil)
-	e.sr.Close()
 	close(e.quit)
 }
 
@@ -190,8 +190,8 @@ func (e *Engine) StepCycle(m *machine.Machine) {
 	if !e.scanned || m.WakeSeq() != e.seq {
 		e.rescan(m)
 	}
-	// Classify shard activity for this cycle. A shard is active iff its
-	// network ledger shows buffered phits or queued outbox messages, or
+	// Classify shard activity for this cycle. A shard is active iff one
+	// of its routers holds a buffered phit or a queued outbox message, or
 	// its slab has live (unparked or wake-pending) nodes, or a parked
 	// node's wake cycle has come due. An inactive shard's network phase
 	// and node phase are both no-ops, so skipping it is exact.
@@ -200,11 +200,12 @@ func (e *Engine) StepCycle(m *machine.Machine) {
 	e.active = e.active[:0]
 	work := int64(0)
 	for s := 0; s < n; s++ {
-		on := e.sr.Load(s) > 0 || e.live[s] > 0 || e.minWake[s] <= cyc
+		load := e.sr.Load(s)
+		on := load > 0 || e.live[s] > 0 || e.minWake[s] <= cyc
 		e.isActive[s] = on
 		if on {
 			e.active = append(e.active, s)
-			work += int64(e.live[s]) + e.sr.Load(s)
+			work += int64(e.live[s]) + load
 		}
 	}
 	if len(e.active) >= 2 && work >= e.parallelWork {
@@ -290,13 +291,11 @@ func (e *Engine) stepParallel(m *machine.Machine) {
 	e.seq = m.WakeSeq()
 }
 
-// rescan rebuilds the activity cache from scratch: the network ledger
-// from router occupancy and outbox queues, the node summaries from the
-// park table. Runs at the first stepped cycle and whenever the machine
-// reports out-of-band activity changes (WakeSeq moved: host injection,
-// chaos actions, checkpoint restore, bulk unpark).
+// rescan rebuilds the node activity cache from the park table. Runs at
+// the first stepped cycle and whenever the machine reports out-of-band
+// activity changes (WakeSeq moved: host injection, chaos actions,
+// checkpoint restore, bulk unpark).
 func (e *Engine) rescan(m *machine.Machine) {
-	e.sr.RescanLoad()
 	for s := 0; s < e.sr.Shards(); s++ {
 		lo, hi := e.sr.NodeRange(s)
 		e.live[s], e.minWake[s] = m.NodeActivity(lo, hi)

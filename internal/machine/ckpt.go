@@ -139,6 +139,7 @@ func (m *Machine) RestoreState(d *wire.Decoder) error {
 		if m.parked[i] {
 			nParked++
 		}
+		m.hot.Put(i, m.isHot(i))
 	}
 	m.nParked.Store(nParked)
 	m.wakeSeq++ // engine activity caches are stale for the restored state

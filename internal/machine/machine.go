@@ -11,6 +11,7 @@ import (
 	"sync/atomic"
 
 	"jmachine/internal/asm"
+	"jmachine/internal/bitset"
 	"jmachine/internal/mdp"
 	"jmachine/internal/mem"
 	"jmachine/internal/network"
@@ -124,6 +125,17 @@ type Machine struct {
 	caughtUpTo int64        // cycle through which lagging nodes must catch up (cycle-1 while stepping)
 	horizons   []func(now int64) int64
 
+	// hot is the live-node set the per-cycle loops iterate instead of
+	// sweeping parked[] (docs/PERF.md, "Active sets"): node i is absent
+	// iff it is parked with no scheduled wake and no pending external
+	// one — exactly the nodes those loops would pass over untouched.
+	// The net wake callback, Inject, the sync hook, unparkAll and restore
+	// add; parking on NoEvent removes. Derived state: outside the digest
+	// and the checkpoint. nodeVisits counts the nodes StepNodeRangeInfo
+	// examined — host work, not simulated state.
+	hot        bitset.Set
+	nodeVisits atomic.Int64
+
 	// wakeSeq is a generation counter bumped whenever node activity
 	// changes outside the stepping sweep itself — host injection, the
 	// per-node sync hook (chaos freeze/thaw/kill, reliable-delivery
@@ -210,8 +222,10 @@ func New(cfg Config, prog *asm.Program) (*Machine, error) {
 		parked:   make([]bool, nodes),
 		wakeAt:   make([]int64, nodes),
 		needWake: make([]bool, nodes),
+		hot:      bitset.New(nodes),
 	}
 	for i := 0; i < nodes; i++ {
+		m.hot.Add(i)
 		m.Nodes[i] = mdp.NewNode(i, cfg.MDP,
 			mem.New(cfg.Mem), xlate.New(cfg.XlateSets, cfg.XlateWays),
 			queues[i], net, prog, m.Stats.Nodes[i])
@@ -229,13 +243,21 @@ func New(cfg Config, prog *asm.Program) (*Machine, error) {
 				m.parked[i] = false
 				m.needWake[i] = false
 				m.nParked.Add(-1)
+				m.hot.Add(i)
 			}
 		})
 	}
 	// A word completing in a delivery queue is the one external event
 	// that can make an idle node runnable without any hook firing.
-	net.SetWakeFn(func(node int) { m.needWake[node] = true })
+	net.SetWakeFn(m.wake)
 	return m, nil
+}
+
+// wake flags external work for node i (a mesh delivery, a host
+// injection): if parked, it steps on the next node phase.
+func (m *Machine) wake(i int) {
+	m.needWake[i] = true
+	m.hot.Add(i)
 }
 
 // MustNew is New that panics on error, for statically-valid configs.
@@ -423,14 +445,17 @@ func (m *Machine) PublishNetQuiet() {
 	}
 }
 
-// sendHorizon folds mdp.Node.SendBound over the mesh: the earliest
-// cycle at which any node could inject a message, given a quiet
-// network. Stops scanning once the bound cannot exceed the current
-// cycle (no fusion benefit remains).
+// sendHorizon folds mdp.Node.SendBound over the live nodes: the
+// earliest cycle at which any node could inject a message, given a
+// quiet network. The rest cannot send without external input — each is
+// halted, frozen, or has no running context, no queued message and an
+// empty software queue, for all of which a certified SendBound is
+// NoEvent — so leaving them out loses nothing. Stops scanning once the
+// bound cannot exceed the current cycle (no fusion benefit remains).
 func (m *Machine) sendHorizon() int64 {
 	best := mdp.NoEvent
-	for _, n := range m.Nodes {
-		if b := n.SendBound(); b < best {
+	for i, end := m.hot.Next(0, len(m.Nodes)), len(m.Nodes); i < end; i = m.hot.Next(i+1, end) {
+		if b := m.Nodes[i].SendBound(); b < best {
 			best = b
 			if best <= m.cycle {
 				break
@@ -472,7 +497,7 @@ func (m *Machine) Inject(node, pri int, msg []word.Word) bool {
 	}
 	// A parked node must notice host-delivered work exactly as it
 	// notices a mesh delivery.
-	m.needWake[node] = true
+	m.wake(node)
 	m.wakeSeq++
 	return true
 }
@@ -524,18 +549,20 @@ func (m *Machine) stepOnce() {
 	m.caughtUpTo = m.cycle
 }
 
-// StepNodeRangeInfo steps nodes [lo, hi) through the current cycle,
-// maintaining the active set: a parked node is skipped until its wake
-// cycle (or an external wake flag) comes due, at which point it is
-// caught up in bulk and stepped; a node whose next event lies beyond
-// the next cycle is parked. Both the sequential loop and the parallel
-// engine's processor phase use it — under the engine each shard calls
-// it for its own slab, so the bookkeeping for index i is only ever
-// touched by i's owning goroutine (nParked, the one shared counter, is
-// atomic).
+// StepNodeRangeInfo steps the hot nodes of [lo, hi) through the current
+// cycle in ascending order (Next re-reads the set, so a node that a
+// stepping node's system software unparks ahead of the cursor still
+// steps this cycle, as under a sweep), maintaining the active set: a
+// parked node is skipped until its wake cycle (or an external wake
+// flag) comes due, at which point it is caught up in bulk and stepped;
+// a node whose next event lies beyond the next cycle is parked. Both
+// the sequential loop and the parallel engine's processor phase use it
+// — under the engine each shard calls it for its own slab, so the
+// bookkeeping for index i is only ever touched by i's owning goroutine
+// (nParked and the words of hot, which shards share, are atomic).
 //
 // It returns an activity summary for the range, computed in the same
-// sweep: live is the number of nodes left unparked, minWake the
+// pass: live is the number of nodes left unparked, minWake the
 // earliest wake cycle among the parked ones (NoEvent when none is
 // scheduled). The parallel engine caches these per shard to decide
 // which slabs the next cycle can skip.
@@ -546,8 +573,9 @@ func (m *Machine) StepNodeRangeInfo(lo, hi int) (live int, minWake int64) {
 	// Park/unpark deltas batch into one atomic update per call — the
 	// shared counter is only read between processor phases (advance,
 	// syncAll, unparkAll), never while a slab is mid-step.
-	parkDelta := int64(0)
-	for i := lo; i < hi; i++ {
+	parkDelta, visits := int64(0), int64(0)
+	for i := m.hot.Next(lo, hi); i < hi; i = m.hot.Next(i+1, hi) {
+		visits++
 		if m.parked[i] {
 			if !m.needWake[i] && cycle < m.wakeAt[i] {
 				if m.wakeAt[i] < minWake {
@@ -568,7 +596,9 @@ func (m *Machine) StepNodeRangeInfo(lo, hi int) (live int, minWake int64) {
 				m.wakeAt[i] = ne
 				m.needWake[i] = false
 				parkDelta++
-				if ne < minWake {
+				if ne == NoEvent {
+					m.hot.Remove(i) // nothing scheduled: only a wake brings it back
+				} else if ne < minWake {
 					minWake = ne
 				}
 				continue
@@ -579,8 +609,14 @@ func (m *Machine) StepNodeRangeInfo(lo, hi int) (live int, minWake int64) {
 	if parkDelta != 0 {
 		m.nParked.Add(parkDelta)
 	}
+	m.nodeVisits.Add(visits)
 	return live, minWake
 }
+
+// NodeVisits returns how many nodes StepNodeRangeInfo has examined since
+// construction: proportional to live nodes, not to mesh size. A
+// host-work counter — exact at a seed, digest-exempt, not checkpointed.
+func (m *Machine) NodeVisits() int64 { return m.nodeVisits.Load() }
 
 // NodeActivity summarizes nodes [lo, hi) without stepping anything:
 // live counts unparked nodes plus parked ones with a pending external
@@ -589,7 +625,7 @@ func (m *Machine) StepNodeRangeInfo(lo, hi int) (live int, minWake int64) {
 // cache after an out-of-band change (WakeSeq moved).
 func (m *Machine) NodeActivity(lo, hi int) (live int, minWake int64) {
 	minWake = NoEvent
-	for i := lo; i < hi; i++ {
+	for i := m.hot.Next(lo, hi); i < hi; i = m.hot.Next(i+1, hi) {
 		if !m.parked[i] || m.needWake[i] {
 			live++
 			continue
@@ -599,6 +635,37 @@ func (m *Machine) NodeActivity(lo, hi int) (live int, minWake int64) {
 		}
 	}
 	return live, minWake
+}
+
+// isHot is the membership rule of the hot set.
+func (m *Machine) isHot(i int) bool {
+	return !m.parked[i] || m.needWake[i] || m.wakeAt[i] != NoEvent
+}
+
+// CheckInvariants recomputes the scheduler's derived bookkeeping from
+// the park table and returns an error naming the first disagreement:
+// the live-node set, the parked count, and that no parked node has
+// slept past its wake cycle; then the network's (its CheckInvariants).
+// Call it between cycles or from a cycle hook, where the state is that
+// of SnapshotCycle. For tests and equivalence harnesses; O(nodes).
+func (m *Machine) CheckInvariants() error {
+	parked := int64(0)
+	for i := range m.parked {
+		if m.hot.Has(i) != m.isHot(i) {
+			return fmt.Errorf("machine: node %d hot=%v but parked=%v needWake=%v wakeAt=%d",
+				i, m.hot.Has(i), m.parked[i], m.needWake[i], m.wakeAt[i])
+		}
+		if m.parked[i] {
+			parked++
+			if m.wakeAt[i] <= m.caughtUpTo {
+				return fmt.Errorf("machine: node %d still parked after cycle %d, wake was due at %d", i, m.caughtUpTo, m.wakeAt[i])
+			}
+		}
+	}
+	if parked != m.nParked.Load() {
+		return fmt.Errorf("machine: nParked=%d but %d nodes are parked", m.nParked.Load(), parked)
+	}
+	return m.Net.CheckInvariants()
 }
 
 // WakeSeq returns the out-of-band activity generation (see wakeSeq).
@@ -640,7 +707,9 @@ func (m *Machine) skipTarget(limit int64) int64 {
 			t = hz - 1
 		}
 	}
-	for i := range m.parked {
+	// Every node is parked here; those outside the live set have no wake
+	// scheduled or pending and cannot cap the jump.
+	for i, end := m.hot.Next(0, len(m.Nodes)), len(m.Nodes); i < end; i = m.hot.Next(i+1, end) {
 		if m.needWake[i] {
 			return m.cycle // pending external wake: step normally
 		}
@@ -680,6 +749,7 @@ func (m *Machine) unparkAll() {
 			n.SkipTo(m.caughtUpTo)
 			m.parked[i] = false
 			m.needWake[i] = false
+			m.hot.Add(i)
 		}
 	}
 	m.nParked.Store(0)

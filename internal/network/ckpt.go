@@ -114,7 +114,8 @@ func (n *Network) collectMessages() (table []*Message, index map[*Message]int) {
 // and link stamps, every outbox, the round-robin offsets, the
 // incremental in-flight counters, and the accumulated stats.
 // Within-cycle scratch (pushStamp/pushedNew, snapOcc) is dead between
-// cycles and deliberately excluded, matching StateDigest.
+// cycles and deliberately excluded, matching StateDigest; so are the
+// active set and the occupied-port masks, which RestoreState rebuilds.
 func (n *Network) SaveState(e *wire.Encoder) {
 	e.Int(len(n.routers))
 	e.I64(n.cycle)
@@ -222,6 +223,7 @@ func (n *Network) RestoreState(d *wire.Decoder) error {
 	for ri := range n.routers {
 		r := &n.routers[ri]
 		r.occ = d.I32()
+		r.busy = [2]uint8{}
 		for v := 0; v < 2; v++ {
 			for q := 0; q < NumPorts; q++ {
 				r.outOwner[v][q] = int8(d.U8())
@@ -233,6 +235,9 @@ func (n *Network) RestoreState(d *wire.Decoder) error {
 				}
 				b.head = 0
 				b.n = int8(cnt)
+				if cnt > 0 {
+					r.busy[v] |= 1 << q
+				}
 				b.popStamp = d.I64()
 				b.snapOcc = 0
 				for i := 0; i < cnt; i++ {
@@ -267,6 +272,7 @@ func (n *Network) RestoreState(d *wire.Decoder) error {
 			ob.phitIdx = d.I32()
 			ob.words = d.Int()
 		}
+		n.act.Put(ri, !n.idle(ri))
 	}
 	n.actPhits = d.I64()
 	n.actMsgs.Store(d.I64())

@@ -2,9 +2,11 @@ package network
 
 import (
 	"fmt"
+	"math/bits"
 	"sync"
 	"sync/atomic"
 
+	"jmachine/internal/bitset"
 	"jmachine/internal/queue"
 	"jmachine/internal/word"
 )
@@ -146,18 +148,23 @@ type Network struct {
 	actPhits int64
 	actMsgs  atomic.Int64
 
+	// act is the active-router set the step loop iterates instead of
+	// sweeping the mesh (docs/PERF.md, "Active sets"): router i is a
+	// member whenever it may hold a phit or a queued outbox message.
+	// Inject, a neighbour's push and a staged push landing at commit
+	// add it; the priority-0 pass removes it once it holds nothing, so
+	// between cycles the set is exact. Derived state: outside the digest
+	// and the checkpoint, rebuilt by RestoreState.
+	act bitset.Set
+	// routerVisits counts the routers whose skip predicate stepRange
+	// evaluated — host work, not simulated state.
+	routerVisits int64
+
 	// wakeFn, when non-nil, is told that a completed word entered node
 	// id's delivery queue this cycle, so an active-set scheduler can
 	// wake a parked node. Called from the goroutine stepping the node's
 	// own router (node i and router i always share a shard).
 	wakeFn func(node int)
-
-	// loadFn, when non-nil, is told that a message was injected at node
-	// id's outbox, so the parallel engine's per-shard activity ledger
-	// can charge the node's shard. Called from the goroutine stepping
-	// the injecting node (node i and outbox i always share a shard) or
-	// from the coordinator between cycles (host injection).
-	loadFn func(node int)
 
 	// Fault-injection and delivery hooks (see Add*/Set* below). All are
 	// optional; the hot paths pay only a nil/len check.
@@ -184,6 +191,7 @@ func New(cfg Config, queues [][2]*queue.Queue) (*Network, error) {
 		out:     make([][2]outbox, nodes),
 		rr:      make([]uint8, nodes),
 		midX:    int8(cfg.DimX / 2),
+		act:     bitset.New(nodes),
 	}
 	for z := 0; z < cfg.DimZ; z++ {
 		for y := 0; y < cfg.DimY; y++ {
@@ -275,9 +283,7 @@ func (n *Network) Inject(node int, m *Message, delay int32) {
 	ob.msgs = append(ob.msgs, m)
 	ob.words += len(m.Words)
 	n.actMsgs.Add(1)
-	if n.loadFn != nil {
-		n.loadFn(node)
-	}
+	n.act.Add(node)
 }
 
 // AddInjectFn registers an observer called for every message handed to
@@ -410,6 +416,11 @@ func (n *Network) Stats() Stats {
 	return s
 }
 
+// RouterVisits returns how many routers the step loop has examined
+// since construction: proportional to traffic, not to mesh size. A
+// host-work counter — exact at a seed, digest-exempt, not checkpointed.
+func (n *Network) RouterVisits() int64 { return n.routerVisits }
+
 // stepCtx carries the state sinks for one stepping pass: the stats
 // struct to charge (the network's own in sequential mode, a shard-local
 // copy in parallel mode) and, when non-nil, the shard whose boundary
@@ -421,10 +432,8 @@ type stepCtx struct {
 	// own counter in sequential mode, a shard-local accumulator folded
 	// at commit in parallel mode.
 	dPhits *int64
-	// dMsgs, when non-nil, receives the pass's outbox message-count
-	// delta (feed completions and return/retransmit requeues) for the
-	// per-shard activity ledger; nil in sequential mode.
-	dMsgs *int64
+	// visits receives the pass's router-visit count, likewise.
+	visits *int64
 }
 
 // Step advances the network one cycle: injection feeds, phit movement,
@@ -434,30 +443,46 @@ type stepCtx struct {
 // results.
 func (n *Network) Step() {
 	n.cycle++
-	ctx := stepCtx{st: &n.stats, dPhits: &n.actPhits}
+	ctx := stepCtx{st: &n.stats, dPhits: &n.actPhits, visits: &n.routerVisits}
 	for v := 1; v >= 0; v-- {
 		n.stepRange(0, len(n.routers), v, n.cycle, ctx)
 	}
 }
 
-// stepRange steps routers [lo,hi) at priority v. The skip fast-path
-// uses effOcc — start-of-cycle occupancy minus this cycle's pops — so
-// that same-cycle pushes from neighbours (whose visibility depends on
-// sweep order and shard boundaries) never affect which routers run.
+// stepRange steps the active routers of [lo,hi) at priority v, in
+// ascending order. Next re-reads the set on every call, so a router
+// activated ahead of the cursor during the pass (a neighbour's push, a
+// deliver hook's Inject) is reached in this pass, exactly where a sweep
+// over every router would have reached it. The skip fast-path uses
+// effOcc — start-of-cycle occupancy minus this cycle's pops — so that
+// same-cycle pushes from neighbours (whose visibility depends on visit
+// order and shard boundaries) never affect which routers run.
 func (n *Network) stepRange(lo, hi, v int, cyc int64, ctx stepCtx) {
-	for ri := lo; ri < hi; ri++ {
+	for ri := n.act.Next(lo, hi); ri < hi; ri = n.act.Next(ri+1, hi) {
+		*ctx.visits++
 		r := &n.routers[ri]
 		ob := &n.out[ri][v]
-		if r.effOcc(cyc) == 0 && len(ob.msgs) == 0 {
-			continue
+		if r.effOcc(cyc) != 0 || len(ob.msgs) != 0 {
+			n.stepRouter(ri, r, v, cyc, ctx)
+			n.feedInjection(ri, r, ob, v, cyc, ctx)
 		}
-		n.stepRouter(ri, r, v, cyc, ctx)
-		n.feedInjection(ri, r, ob, v, cyc, ctx)
+		if v == 0 && n.idle(ri) {
+			n.act.Remove(ri) // last pass of the cycle and nothing left here
+		}
 	}
 }
 
-// stepRouter attempts to advance the head phit of each input buffer at
-// priority v.
+// idle reports whether router ri holds nothing at all — no buffered
+// phit, no queued outbox message: between cycles, exactly the routers
+// outside the active set.
+func (n *Network) idle(ri int) bool {
+	return n.routers[ri].occ == 0 && len(n.out[ri][0].msgs) == 0 && len(n.out[ri][1].msgs) == 0
+}
+
+// stepRouter attempts to advance the head phit of each occupied input
+// buffer at priority v. The occupied-port mask is read once: while a
+// router steps, its own buffers only lose phits, and only at the port
+// being visited.
 func (n *Network) stepRouter(ri int, r *router, v int, cyc int64, ctx stepCtx) {
 	start := 0
 	if n.cfg.Arbitration == RoundRobin {
@@ -466,12 +491,12 @@ func (n *Network) stepRouter(ri int, r *router, v int, cyc int64, ctx stepCtx) {
 			n.rr[ri]++
 		}
 	}
-	for k := 0; k < NumPorts; k++ {
-		q := (start + k) % NumPorts
+	// Rotate the mask so that bit k stands for port start+k: ascending
+	// bits are then the arbitration order.
+	ports := uint(r.busy[v])
+	for ports = (ports>>start | ports<<(NumPorts-start)) & (1<<NumPorts - 1); ports != 0; ports &= ports - 1 {
+		q := (start + bits.TrailingZeros(ports)) % NumPorts
 		b := &r.in[v][q]
-		if b.empty() {
-			continue
-		}
 		head := b.peek()
 		if head.arrived >= cyc {
 			continue // entered this cycle; moves next cycle at the earliest
@@ -502,7 +527,8 @@ func (n *Network) stepRouter(ri int, r *router, v int, cyc int64, ctx stepCtx) {
 			// wedged-worm bug rather than silently dropping traffic.
 			panic(fmt.Sprintf("network: route off mesh edge at node %d port %d", ri, out))
 		}
-		nbuf := &n.routers[nb].in[v][opposite[out]]
+		nr := &n.routers[nb]
+		nbuf := &nr.in[v][opposite[out]]
 		remote := ctx.sh != nil && (int(nb) < ctx.sh.lo || int(nb) >= ctx.sh.hi)
 		var occStart int
 		if remote {
@@ -519,9 +545,7 @@ func (n *Network) stepRouter(ri int, r *router, v int, cyc int64, ctx stepCtx) {
 		if occStart >= bufCap {
 			continue // downstream buffer full at cycle start
 		}
-		p := b.pop()
-		b.popStamp = cyc
-		r.occ--
+		p := r.pop(v, q, cyc)
 		r.linkStamp[out] = cyc
 		p.arrived = cyc
 		if remote {
@@ -531,8 +555,9 @@ func (n *Network) stepRouter(ri int, r *router, v int, cyc int64, ctx stepCtx) {
 			ctx.sh.pushes = append(ctx.sh.pushes,
 				stagedPush{nb: nb, v: int8(v), port: int8(opposite[out]), p: p})
 		} else {
-			nbuf.push(p)
-			n.routers[nb].notePush(cyc)
+			nr.push(v, opposite[out], p)
+			nr.notePush(cyc)
+			n.act.Add(int(nb))
 		}
 		ctx.st.PhitHops++
 		if (out == PortXP && r.x == n.midX-1) || (out == PortXM && r.x == n.midX) {
@@ -582,7 +607,7 @@ func (n *Network) deliverPhit(ri int, r *router, v, q int, b *buf, cyc int64, ct
 		}
 	}
 	if m.absorb {
-		n.absorbPhit(ri, r, v, q, b, cyc, ctx)
+		n.absorbPhit(ri, r, v, q, cyc, ctx)
 		return
 	}
 	w, complete := head.payloadWord()
@@ -595,9 +620,7 @@ func (n *Network) deliverPhit(ri int, r *router, v, q int, b *buf, cyc int64, ct
 			n.wakeFn(ri)
 		}
 	}
-	p := b.pop()
-	b.popStamp = cyc
-	r.occ--
+	p := r.pop(v, q, cyc)
 	r.linkStamp[PortLocal] = cyc
 	*ctx.dPhits--
 	if complete {
@@ -628,10 +651,8 @@ func (n *Network) deliverPhit(ri int, r *router, v, q int, b *buf, cyc int64, ct
 // either discarded (drop set) or re-injected: back toward the source
 // (refusal) or toward its true destination after the backoff
 // (retransmission).
-func (n *Network) absorbPhit(ri int, r *router, v, q int, b *buf, cyc int64, ctx stepCtx) {
-	p := b.pop()
-	b.popStamp = cyc
-	r.occ--
+func (n *Network) absorbPhit(ri int, r *router, v, q int, cyc int64, ctx stepCtx) {
+	p := r.pop(v, q, cyc)
 	r.linkStamp[PortLocal] = cyc
 	*ctx.dPhits--
 	if !p.isTail() {
@@ -678,9 +699,6 @@ func (n *Network) absorbPhit(ri int, r *router, v, q int, b *buf, cyc int64, ctx
 	ob.msgs = append(ob.msgs, m)
 	ob.words += len(m.Words)
 	n.actMsgs.Add(1)
-	if ctx.dMsgs != nil {
-		*ctx.dMsgs++
-	}
 }
 
 // feedInjection streams the node's next outgoing phit at priority v into
@@ -705,7 +723,7 @@ func (n *Network) feedInjection(ri int, r *router, ob *outbox, v int, cyc int64,
 	if ob.phitIdx == 0 && cyc < m.EnqueueCycle+int64(n.cfg.LaunchCycles) {
 		return // network-interface launch latency
 	}
-	b.push(phitRef{m: m, idx: ob.phitIdx, arrived: cyc})
+	r.push(v, PortLocal, phitRef{m: m, idx: ob.phitIdx, arrived: cyc})
 	r.notePush(cyc)
 	*ctx.dPhits++
 	ob.phitIdx++
@@ -714,8 +732,5 @@ func (n *Network) feedInjection(ri int, r *router, ob *outbox, v int, cyc int64,
 		ob.words -= len(m.Words)
 		ob.phitIdx = 0
 		n.actMsgs.Add(-1)
-		if ctx.dMsgs != nil {
-			*ctx.dMsgs--
-		}
 	}
 }

@@ -2,8 +2,8 @@ package network
 
 // Cross-checks for the O(1) Pending() fast path: the incremental
 // in-flight counters (actPhits, actMsgs) must agree with the full
-// router/outbox scan they replaced at every cycle of a random traffic
-// mix, and must return exactly to zero once the mesh drains. Both the
+// router/outbox scan (CheckInvariants) at every cycle of a random
+// traffic mix, and must return exactly to zero once the mesh drains. Both the
 // sequential Step loop and the sharded Snapshot/StepShard/Commit
 // protocol are exercised — the shards accumulate phit deltas locally
 // and fold them at Commit, which is a separate code path.
@@ -13,12 +13,11 @@ import (
 	"testing"
 )
 
-// pendingCheck asserts counter and scan agree right now.
+// pendingCheck asserts counters and scan agree right now.
 func pendingCheck(t *testing.T, n *Network, cycle int) {
 	t.Helper()
-	if got, want := n.Pending(), n.pendingScan(); got != want {
-		t.Fatalf("cycle %d: Pending()=%v but scan says %v (actPhits=%d actMsgs=%d)",
-			cycle, got, want, n.actPhits, n.actMsgs.Load())
+	if err := n.CheckInvariants(); err != nil {
+		t.Fatalf("cycle %d: %v", cycle, err)
 	}
 }
 
@@ -84,17 +83,4 @@ func TestPendingCounterMatchesScanSharded(t *testing.T) {
 		t.Fatalf("drained network left residue: actPhits=%d actMsgs=%d",
 			n.actPhits, n.actMsgs.Load())
 	}
-}
-
-// pendingScan is the reference O(nodes) implementation of Pending.
-func (n *Network) pendingScan() bool {
-	for i := range n.routers {
-		if n.routers[i].occ > 0 {
-			return true
-		}
-		if len(n.out[i][0].msgs) > 0 || len(n.out[i][1].msgs) > 0 {
-			return true
-		}
-	}
-	return false
 }

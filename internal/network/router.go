@@ -43,8 +43,6 @@ type buf struct {
 	snapOcc int8
 }
 
-func (b *buf) empty() bool { return b.n == 0 }
-
 func (b *buf) push(p phitRef) {
 	b.slots[(int(b.head)+int(b.n))%bufCap] = p
 	b.n++
@@ -66,6 +64,11 @@ const noPort = int8(-1)
 // assigned to the worm currently flowing through each input.
 type router struct {
 	x, y, z int8
+
+	// busy[v] has bit q set iff in[v][q] holds a phit, so stepping visits
+	// occupied inputs without touching the empty buffers. Maintained by
+	// push and pop; derived state, like Network.act.
+	busy [2]uint8
 
 	in       [2][NumPorts]buf
 	outOwner [2][NumPorts]int8 // input port owning the output, or noPort
@@ -89,6 +92,25 @@ type router struct {
 	// identical in both engines.
 	pushStamp int64
 	pushedNew int32
+}
+
+// push appends p to input q at priority v. The caller accounts occ
+// (notePush during a cycle, directly at commit).
+func (r *router) push(v, q int, p phitRef) {
+	r.in[v][q].push(p)
+	r.busy[v] |= 1 << q
+}
+
+// pop removes the head phit of input q at priority v during cycle cyc.
+func (r *router) pop(v, q int, cyc int64) phitRef {
+	b := &r.in[v][q]
+	p := b.pop()
+	b.popStamp = cyc
+	if b.n == 0 {
+		r.busy[v] &^= 1 << q
+	}
+	r.occ--
+	return p
 }
 
 // notePush records a phit entering the router this cycle (it cannot

@@ -51,7 +51,7 @@ type shard struct {
 
 	stats   Stats
 	dPhits  int64 // in-flight phit delta, folded into actPhits at commit
-	dMsgs   int64 // outbox message delta, folded into the activity ledger
+	visits  int64 // router visits, folded into routerVisits at commit
 	pushes  []stagedPush
 	events  []hookEvent
 	v0Start int // index in events where the priority-0 pass begins
@@ -73,17 +73,6 @@ type shard struct {
 type ShardRun struct {
 	n      *Network
 	shards []shard
-
-	// Activity ledger for epoch batching (internal/engine): netLoad[s]
-	// counts the phits buffered in shard s's routers plus the messages
-	// queued in its outboxes. A shard with netLoad zero has no network
-	// work at all — stepping it is a no-op — so the engine can skip it
-	// without touching the barrier. Maintained incrementally: stepping
-	// deltas fold in at Commit, boundary pushes transfer load between
-	// shards, and injections outside the stepping phases arrive through
-	// the network's loadFn callback.
-	netLoad []int64
-	shardOf []int32 // node id -> owning shard
 }
 
 // NewShardRun builds a k-way partition. k is clamped to [1, nodes].
@@ -102,17 +91,11 @@ func NewShardRun(n *Network, k int) *ShardRun {
 	if k > nodes {
 		k = nodes
 	}
-	sr := &ShardRun{
-		n:       n,
-		shards:  make([]shard, k),
-		netLoad: make([]int64, k),
-		shardOf: make([]int32, nodes),
-	}
+	sr := &ShardRun{n: n, shards: make([]shard, k)}
 	for s := 0; s < k; s++ {
 		sh := &sr.shards[s]
 		sh.lo, sh.hi = s*nodes/k, (s+1)*nodes/k
 		for ri := sh.lo; ri < sh.hi; ri++ {
-			sr.shardOf[ri] = int32(s)
 			for q := 0; q < 6; q++ {
 				// Input port q is fed by the neighbour in direction q.
 				f := n.nbr[ri][q]
@@ -123,46 +106,16 @@ func NewShardRun(n *Network, k int) *ShardRun {
 			}
 		}
 	}
-	sr.RescanLoad()
-	n.loadFn = sr.noteInject
 	return sr
 }
 
-// Close detaches the run from the network (the injection callback in
-// particular), so a ShardRun can be replaced without leaking load
-// charges into a stale ledger.
-func (sr *ShardRun) Close() {
-	if sr.n.loadFn != nil {
-		sr.n.loadFn = nil
-	}
-}
-
-// Load returns shard s's activity-ledger entry: buffered phits plus
-// queued outbox messages. Zero means stepping the shard is a no-op.
-func (sr *ShardRun) Load(s int) int64 { return sr.netLoad[s] }
-
-// RescanLoad rebuilds the activity ledger from router occupancy and
-// outbox queue lengths (attach time and checkpoint restore).
-func (sr *ShardRun) RescanLoad() {
-	n := sr.n
-	for s := range sr.shards {
-		sh := &sr.shards[s]
-		var load int64
-		for ri := sh.lo; ri < sh.hi; ri++ {
-			load += int64(n.routers[ri].occ)
-			load += int64(len(n.out[ri][0].msgs) + len(n.out[ri][1].msgs))
-		}
-		sr.netLoad[s] = load
-	}
-}
-
-// noteInject charges an injected message to the owning shard. Installed
-// as the network's loadFn: called either from the goroutine stepping
-// the injecting node (sends during the node phase) or from the
-// coordinator between cycles (host injection, commit-phase ack hooks),
-// never concurrently for the same shard.
-func (sr *ShardRun) noteInject(node int) {
-	sr.netLoad[sr.shardOf[node]]++
+// Load returns shard s's network activity for epoch batching
+// (internal/engine): the number of its routers holding a phit or a
+// queued outbox message, read off the network's active set. Zero means
+// stepping the shard is a no-op, so the engine can skip it without
+// touching the barrier. Exact between cycles, whoever injected.
+func (sr *ShardRun) Load(s int) int64 {
+	return int64(sr.n.act.Count(sr.shards[s].lo, sr.shards[s].hi))
 }
 
 // Shards returns the partition size.
@@ -195,7 +148,7 @@ func (sr *ShardRun) StepShard(s int) {
 	sh.events = sh.events[:0]
 	n := sr.n
 	cyc := n.cycle
-	ctx := stepCtx{st: &sh.stats, sh: sh, dPhits: &sh.dPhits, dMsgs: &sh.dMsgs}
+	ctx := stepCtx{st: &sh.stats, sh: sh, dPhits: &sh.dPhits, visits: &sh.visits}
 	n.stepRange(sh.lo, sh.hi, 1, cyc, ctx)
 	sh.v0Start = len(sh.events)
 	n.stepRange(sh.lo, sh.hi, 0, cyc, ctx)
@@ -212,19 +165,16 @@ func (sr *ShardRun) Commit() {
 	for i := range sr.shards {
 		sh := &sr.shards[i]
 		for _, sp := range sh.pushes {
-			n.routers[sp.nb].in[sp.v][sp.port].push(sp.p)
-			n.routers[sp.nb].occ++
-			// Boundary crossing: the phit left shard i's routers during
-			// the parallel phase and lands in its neighbour's now.
-			sr.netLoad[i]--
-			sr.netLoad[sr.shardOf[sp.nb]]++
+			r := &n.routers[sp.nb]
+			r.push(int(sp.v), int(sp.port), sp.p)
+			r.occ++
+			n.act.Add(int(sp.nb))
 		}
 		n.stats.add(&sh.stats)
 		sh.stats = Stats{}
 		n.actPhits += sh.dPhits
-		sr.netLoad[i] += sh.dPhits + sh.dMsgs
-		sh.dPhits = 0
-		sh.dMsgs = 0
+		n.routerVisits += sh.visits
+		sh.dPhits, sh.visits = 0, 0
 	}
 	// Priority-1 events of every shard (shards are ordered by node id,
 	// so concatenation preserves ascending router order), then

@@ -87,6 +87,12 @@ type Run struct {
 	err     error // a Hooks Setup failure, reported by PreRun
 }
 
+// attachHook, when non-nil, sees every machine Attach configures, once
+// its layers are on and before the engine is. It is a variable only so
+// export_test.go can check machine invariants inside runs the
+// equivalence table reaches through other packages.
+var attachHook func(*machine.Machine)
+
 // Attach applies c to m in the canonical order: stepping mode, compiled
 // tier, checkpoint layers (savers in attachment order, after every
 // layer that owns state is on the machine), observability, and the
@@ -106,6 +112,9 @@ func (c Config) Attach(m *machine.Machine, savers ...ckpt.Saver) (*Run, error) {
 		}
 	}
 	r := &Run{Layers: c.Ckpt.Attach(m, savers...), stopObs: c.Obs.AttachTo(m)}
+	if attachHook != nil {
+		attachHook(m)
+	}
 	if c.Shards > 1 {
 		r.Engine = engine.Attach(m, c.Shards)
 	}

@@ -36,8 +36,34 @@ var workloads = []struct {
 	{"lcs", 4096},
 }
 
+// invariantsEvery is the least distance, in cycles, between two checks
+// of a machine's derived bookkeeping (machine.CheckInvariants).
+const invariantsEvery = 64
+
+// checkInvariants registers the periodic check on m, so every cell runs
+// under it, the zero configuration included. The hook reads only the
+// schedulers' bookkeeping, which is exact on every stepped cycle, never
+// simulated state a skip or a fused window defers: it declares no
+// horizon and checks on the first stepped cycle each period reaches.
+func checkInvariants(t *testing.T) func(m *machine.Machine) {
+	return func(m *machine.Machine) {
+		next := int64(invariantsEvery)
+		m.AddCycleHook(func(c int64) {
+			if c < next {
+				return
+			}
+			next = c + invariantsEvery
+			if err := m.CheckInvariants(); err != nil {
+				next = machine.NoEvent
+				t.Errorf("cycle %d: %v", c, err)
+			}
+		}, func(int64) int64 { return machine.NoEvent })
+	}
+}
+
 func run(t *testing.T, workload string, sc sim.Config) (cycles int64, digest uint64) {
 	t.Helper()
+	defer sim.SetAttachHook(checkInvariants(t))()
 	res, err := bench.RunCampaign(workload, chaos.Campaign{}, bench.ResilienceConfig{Nodes: nodes, Config: sc})
 	if err != nil {
 		t.Fatalf("%s %+v: %v", workload, sc, err)

@@ -30,6 +30,17 @@ echo "== engine equivalence under the race detector"
 # the recorder's staging path.
 go test -race -count=1 ./internal/engine/
 
+echo "== network properties under the race detector, and a fuzz run"
+# The mesh's property test (random traffic x mesh shapes x arbitration
+# x delivery regimes; conservation, order, no duplication, drain) steps
+# its sharded runs on real goroutines that inject in parallel, so the
+# race detector sees the active-router bitmap's shared words the way
+# the engine drives them. -short keeps a third of the table, three
+# times over; the full table runs race-free in the coverage pass.
+# FuzzNetwork is the same generator under the fuzzer, time-boxed.
+go test -race -short -count=3 -run 'TestNetworkProperties' ./internal/network/
+go test -run '^$' -fuzz FuzzNetwork -fuzztime 15s ./internal/network/
+
 echo "== go test -race"
 # The broad race pass runs -short: the slowest sweeps (every-cycle
 # observability sampling, cross-shard table reruns) run at full depth
@@ -38,10 +49,11 @@ echo "== go test -race"
 go test -race -short ./...
 
 echo "== go test -cover"
+# The repo benchmark is a nested module that ./... never compiles; the
+# root package's TestBenchmarkModule (skipped under -short above) runs
+# `go vet . && go test .` in benchmark/ as part of this pass, so its
+# goldens and cross-configuration digest checks guard every change.
 go test -cover ./... | tee /tmp/jm-cover.out
-# The repo benchmark is a nested module that ./... never compiles; its
-# smoke test is the only thing that notices an API break against it.
-(cd benchmark && go vet . && go test .)
 echo "-- coverage summary"
 awk '$1 == "ok" { for (i = 1; i <= NF; i++) if ($i == "coverage:") printf "%7s  %s\n", $(i+1), $2 }' \
     /tmp/jm-cover.out | sort -r
