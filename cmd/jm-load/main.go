@@ -106,7 +106,7 @@ func main() {
 	// daemon owns each session's checkpoint file, and sessions run the
 	// interpreter.
 	var sc sim.Config
-	sc.Register(flag.CommandLine, "compiled", "ckpt", "resume")
+	sc.Register(flag.CommandLine, "compiled", "ckpt", "ckpt-every", "resume")
 	flag.Parse()
 	log.SetPrefix("jm-load: ")
 	log.SetFlags(0)
@@ -124,7 +124,7 @@ func main() {
 
 	spec := serve.Spec{
 		Workload: "kv", Nodes: *nodes,
-		Shards: sc.Shards, Reference: sc.Reference, CkptEvery: sc.Ckpt.Every,
+		Shards: sc.Shards, Reference: sc.Reference,
 		Keys: *keys, Gateways: *gateways,
 	}
 	perSession := (*requests + *sessions - 1) / *sessions

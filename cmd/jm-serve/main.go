@@ -1,16 +1,15 @@
 // jm-serve is the multi-tenant simulation daemon: it hosts many
 // independent J-Machine sessions behind the HTTP/JSON API of
-// internal/serve, with checkpoint-backed persistence.
+// internal/serve, persisted as a checkpoint plus a request journal.
 //
 // Every session lives in its own subdirectory of -dir (spec.json +
-// state.ckpt + optional observability streams). At most -max-resident
-// sessions are held in memory; the rest are parked as checkpoints and
-// restored transparently on their next request. On SIGINT/SIGTERM the
-// daemon drains in-flight requests and checkpoints every resident
-// session, so a restart with the same -dir recovers all of them — and
-// because a checkpoint is also committed after every mutating request,
-// even kill -9 loses nothing past the last completed request (the
-// serve_smoke.sh script exercises exactly that).
+// state.ckpt + journal + optional observability streams). At most
+// -max-resident sessions are held in memory; the rest are restored
+// transparently on their next request. Every mutating request is
+// appended to its session's journal and synced before the reply, so a
+// restart with the same -dir recovers every session at its last
+// acknowledged request, whether the daemon drained on SIGINT/SIGTERM or
+// was killed with -9 (serve_smoke.sh exercises exactly that).
 //
 // Usage:
 //
@@ -35,7 +34,7 @@ func main() {
 	addr := flag.String("addr", "127.0.0.1:8034", "listen address")
 	dir := flag.String("dir", "jm-serve-state", "session state directory (sessions found here are recovered)")
 	maxResident := flag.Int("max-resident", serve.DefaultMaxResident,
-		"sessions kept in memory; beyond this the least-recently-used is checkpointed to disk")
+		"sessions kept in memory; beyond this the least-recently-used is evicted until its next request")
 	flag.Parse()
 	log.SetPrefix("jm-serve: ")
 	log.SetFlags(0)
@@ -46,6 +45,9 @@ func main() {
 	}
 	if n := len(g.List()); n > 0 {
 		log.Printf("recovered %d session(s) from %s", n, *dir)
+	}
+	for _, b := range g.Stat().Broken {
+		log.Printf("skipped broken session directory %s", b)
 	}
 
 	srv := &http.Server{Addr: *addr, Handler: serve.NewHandler(g)}
@@ -66,9 +68,9 @@ func main() {
 		log.Fatal(err)
 	}
 	<-drained
-	// All handlers have returned: checkpoint every session and exit.
+	// All handlers have returned: close every session and exit.
 	if err := g.Shutdown(); err != nil {
-		log.Fatalf("shutdown checkpoint: %v", err)
+		log.Fatalf("shutdown: %v", err)
 	}
-	log.Printf("checkpointed %d session(s); bye", len(g.List()))
+	log.Printf("closed %d session(s); bye", len(g.List()))
 }

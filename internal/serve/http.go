@@ -20,8 +20,7 @@ func NewHandler(g *Manager) http.Handler {
 	})
 	mux.HandleFunc("POST /v1/sessions", func(w http.ResponseWriter, r *http.Request) {
 		var spec Spec
-		if err := json.NewDecoder(r.Body).Decode(&spec); err != nil {
-			writeErr(w, http.StatusBadRequest, err)
+		if !readBody(w, r, &spec) {
 			return
 		}
 		s, err := g.Create(spec)
@@ -42,7 +41,7 @@ func NewHandler(g *Manager) http.Handler {
 			}
 			return map[string]any{
 				"id": s.ID, "spec": s.Spec, "cycle": cycle,
-				"digest": fmt.Sprintf("%016x", digest),
+				"digest":    fmt.Sprintf("%016x", digest),
 				"quiescent": s.m.Quiescent(),
 			}, nil
 		})
@@ -58,8 +57,7 @@ func NewHandler(g *Manager) http.Handler {
 		var req struct {
 			Cycles int64 `json:"cycles"`
 		}
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-			writeErr(w, http.StatusBadRequest, err)
+		if !readBody(w, r, &req) {
 			return
 		}
 		withSession(g, w, r, func(s *Session) (any, error) {
@@ -74,8 +72,7 @@ func NewHandler(g *Manager) http.Handler {
 		var req struct {
 			Budget int64 `json:"budget"`
 		}
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-			writeErr(w, http.StatusBadRequest, err)
+		if !readBody(w, r, &req) {
 			return
 		}
 		withSession(g, w, r, func(s *Session) (any, error) {
@@ -90,8 +87,7 @@ func NewHandler(g *Manager) http.Handler {
 		var req struct {
 			Ops []KVOp `json:"ops"`
 		}
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-			writeErr(w, http.StatusBadRequest, err)
+		if !readBody(w, r, &req) {
 			return
 		}
 		withSession(g, w, r, func(s *Session) (any, error) {
@@ -131,6 +127,20 @@ func NewHandler(g *Manager) http.Handler {
 		streamObsFile(g, w, r, (*Session).MetricsPath, "application/jsonl")
 	})
 	return mux
+}
+
+// maxBody bounds a request body (413 beyond it): a request is written
+// to the journal as received, so its size is a disk cost too.
+const maxBody = 1 << 20
+
+// readBody decodes the JSON body into v, or answers the error — 400 for
+// a malformed body, an unknown kv op included — and returns false.
+func readBody(w http.ResponseWriter, r *http.Request, v any) bool {
+	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBody)).Decode(v)
+	if err != nil {
+		writeErr(w, statusOf(err), err)
+	}
+	return err == nil
 }
 
 // withSession acquires the session (restoring it if evicted), runs fn
@@ -188,6 +198,10 @@ func statusOf(err error) int {
 		return http.StatusNotFound
 	case errors.Is(err, ErrNotResident):
 		return http.StatusConflict
+	case errors.Is(err, ErrJournal):
+		return http.StatusInternalServerError
+	case errors.As(err, new(*http.MaxBytesError)):
+		return http.StatusRequestEntityTooLarge
 	default:
 		return http.StatusBadRequest
 	}

@@ -82,7 +82,7 @@ func TestHTTPAPI(t *testing.T) {
 	var kvResp struct {
 		Results []KVResult `json:"results"`
 	}
-	ops := map[string]any{"ops": []KVOp{{Op: "put", Key: 2, Value: 7}}}
+	ops := map[string]any{"ops": []KVOp{{Op: OpPut, Key: 2, Value: 7}}}
 	if code := call(t, srv, "POST", "/v1/sessions/"+id+"/kv", ops, &kvResp); code != 200 || len(kvResp.Results) != 1 {
 		t.Fatalf("kv: code=%d results=%v", code, kvResp.Results)
 	}
@@ -207,5 +207,49 @@ func TestHTTPSessionDeterminism(t *testing.T) {
 		if dig.Digest != fmt.Sprintf("%016x", want) {
 			t.Errorf("session %s digest %s, want %016x", id, dig.Digest, want)
 		}
+	}
+}
+
+// TestHTTPBodyChecks: what a request body can get wrong is answered
+// before the session is touched — an unknown op is a decode error, a
+// body over maxBody is 413 — and a retired spec field is ignored.
+func TestHTTPBodyChecks(t *testing.T) {
+	g, err := NewManager(t.TempDir(), 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := httptest.NewServer(NewHandler(g))
+	defer srv.Close()
+	post := func(path, body string) int {
+		t.Helper()
+		resp, err := srv.Client().Post(srv.URL+path, "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		return resp.StatusCode
+	}
+	if code := post("/v1/sessions", `{"workload":"kv","nodes":4,"keys":16,"gateways":2,"ckpt_every":4096}`); code != 201 {
+		t.Fatalf("create with a ckpt_every field: code=%d, want 201", code)
+	}
+	id := g.List()[0].ID
+	kv := "/v1/sessions/" + id + "/kv"
+	if code := post(kv, `{"ops":[{"op":"put","key":1,"value":2},{"op":"del","key":1}]}`); code != 400 {
+		t.Errorf("unknown op: code=%d, want 400", code)
+	}
+	big := `{"ops":[` + strings.Repeat(`{"op":"get","key":1},`, maxBody/20) + `{"op":"get","key":1}]}`
+	if code := post(kv, big); code != 413 {
+		t.Errorf("%d-byte body: code=%d, want 413", len(big), code)
+	}
+	if code := post(kv, `{"ops":[{"op":"put","key":1,"value":2}]}`); code != 200 {
+		t.Errorf("put: code=%d, want 200", code)
+	}
+	var st Stats
+	if code := call(t, srv, "GET", "/v1/statz", nil, &st); code != 200 {
+		t.Fatalf("statz: code=%d", code)
+	}
+	// One create (a checkpoint: two fsyncs) and one committed request.
+	if st.Requests != 1 || st.Fsyncs != 3 || st.Checkpoints != 1 || st.JournalBytes == 0 {
+		t.Errorf("statz after one create and one put: %+v", st)
 	}
 }

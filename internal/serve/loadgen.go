@@ -18,9 +18,9 @@ func GenOps(seed int64, keys, n int) []KVOp {
 		// 50/50 read/write mix; a put's value encodes its position so
 		// replies are checkable.
 		if rng.Intn(2) == 0 {
-			ops[i] = KVOp{Op: "put", Key: key, Value: int32(i + 1)}
+			ops[i] = KVOp{Op: OpPut, Key: key, Value: int32(i + 1)}
 		} else {
-			ops[i] = KVOp{Op: "get", Key: key}
+			ops[i] = KVOp{Op: OpGet, Key: key}
 		}
 	}
 	return ops
@@ -57,19 +57,8 @@ func Replay(spec Spec, reqs []ReplayReq) (int64, uint64, error) {
 	}
 	defer s.teardown()
 	for i, req := range reqs {
-		switch {
-		case len(req.Ops) > 0:
-			if _, err := s.KVApply(req.Ops); err != nil {
-				return 0, 0, fmt.Errorf("replay req %d: %w", i, err)
-			}
-		case req.Step > 0:
-			if _, err := s.StepCycles(req.Step); err != nil {
-				return 0, 0, fmt.Errorf("replay req %d: %w", i, err)
-			}
-		default:
-			if _, _, err := s.Run(req.Run); err != nil {
-				return 0, 0, fmt.Errorf("replay req %d: %w", i, err)
-			}
+		if _, err := s.do(req); err != nil {
+			return 0, 0, fmt.Errorf("replay req %d: %w", i, err)
 		}
 	}
 	cycle, digest, err := s.Digest()

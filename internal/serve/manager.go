@@ -12,10 +12,10 @@ import (
 	"sync"
 )
 
-// Manager owns the session registry: creation, LRU eviction to disk
-// when more sessions exist than may stay resident, transparent restore
-// on the next touch, crash recovery from the session directory, and
-// checkpoint-all on graceful shutdown.
+// Manager owns the session registry: creation, LRU eviction when more
+// sessions exist than may stay resident, transparent restore on the
+// next touch, and crash recovery from the session directory. Eviction
+// and shutdown write nothing — a request is on disk before its reply.
 //
 // Lock order is Manager.mu before Session.mu, never the reverse; a
 // session op never calls back into the manager. Acquire releases
@@ -29,6 +29,7 @@ type Manager struct {
 	sessions map[string]*Session
 	clock    int64 // LRU counter: bumped on every touch
 	nextID   int
+	broken   []string // session directories recovery skipped
 }
 
 // DefaultMaxResident bounds in-memory sessions when NewManager is
@@ -36,9 +37,11 @@ type Manager struct {
 const DefaultMaxResident = 8
 
 // NewManager opens (creating if needed) the session directory and
-// recovers every session checkpointed in it: each subdirectory with a
-// spec.json re-registers as a non-resident session that restores on
-// first touch, so a killed daemon resumes where it stood.
+// recovers every session in it: each subdirectory with a spec.json
+// re-registers as a non-resident session that restores on first touch,
+// so a killed daemon resumes where it stood. A directory whose spec
+// does not parse or that lacks a checkpoint or journal is skipped and
+// reported in Stats.Broken; the rest are served.
 func NewManager(dir string, maxResident int) (*Manager, error) {
 	if maxResident <= 0 {
 		maxResident = DefaultMaxResident
@@ -59,28 +62,30 @@ func NewManager(dir string, maxResident int) (*Manager, error) {
 			continue
 		}
 		id := ent.Name()
-		specPath := filepath.Join(dir, id, "spec.json")
-		data, err := os.ReadFile(specPath)
-		if err != nil {
-			if errors.Is(err, os.ErrNotExist) {
-				continue // not a session directory
-			}
-			return nil, err
-		}
-		var spec Spec
-		if err := json.Unmarshal(data, &spec); err != nil {
-			return nil, fmt.Errorf("recover %s: %w", specPath, err)
-		}
-		s := newSession(id, spec, filepath.Join(dir, id))
-		if _, err := os.Stat(s.ckptPath()); err != nil {
-			return nil, fmt.Errorf("recover %s: no checkpoint: %w", id, err)
-		}
-		g.sessions[id] = s
 		if n, ok := strings.CutPrefix(id, "s"); ok {
 			if v, err := strconv.Atoi(n); err == nil && v >= g.nextID {
-				g.nextID = v + 1
+				g.nextID = v + 1 // even if skipped below: never create over it
 			}
 		}
+		data, err := os.ReadFile(filepath.Join(dir, id, "spec.json"))
+		if errors.Is(err, os.ErrNotExist) {
+			continue // not a session directory, or a creation that never committed
+		}
+		var spec Spec
+		if err == nil {
+			err = json.Unmarshal(data, &spec)
+		}
+		s := newSession(id, spec, filepath.Join(dir, id))
+		for _, path := range []string{s.ckptPath(), s.journalPath()} {
+			if err == nil {
+				_, err = os.Stat(path)
+			}
+		}
+		if err != nil {
+			g.broken = append(g.broken, fmt.Sprintf("%s: %v", id, err))
+			continue
+		}
+		g.sessions[id] = s
 	}
 	return g, nil
 }
@@ -88,9 +93,10 @@ func NewManager(dir string, maxResident int) (*Manager, error) {
 // Dir returns the session directory ("" when ephemeral).
 func (g *Manager) Dir() string { return g.dir }
 
-// Create registers and builds a new session. The spec is normalized,
-// persisted, and the session's cycle-zero checkpoint is written before
-// Create returns — from that point on the session survives a crash.
+// Create registers and builds a new session. The spec is normalized and
+// the empty journal and cycle-zero checkpoint are written; spec.json
+// goes last, by rename: a crash before it leaves a directory recovery
+// does not see, after it a session that survives.
 func (g *Manager) Create(spec Spec) (*Session, error) {
 	spec, err := spec.Normalize()
 	if err != nil {
@@ -106,20 +112,17 @@ func (g *Manager) Create(spec Spec) (*Session, error) {
 		if err := os.MkdirAll(dir, 0o777); err != nil {
 			return nil, err
 		}
-		data, err := json.MarshalIndent(spec, "", "  ")
-		if err != nil {
-			return nil, err
-		}
-		if err := os.WriteFile(filepath.Join(dir, "spec.json"), data, 0o666); err != nil {
-			return nil, err
-		}
 	}
 	s := newSession(id, spec, dir)
 	g.clock++
 	s.lastUsed = g.clock
 	g.evictOverflowLocked(s)
 	s.mu.Lock()
-	err = s.start(false)
+	if err = s.start(false); err == nil && dir != "" {
+		if err = writeSpec(dir, spec); err != nil {
+			s.teardown()
+		}
+	}
 	s.mu.Unlock()
 	if err != nil {
 		if dir != "" {
@@ -131,12 +134,25 @@ func (g *Manager) Create(spec Spec) (*Session, error) {
 	return s, nil
 }
 
+func writeSpec(dir string, spec Spec) error {
+	data, err := json.MarshalIndent(spec, "", "  ")
+	if err != nil {
+		return err
+	}
+	tmp := filepath.Join(dir, "spec.json.tmp")
+	if err := os.WriteFile(tmp, data, 0o666); err != nil {
+		return err
+	}
+	return os.Rename(tmp, filepath.Join(dir, "spec.json"))
+}
+
 // ErrNoSession reports an unknown session ID.
 var ErrNoSession = errors.New("no such session")
 
 // Acquire returns session id locked and resident, restoring it from
-// its checkpoint if it was evicted. The caller must invoke the release
-// function when done. Other sessions keep serving concurrently.
+// its checkpoint and journal if it was evicted. The caller must invoke
+// the release function when done. Other sessions keep serving
+// concurrently.
 func (g *Manager) Acquire(id string) (*Session, func(), error) {
 	g.mu.Lock()
 	s, ok := g.sessions[id]
@@ -164,9 +180,9 @@ func (g *Manager) Acquire(id string) (*Session, func(), error) {
 	return s, s.mu.Unlock, nil
 }
 
-// evictOverflowLocked checkpoints and tears down least-recently-used
-// resident sessions until admitting `next` keeps the resident count at
-// maxResident. Sessions busy serving a request are skipped (TryLock),
+// evictOverflowLocked tears down least-recently-used resident sessions
+// until admitting `next` keeps the resident count at maxResident — no
+// write: every acknowledged request is on disk. Sessions busy serving a request are skipped (TryLock),
 // so the cap is a target, not a hard ceiling. Caller holds g.mu.
 func (g *Manager) evictOverflowLocked(next *Session) {
 	skip := make(map[*Session]bool)
@@ -194,7 +210,7 @@ func (g *Manager) evictOverflowLocked(next *Session) {
 			skip[victim] = true
 			continue
 		}
-		victim.suspend()
+		victim.teardown()
 		victim.mu.Unlock()
 	}
 }
@@ -277,25 +293,22 @@ func (g *Manager) Delete(id string) error {
 	return nil
 }
 
-// Shutdown checkpoints every resident session and evicts it, leaving
-// the directory ready for the next daemon to recover. Returns the
-// first error but keeps going.
+// Shutdown evicts every resident session, flushing its observability
+// sinks. The directory already is what the next daemon recovers:
+// nothing else is written, and the error is always nil.
 func (g *Manager) Shutdown() error {
 	g.mu.Lock()
 	all := make([]*Session, 0, len(g.sessions))
-	for _, s := range g.sessions { //jm:maporder suspend order does not matter
+	for _, s := range g.sessions { //jm:maporder teardown order does not matter
 		all = append(all, s)
 	}
 	g.mu.Unlock()
-	var first error
 	for _, s := range all {
 		s.mu.Lock()
-		if err := s.suspend(); err != nil && first == nil {
-			first = err
-		}
+		s.teardown()
 		s.mu.Unlock()
 	}
-	return first
+	return nil
 }
 
 // Stats summarizes the registry for the statz endpoint.
@@ -305,19 +318,29 @@ type Stats struct {
 	MaxResident int   `json:"max_resident"`
 	Requests    int64 `json:"requests"`
 	Restores    int64 `json:"restores"`
+	// Broken names the session directories recovery skipped, and why.
+	Broken []string `json:"broken,omitempty"`
+	// Durable I/O by this manager: fsyncs (one per journal append, two
+	// per checkpoint), checkpoints written, journal bytes appended.
+	Fsyncs       int64 `json:"fsyncs"`
+	Checkpoints  int64 `json:"checkpoints"`
+	JournalBytes int64 `json:"journal_bytes"`
 }
 
 // Stat reports registry-wide counters.
 func (g *Manager) Stat() Stats {
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	st := Stats{Sessions: len(g.sessions), MaxResident: g.maxResident}
+	st := Stats{Sessions: len(g.sessions), MaxResident: g.maxResident, Broken: g.broken}
 	for _, s := range g.sessions { //jm:maporder commutative sums
 		if s.residentHint() {
 			st.Resident++
 		}
 		st.Requests += s.requests.Load()
 		st.Restores += s.restores.Load()
+		st.Fsyncs += s.fsyncs.Load()
+		st.Checkpoints += s.checkpoints.Load()
+		st.JournalBytes += s.journalBytes.Load()
 	}
 	return st
 }

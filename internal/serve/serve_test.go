@@ -61,8 +61,8 @@ func TestKVSessionServesOps(t *testing.T) {
 	// Two batches: ops within one batch race through the mesh (that is
 	// the workload's point), but a batch only returns once every reply
 	// landed, so batch boundaries order the put before the get.
-	res := apply([]KVOp{{Op: "put", Key: 3, Value: 42}})
-	res = append(res, apply([]KVOp{{Op: "get", Key: 3}})...)
+	res := apply([]KVOp{{Op: OpPut, Key: 3, Value: 42}})
+	res = append(res, apply([]KVOp{{Op: OpGet, Key: 3}})...)
 	if len(res) != 2 {
 		t.Fatalf("got %d results, want 2", len(res))
 	}
@@ -330,7 +330,7 @@ func TestShutdownThenRecover(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := sess.KVApply([]KVOp{{Op: "put", Key: 1, Value: 9}}); err != nil {
+	if _, err := sess.KVApply([]KVOp{{Op: OpPut, Key: 1, Value: 9}}); err != nil {
 		t.Fatal(err)
 	}
 	_, want, _ := sess.Digest()

@@ -32,30 +32,53 @@ type Session struct {
 	mu       sync.Mutex
 	resident bool
 	m        *machine.Machine
-	r        *rt.Runtime
-	run      *sim.Run // engine shards + checkpoint layers
+	run      *sim.Run // engine shards
 	rec      *obs.Recorder
 	obsBufs  []*bufio.Writer
 	obsFiles []*os.File
 	kv       *kvDriver
 
-	dir      string       // session directory ("" = ephemeral: no ckpt, no obs)
+	// Durable state: state.ckpt, the machine as one request left it, and
+	// journal, every request committed since.
+	savers []ckpt.Saver // the checkpoint's sections after the machine's
+	jr     *journal     // nil when ephemeral or not resident
+	seq    commitSeq    // requests committed over the session's life
+	ckptAt int64        // the machine cycle state.ckpt holds
+
+	dir      string       // session directory ("" = ephemeral: no ckpt, no journal, no obs)
 	lastUsed int64        // manager's LRU clock; guarded by the manager's mu
 	cycle    atomic.Int64 // last observed cycle, for lock-free listings
 	requests atomic.Int64 // mutating requests served
 	restores atomic.Int64 // evict/restore round-trips survived
+
+	fsyncs, checkpoints, journalBytes atomic.Int64 // durable I/O done, for Stats
+}
+
+// compactNodeCycles is the simulated work a journal may hold before a
+// commit folds it into a checkpoint: at ~31 ns of replay per node·cycle
+// and ~0.8 ms per checkpoint (docs/SERVE.md), 12 Ki — nine kv requests
+// on 8 nodes — keeps a restore's replay under half a checkpoint write.
+// Simulated work, not wall time, so checkpoints fall where the request
+// stream puts them.
+const compactNodeCycles = 12 << 10
+
+// commitSeq is the committed-request count as a checkpoint section, so
+// replay can skip journal records the checkpoint already holds.
+type commitSeq uint64
+
+func (q *commitSeq) CkptName() string         { return "serve.seq" }
+func (q *commitSeq) CkptSave(e *wire.Encoder) { e.U64(uint64(*q)) }
+func (q *commitSeq) CkptRestore(d *wire.Decoder) error {
+	*q = commitSeq(d.U64())
+	return d.Err()
 }
 
 func newSession(id string, spec Spec, dir string) *Session {
 	return &Session{ID: id, Spec: spec, dir: dir}
 }
 
-func (s *Session) ckptPath() string {
-	if s.dir == "" {
-		return ""
-	}
-	return filepath.Join(s.dir, "state.ckpt")
-}
+func (s *Session) ckptPath() string    { return filepath.Join(s.dir, "state.ckpt") }
+func (s *Session) journalPath() string { return filepath.Join(s.dir, "journal") }
 
 // TimelinePath is the on-disk Perfetto timeline ("" when tracing is
 // off or the session is ephemeral).
@@ -75,13 +98,12 @@ func (s *Session) MetricsPath() string {
 }
 
 // start builds the machine from the spec and — when resume is set —
-// restores the session checkpoint over it. Mirrors the command-line
-// restore contract (docs/CHECKPOINT.md): the workload's start-up runs
-// first so the layer stack matches the one that saved, then
-// run.PreRun rewinds the state. Caller holds s.mu.
+// restores the session's durable state over it. Mirrors the
+// command-line restore contract (docs/CHECKPOINT.md): the workload's
+// start-up runs first so the layer stack matches the one that saved.
+// Caller holds s.mu.
 func (s *Session) start(resume bool) error {
 	spec := s.Spec
-	var savers []ckpt.Saver
 	switch spec.Workload {
 	case "kv":
 		p := cst.BuildKVProgram()
@@ -93,9 +115,9 @@ func (s *Session) start(resume bool) error {
 		for id := range m.Nodes {
 			cst.SetupKVNode(r, m, id, spec.Keys)
 		}
-		s.m, s.r = m, r
+		s.m = m
 		s.kv = newKVDriver(p, spec.Gateways)
-		savers = []ckpt.Saver{r, s.kv}
+		s.savers = []ckpt.Saver{r, s.kv, &s.seq}
 	case "jlang":
 		c, err := jlang.Compile(spec.Source)
 		if err != nil {
@@ -114,8 +136,8 @@ func (s *Session) start(resume bool) error {
 		} else {
 			rt.StartNode(m, c.Program, 0, spec.Entry)
 		}
-		s.m, s.r = m, r
-		savers = []ckpt.Saver{r}
+		s.m = m
+		s.savers = []ckpt.Saver{r, &s.seq}
 	default:
 		return fmt.Errorf("unknown workload %q", spec.Workload)
 	}
@@ -127,16 +149,17 @@ func (s *Session) start(resume bool) error {
 		return err
 	}
 	// The one place a spec becomes a run configuration. The session
-	// directory's obs sinks stay outside it: the timeline and metrics
-	// endpoints need the recorder handle to sync mid-run.
-	cfg := sim.Config{
-		Shards:    spec.Shards,
-		Reference: spec.Reference,
-		Ckpt:      ckpt.Flags{Path: s.ckptPath(), Every: spec.CkptEvery, Resume: resume},
-	}
+	// directory's obs sinks stay outside it (the timeline and metrics
+	// endpoints need the recorder handle to sync mid-run), and so does
+	// its checkpoint: a periodic writer would save half a request.
+	cfg := sim.Config{Shards: spec.Shards, Reference: spec.Reference}
 	var err error
-	if s.run, err = cfg.Attach(s.m, savers...); err == nil {
-		err = s.run.PreRun()
+	if s.run, err = cfg.Attach(s.m); err == nil && s.dir != "" {
+		if resume {
+			err = s.recover()
+		} else {
+			err = s.create()
+		}
 	}
 	if err != nil {
 		s.teardown()
@@ -148,6 +171,62 @@ func (s *Session) start(resume bool) error {
 		s.restores.Add(1)
 	}
 	return nil
+}
+
+// create writes a new session's durable state. The empty journal goes
+// first, unsynced: the checkpoint's directory sync covers both entries.
+func (s *Session) create() error {
+	f, err := os.Create(s.journalPath())
+	if err != nil {
+		return err
+	}
+	s.jr = &journal{f: f}
+	return s.checkpoint()
+}
+
+// recover restores the checkpoint and replays the journal records it
+// does not cover. A hole in the sequence, or a replay that fails or
+// ends off its recorded cycle, fails the session: never another state.
+func (s *Session) recover() error {
+	err := ckpt.RestoreFile(s.ckptPath(), s.m, s.savers...)
+	if err != nil {
+		return err
+	}
+	var recs []record
+	if s.jr, recs, err = openJournal(s.journalPath()); err != nil {
+		return err
+	}
+	s.ckptAt = s.m.Cycle()
+	for _, rec := range recs {
+		if rec.seq <= uint64(s.seq) {
+			continue // left by a compaction that died before truncating
+		}
+		if rec.seq != uint64(s.seq)+1 {
+			err = fmt.Errorf("follows record %d", s.seq)
+		} else if err = s.validate(rec.req); err == nil {
+			_, err = s.apply(rec.req)
+		}
+		if err == nil && s.m.Cycle() != rec.cycle {
+			err = fmt.Errorf("replayed to cycle %d, recorded %d", s.m.Cycle(), rec.cycle)
+		}
+		if err != nil {
+			return fmt.Errorf("%w: record %d: %v", ErrJournal, rec.seq, err)
+		}
+		s.seq++
+	}
+	return nil
+}
+
+// checkpoint writes the machine as it stands and empties the journal
+// it now covers. Caller holds s.mu; the session has a directory.
+func (s *Session) checkpoint() error {
+	if err := ckpt.WriteFile(s.ckptPath(), ckpt.Capture(s.m, s.savers...)); err != nil {
+		return err
+	}
+	s.checkpoints.Add(1)
+	s.fsyncs.Add(2) // WriteFile syncs the file and its directory
+	s.ckptAt = s.m.Cycle()
+	return s.jr.reset()
 }
 
 // attachObs opens the trace/metric sinks in the session directory.
@@ -203,59 +282,71 @@ func (s *Session) teardown() {
 	for _, f := range s.obsFiles {
 		f.Close()
 	}
-	s.obsBufs, s.obsFiles = nil, nil
-	s.run, s.rec = nil, nil
-	s.m, s.r, s.kv = nil, nil, nil
-	s.resident = false
-}
-
-// suspend checkpoints the session and evicts it from memory. Caller
-// holds s.mu.
-func (s *Session) suspend() error {
-	if !s.resident {
-		return nil
+	if s.jr != nil {
+		s.jr.f.Close()
 	}
-	err := s.run.Layers.WriteNow()
-	s.teardown()
-	return err
-}
-
-// commit checkpoints after a mutating request so a killed daemon
-// resumes at exactly the last completed request. Caller holds s.mu.
-func (s *Session) commit() error {
-	s.cycle.Store(s.m.Cycle())
-	s.requests.Add(1)
-	return s.run.Layers.WriteNow()
+	s.obsBufs, s.obsFiles = nil, nil
+	s.run, s.rec, s.jr = nil, nil, nil
+	s.m, s.kv, s.savers = nil, nil, nil
+	s.resident = false
 }
 
 // ErrNotResident is returned by ops on an evicted session; the manager
 // restores before dispatching, so a caller seeing this bypassed it.
 var ErrNotResident = errors.New("session not resident")
 
-// StepCycles advances the machine n cycles.
-func (s *Session) StepCycles(n int64) (int64, error) {
-	if !s.resident {
-		return 0, ErrNotResident
+// do serves one mutating request: validate, simulate, commit. A request
+// validate refuses has not touched the machine; one that fails later
+// has, so the session is evicted and its next touch restores the last
+// committed state. Caller holds s.mu.
+func (s *Session) do(req ReplayReq) ([]KVResult, error) {
+	if err := s.validate(req); err != nil {
+		return nil, err
 	}
-	if n <= 0 {
-		return s.m.Cycle(), nil
+	res, err := s.apply(req)
+	if err == nil {
+		err = s.commit(req)
 	}
-	if max := s.Spec.Budget; n > max {
-		n = max
+	if err != nil && s.dir != "" {
+		s.teardown()
 	}
-	s.m.StepN(n)
-	if err := s.m.FatalErr(); err != nil {
-		return s.m.Cycle(), err
-	}
-	return s.m.Cycle(), s.commit()
+	return res, err
 }
 
-// Run steps until quiescence or the budget expires; reports whether the
-// machine went quiescent.
-func (s *Session) Run(budget int64) (int64, bool, error) {
-	if !s.resident {
-		return 0, false, ErrNotResident
+// validate refuses a request that must not reach the machine.
+func (s *Session) validate(req ReplayReq) error {
+	if len(req.Ops) == 0 {
+		return nil
 	}
+	if s.kv == nil {
+		return errors.New("not a kv session")
+	}
+	if max := cst.KVMailRecords * s.kv.gateways; len(req.Ops) > max {
+		return fmt.Errorf("batch of %d exceeds mailbox capacity %d", len(req.Ops), max)
+	}
+	for _, op := range req.Ops {
+		if op.Key < 0 || int(op.Key) >= s.Spec.Keys {
+			return fmt.Errorf("key %d outside key space [0,%d)", op.Key, s.Spec.Keys)
+		}
+		if op.Op != OpPut && op.Op != OpGet {
+			return fmt.Errorf("unknown op %d (want put or get)", op.Op)
+		}
+	}
+	return nil
+}
+
+// apply simulates one validated request — ops when it has any, else a
+// step when positive, else a run. Live requests, journal replay and
+// Replay all step the machine here and nowhere else.
+func (s *Session) apply(req ReplayReq) ([]KVResult, error) {
+	switch {
+	case len(req.Ops) > 0:
+		return s.kv.apply(s.m, s.Spec, req.Ops)
+	case req.Step > 0:
+		s.m.StepN(min(req.Step, s.Spec.Budget))
+		return nil, s.m.FatalErr()
+	}
+	budget := req.Run
 	if budget <= 0 || budget > s.Spec.Budget {
 		budget = s.Spec.Budget
 	}
@@ -264,10 +355,55 @@ func (s *Session) Run(budget int64) (int64, bool, error) {
 	if errors.As(err, &lim) {
 		err = nil // budget exhaustion is a normal outcome, not a fault
 	}
-	if err != nil {
-		return s.m.Cycle(), false, err
+	return nil, err
+}
+
+// commit makes the request just applied durable — one synced journal
+// append — before its reply is sent, so a killed daemon resumes at
+// exactly the last acknowledged request; and checkpoints when the
+// journal reaches compactNodeCycles. Caller holds s.mu.
+func (s *Session) commit(req ReplayReq) error {
+	s.cycle.Store(s.m.Cycle())
+	s.requests.Add(1)
+	s.seq++
+	if s.dir == "" {
+		return nil
 	}
-	return s.m.Cycle(), s.m.Quiescent(), s.commit()
+	frame := record{seq: uint64(s.seq), cycle: s.m.Cycle(), req: req}.encode()
+	if err := s.jr.append(frame); err != nil {
+		return err
+	}
+	s.fsyncs.Add(1)
+	s.journalBytes.Add(int64(len(frame)))
+	if (s.m.Cycle()-s.ckptAt)*int64(len(s.m.Nodes)) < compactNodeCycles {
+		return nil // a restore's replay is still cheap
+	}
+	return s.checkpoint()
+}
+
+// StepCycles advances the machine n cycles.
+func (s *Session) StepCycles(n int64) (int64, error) {
+	if !s.resident {
+		return 0, ErrNotResident
+	}
+	if n > 0 {
+		if _, err := s.do(ReplayReq{Step: n}); err != nil {
+			return 0, err
+		}
+	}
+	return s.m.Cycle(), nil
+}
+
+// Run steps until quiescence or the budget expires; reports whether the
+// machine went quiescent.
+func (s *Session) Run(budget int64) (int64, bool, error) {
+	if !s.resident {
+		return 0, false, ErrNotResident
+	}
+	if _, err := s.do(ReplayReq{Run: budget}); err != nil {
+		return 0, false, err
+	}
+	return s.m.Cycle(), s.m.Quiescent(), nil
 }
 
 // Digest reports the current cycle and StateDigest.
@@ -286,12 +422,15 @@ func (s *Session) Snapshot() (obs.Snapshot, error) {
 	return obs.TakeSnapshot(s.m), nil
 }
 
-// Checkpoint forces an immediate checkpoint write.
+// Checkpoint forces a checkpoint now — a compaction ahead of its time.
 func (s *Session) Checkpoint() error {
 	if !s.resident {
 		return ErrNotResident
 	}
-	return s.run.Layers.WriteNow()
+	if s.dir == "" {
+		return nil
+	}
+	return s.checkpoint()
 }
 
 // SyncObs drains the observability sinks to disk so the timeline and
@@ -311,9 +450,36 @@ func (s *Session) SyncObs() error {
 	return nil
 }
 
+// OpKind is a kv operation: "put" or "get" in JSON, one byte elsewhere.
+type OpKind uint8
+
+const (
+	OpPut OpKind = iota + 1
+	OpGet
+)
+
+var opNames = [...]string{OpPut: "put", OpGet: "get"}
+
+func (k OpKind) MarshalText() ([]byte, error) {
+	if k != OpPut && k != OpGet {
+		return nil, fmt.Errorf("unknown op %d", uint8(k))
+	}
+	return []byte(opNames[k]), nil
+}
+
+func (k *OpKind) UnmarshalText(b []byte) error {
+	for kind := OpPut; kind <= OpGet; kind++ {
+		if string(b) == opNames[kind] {
+			*k = kind
+			return nil
+		}
+	}
+	return fmt.Errorf("unknown op %q (want put or get)", b)
+}
+
 // KVOp is one key-value request.
 type KVOp struct {
-	Op    string `json:"op"` // "put" or "get"
+	Op    OpKind `json:"op"`
 	Key   int32  `json:"key"`
 	Value int32  `json:"value,omitempty"`
 }
@@ -335,23 +501,15 @@ type KVResult struct {
 // sequence number and injection cycles are determined by queue
 // back-pressure alone.
 func (s *Session) KVApply(ops []KVOp) ([]KVResult, error) {
-	if !s.resident {
+	switch {
+	case !s.resident:
 		return nil, ErrNotResident
-	}
-	if s.kv == nil {
+	case s.kv == nil:
 		return nil, errors.New("not a kv session")
-	}
-	if len(ops) == 0 {
+	case len(ops) == 0:
 		return nil, nil
 	}
-	if max := cst.KVMailRecords * s.kv.gateways; len(ops) > max {
-		return nil, fmt.Errorf("batch of %d exceeds mailbox capacity %d", len(ops), max)
-	}
-	res, err := s.kv.apply(s.m, s.Spec, ops)
-	if err != nil {
-		return res, err
-	}
-	return res, s.commit()
+	return s.do(ReplayReq{Ops: ops})
 }
 
 // kvDriver is the host side of the kv workload: it assigns sequence
@@ -407,20 +565,12 @@ func (k *kvDriver) apply(m *machine.Machine, spec Spec, ops []KVOp) ([]KVResult,
 	}
 	inflight := make(map[int32]pending, len(ops))
 	expect := make([]int32, k.gateways)
-	for _, op := range ops {
-		if op.Key < 0 || int(op.Key) >= spec.Keys {
-			return nil, fmt.Errorf("key %d outside key space [0,%d)", op.Key, spec.Keys)
-		}
+	for _, op := range ops { // validated by Session.validate
 		seq := k.nextSeq
 		gw := int(seq) % k.gateways
-		var msg []word.Word
-		switch op.Op {
-		case "put":
+		msg := cst.KVGetMsg(k.prog, op.Key, seq)
+		if op.Op == OpPut {
 			msg = cst.KVPutMsg(k.prog, op.Key, op.Value, seq)
-		case "get":
-			msg = cst.KVGetMsg(k.prog, op.Key, seq)
-		default:
-			return nil, fmt.Errorf("unknown op %q (want put or get)", op.Op)
 		}
 		if err := injectRetry(m, gw, msg, spec.Budget); err != nil {
 			return nil, err

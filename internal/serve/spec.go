@@ -1,10 +1,11 @@
 // Package serve hosts many independent simulated J-Machines behind an
 // HTTP/JSON API — the multi-tenant serving experiment of ROADMAP item
 // 3. Each session is one machine with its own engine shards, runtime,
-// and observability sinks; sessions persist through internal/ckpt
-// (periodic checkpoints, LRU eviction to disk under memory pressure,
-// transparent restore on the next request, checkpoint-all on graceful
-// shutdown).
+// and observability sinks; sessions persist as a checkpoint
+// (internal/ckpt) plus a journal of the requests served since it: every
+// request is journalled and synced before its reply, so LRU eviction
+// under memory pressure, shutdown and kill -9 all leave a directory the
+// next touch restores by checkpoint + replay.
 //
 // The layering rule that makes this safe: the service layer is fully
 // concurrent (one HTTP request per goroutine), but every machine is
@@ -25,7 +26,7 @@ import (
 )
 
 // Spec declares a session: what machine to build, which workload to
-// load into it, and which persistence/observability layers to attach.
+// load into it, and which observability layers to attach.
 // It is written to the session directory verbatim and is everything
 // needed to rebuild the machine after an eviction or a daemon crash.
 type Spec struct {
@@ -63,11 +64,6 @@ type Spec struct {
 	// MetricsEvery samples JSONL metric snapshots every N cycles
 	// (0 = off).
 	MetricsEvery int `json:"metrics_every,omitempty"`
-
-	// CkptEvery is the periodic checkpoint interval in cycles
-	// (0 = ckpt.DefaultEvery). Checkpoints are also written after
-	// every mutating request, on eviction, and on graceful shutdown.
-	CkptEvery int64 `json:"ckpt_every,omitempty"`
 }
 
 // DefaultBudget is the per-request cycle budget when Spec.Budget is 0.

@@ -6,7 +6,8 @@
 set -eu
 cd "$(dirname "$0")/.."
 
-echo "== go vet"
+echo "== gofmt, go vet"
+test -z "$(gofmt -l .)" || { echo "gofmt -l:"; gofmt -l .; exit 1; }
 go vet ./...
 
 echo "== jm-lint (determinism analyzers, docs/LINT.md)"
@@ -40,6 +41,9 @@ echo "== network properties under the race detector, and a fuzz run"
 # FuzzNetwork is the same generator under the fuzzer, time-boxed.
 go test -race -short -count=3 -run 'TestNetworkProperties' ./internal/network/
 go test -run '^$' -fuzz FuzzNetwork -fuzztime 15s ./internal/network/
+# FuzzJournal: the serve journal's decoder on damaged files — never a
+# panic, a stable valid prefix (docs/SERVE.md, "Persistence").
+go test -run '^$' -fuzz FuzzJournal -fuzztime 10s ./internal/serve/
 
 echo "== go test -race"
 # The broad race pass runs -short: the slowest sweeps (every-cycle
@@ -105,9 +109,10 @@ echo "== checkpoint crash-recovery smoke"
 sh scripts/ckpt_smoke.sh
 
 echo "== serve smoke"
-# Multi-tenant daemon: create a session over HTTP, SIGKILL the daemon,
-# restart on the same state dir, require byte-identical recovery, then
-# a verified jm-load run (docs/SERVE.md).
+# Multi-tenant daemon: create a session over HTTP, drive it past a
+# journal compaction, SIGKILL the daemon twice, require byte-identical
+# recovery (checkpoint + journal replay) each time, then a verified
+# jm-load run (docs/SERVE.md).
 sh scripts/serve_smoke.sh
 
 echo "== mesh-scaling smoke"
