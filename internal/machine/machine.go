@@ -130,18 +130,19 @@ type Machine struct {
 	// iff it is parked with no scheduled wake and no pending external
 	// one — exactly the nodes those loops would pass over untouched.
 	// The net wake callback, Inject, the sync hook, unparkAll and restore
-	// add; parking on NoEvent removes. Derived state: outside the digest
-	// and the checkpoint. nodeVisits counts the nodes StepNodeRangeInfo
-	// examined — host work, not simulated state.
+	// add; parking on NoEvent removes; rederiveWakes does either. Derived
+	// state: outside the digest and the checkpoint. nodeVisits counts the
+	// nodes StepNodeRangeInfo examined — host work, not simulated state.
 	hot        bitset.Set
 	nodeVisits atomic.Int64
 
 	// wakeSeq is a generation counter bumped whenever node activity
 	// changes outside the stepping sweep itself — host injection, the
 	// per-node sync hook (chaos freeze/thaw/kill, reliable-delivery
-	// failures, background starts), unparkAll, checkpoint restore. The
-	// parallel engine caches per-shard activity summaries and rescans
-	// them whenever this generation moves.
+	// failures, background starts), unparkAll, bulk-step entry
+	// (rederiveWakes), checkpoint restore. The parallel engine caches
+	// per-shard activity summaries and rescans them whenever this
+	// generation moves.
 	wakeSeq uint64
 
 	// Compiled tier (docs/COMPILED.md). fuse is the fusion control
@@ -515,8 +516,9 @@ func (m *Machine) InjectFree(node, pri int) int {
 // then each node executes. The public single-step is reference-exact:
 // any nodes the fast path left parked are unparked and caught up
 // first, so after every Step the caller observes the same per-node
-// state the reference loop would show. (Bulk stepping that may park —
-// StepN and the run loops — re-synchronizes before returning instead.)
+// state the reference loop would show. (Bulk stepping — StepN and the
+// run loops — instead re-derives parked nodes' wakes on entry and
+// re-synchronizes before returning.)
 func (m *Machine) Step() {
 	m.unparkAll()
 	if m.compiledOn {
@@ -550,16 +552,17 @@ func (m *Machine) stepOnce() {
 }
 
 // StepNodeRangeInfo steps the hot nodes of [lo, hi) through the current
-// cycle in ascending order (Next re-reads the set, so a node that a
-// stepping node's system software unparks ahead of the cursor still
-// steps this cycle, as under a sweep), maintaining the active set: a
-// parked node is skipped until its wake cycle (or an external wake
-// flag) comes due, at which point it is caught up in bulk and stepped;
-// a node whose next event lies beyond the next cycle is parked. Both
-// the sequential loop and the parallel engine's processor phase use it
-// — under the engine each shard calls it for its own slab, so the
-// bookkeeping for index i is only ever touched by i's owning goroutine
-// (nParked and the words of hot, which shards share, are atomic).
+// cycle in ascending order (the set is re-read after every node, so a
+// node that a stepping node's system software unparks ahead of the
+// cursor still steps this cycle, as under a sweep), maintaining the
+// active set: a parked node is skipped until its wake cycle (or an
+// external wake flag) comes due, at which point it is caught up in bulk
+// and stepped; a node whose next event lies beyond the next cycle is
+// parked. Both the sequential loop and the parallel engine's processor
+// phase use it — under the engine each shard calls it for its own
+// slab, so the bookkeeping for index i is only ever touched by i's
+// owning goroutine (nParked and the words of hot, which shards share,
+// are atomic).
 //
 // It returns an activity summary for the range, computed in the same
 // pass: live is the number of nodes left unparked, minWake the
@@ -572,39 +575,43 @@ func (m *Machine) StepNodeRangeInfo(lo, hi int) (live int, minWake int64) {
 	minWake = NoEvent
 	// Park/unpark deltas batch into one atomic update per call — the
 	// shared counter is only read between processor phases (advance,
-	// syncAll, unparkAll), never while a slab is mid-step.
+	// syncAll, unparkAll, rederiveWakes), never while a slab is mid-step.
+	// The set is walked a word at a time so the per-node step makes no
+	// call into the set (bitset.Set.Next).
 	parkDelta, visits := int64(0), int64(0)
-	for i := m.hot.Next(lo, hi); i < hi; i = m.hot.Next(i+1, hi) {
-		visits++
-		if m.parked[i] {
-			if !m.needWake[i] && cycle < m.wakeAt[i] {
-				if m.wakeAt[i] < minWake {
-					minWake = m.wakeAt[i]
+	for i := m.hot.Next(lo, hi); i < hi; i = m.hot.Next(i, hi) {
+		for end := min(i|63+1, hi); i < end; i = m.hot.NextInWord(i+1, end) {
+			visits++
+			if m.parked[i] {
+				if !m.needWake[i] && cycle < m.wakeAt[i] {
+					if m.wakeAt[i] < minWake {
+						minWake = m.wakeAt[i]
+					}
+					continue
 				}
-				continue
-			}
-			m.Nodes[i].SkipTo(cycle - 1)
-			m.parked[i] = false
-			m.needWake[i] = false
-			parkDelta--
-		}
-		n := m.Nodes[i]
-		n.Step()
-		if fast {
-			if ne := n.NextEvent(); ne > cycle+1 {
-				m.parked[i] = true
-				m.wakeAt[i] = ne
+				m.Nodes[i].SkipTo(cycle - 1)
+				m.parked[i] = false
 				m.needWake[i] = false
-				parkDelta++
-				if ne == NoEvent {
-					m.hot.Remove(i) // nothing scheduled: only a wake brings it back
-				} else if ne < minWake {
-					minWake = ne
-				}
-				continue
+				parkDelta--
 			}
+			n := m.Nodes[i]
+			n.Step()
+			if fast {
+				if ne := n.NextEvent(); ne > cycle+1 {
+					m.parked[i] = true
+					m.wakeAt[i] = ne
+					m.needWake[i] = false
+					parkDelta++
+					if ne == NoEvent {
+						m.hot.Remove(i) // nothing scheduled: only a wake brings it back
+					} else if ne < minWake {
+						minWake = ne
+					}
+					continue
+				}
+			}
+			live++
 		}
-		live++
 	}
 	if parkDelta != 0 {
 		m.nParked.Add(parkDelta)
@@ -644,8 +651,9 @@ func (m *Machine) isHot(i int) bool {
 
 // CheckInvariants recomputes the scheduler's derived bookkeeping from
 // the park table and returns an error naming the first disagreement:
-// the live-node set, the parked count, and that no parked node has
-// slept past its wake cycle; then the network's (its CheckInvariants).
+// the live-node set and its summary level, the parked count, and that
+// no parked node has slept past its wake cycle; then the network's (its
+// CheckInvariants).
 // Call it between cycles or from a cycle hook, where the state is that
 // of SnapshotCycle. For tests and equivalence harnesses; O(nodes).
 func (m *Machine) CheckInvariants() error {
@@ -664,6 +672,9 @@ func (m *Machine) CheckInvariants() error {
 	}
 	if parked != m.nParked.Load() {
 		return fmt.Errorf("machine: nParked=%d but %d nodes are parked", m.nParked.Load(), parked)
+	}
+	if err := m.hot.Check(); err != nil {
+		return fmt.Errorf("machine: live-node set: %w", err)
 	}
 	return m.Net.CheckInvariants()
 }
@@ -736,10 +747,8 @@ func (m *Machine) syncAll() {
 }
 
 // unparkAll returns every parked node to the active set, caught up.
-// Used at reference-exact boundaries: the public Step, bulk-step
-// entry (external callers may have mutated node state — pushed a
-// queue word, written memory — without any wake signal), pinning, and
-// SetFastPath(false).
+// Used where the reference loop is entered: the public Step, pinning,
+// and SetFastPath(false).
 func (m *Machine) unparkAll() {
 	if m.nParked.Load() == 0 {
 		return
@@ -753,6 +762,45 @@ func (m *Machine) unparkAll() {
 		}
 	}
 	m.nParked.Store(0)
+	m.wakeSeq++
+}
+
+// rederiveWakes re-decides, at bulk-step entry, each parked node's place
+// in the schedule from its current state, instead of unparking and
+// re-stepping every one. Between run calls an external caller may have
+// mutated a node without any wake signal — pushed a queue word, started
+// a background thread — so the wake calendar cannot be trusted as left.
+// NextEvent is a pure function of the node state such mutations touch
+// (halted, frozen, stall, running contexts, queue heads, soft queue) and
+// is the predicate StepNodeRangeInfo parks on, so a node is unparked
+// exactly when that predicate says it must step on the next cycle (or a
+// wake is pending), and otherwise stays parked with its wake re-read.
+// Cost: a flag test per node and a NextEvent per parked node; hot is
+// written only for a node whose membership changes.
+func (m *Machine) rederiveWakes() {
+	if m.nParked.Load() == 0 {
+		return
+	}
+	unparked := int64(0)
+	for i, n := range m.Nodes {
+		if !m.parked[i] {
+			continue
+		}
+		n.SkipTo(m.caughtUpTo) // a no-op after the previous exit's syncAll
+		ne := n.NextEvent()
+		if m.needWake[i] || ne <= m.cycle+1 {
+			m.parked[i] = false
+			m.needWake[i] = false
+			m.hot.Add(i)
+			unparked++
+			continue
+		}
+		if (ne == NoEvent) != (m.wakeAt[i] == NoEvent) {
+			m.hot.Put(i, ne != NoEvent)
+		}
+		m.wakeAt[i] = ne
+	}
+	m.nParked.Add(-unparked)
 	m.wakeSeq++
 }
 
@@ -778,7 +826,7 @@ func (m *Machine) StateDigest() uint64 {
 // the batch are skipped in bulk; the machine is fully re-synchronized
 // before returning, so the final state is reference-exact.
 func (m *Machine) StepN(n int64) {
-	m.unparkAll()
+	m.rederiveWakes()
 	target := m.cycle + n
 	for m.cycle < target {
 		m.advance(target)
@@ -908,7 +956,7 @@ func (m *Machine) checkWatchdog() error {
 func (m *Machine) RunWhile(cond func(*Machine) bool, max int64) error {
 	start := m.cycle
 	m.sigValid = false
-	m.unparkAll()
+	m.rederiveWakes()
 	defer m.syncAll()
 	for cond(m) {
 		if m.cycle-start >= max {
@@ -949,7 +997,7 @@ func (m *Machine) RunQuiescent(max int64) error {
 	const probe = 8
 	start := m.cycle
 	m.sigValid = false
-	m.unparkAll()
+	m.rederiveWakes()
 	defer m.syncAll()
 	for {
 		if m.Quiescent() {

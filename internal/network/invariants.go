@@ -6,9 +6,10 @@ import "fmt"
 // full scan and returns an error naming the first disagreement: every
 // occupied-port mask against its buffers, every router's occ against
 // their sum, the active set against exactly the routers holding a phit
-// or a queued message, and the O(1) Pending counters against the
-// totals. Call it between cycles (mid-cycle the active set is only a
-// superset). For tests and equivalence harnesses; O(routers × ports).
+// or a queued message, the O(1) Pending counters against the totals,
+// and the active set's summary level (bitset.Set.Check). Call it
+// between cycles (mid-cycle the active set is only a superset). For
+// tests and equivalence harnesses; O(routers × ports).
 func (n *Network) CheckInvariants() error {
 	var phits, msgs int64
 	for ri := range n.routers {
@@ -36,6 +37,9 @@ func (n *Network) CheckInvariants() error {
 	if phits != n.actPhits || msgs != n.actMsgs.Load() {
 		return fmt.Errorf("network: actPhits=%d actMsgs=%d but a scan finds %d phits and %d messages",
 			n.actPhits, n.actMsgs.Load(), phits, msgs)
+	}
+	if err := n.act.Check(); err != nil {
+		return fmt.Errorf("network: active set: %w", err)
 	}
 	return nil
 }

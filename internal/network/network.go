@@ -450,24 +450,28 @@ func (n *Network) Step() {
 }
 
 // stepRange steps the active routers of [lo,hi) at priority v, in
-// ascending order. Next re-reads the set on every call, so a router
-// activated ahead of the cursor during the pass (a neighbour's push, a
-// deliver hook's Inject) is reached in this pass, exactly where a sweep
-// over every router would have reached it. The skip fast-path uses
-// effOcc — start-of-cycle occupancy minus this cycle's pops — so that
-// same-cycle pushes from neighbours (whose visibility depends on visit
-// order and shard boundaries) never affect which routers run.
+// ascending order, a word of the set at a time (bitset.Set.Next shows
+// the loop; the per-router step inlines). Both levels re-read the set,
+// so a router activated ahead of the cursor during the pass (a
+// neighbour's push, a deliver hook's Inject) is reached in this pass,
+// exactly where a sweep over every router would have reached it. The
+// skip fast-path uses effOcc — start-of-cycle occupancy minus this
+// cycle's pops — so that same-cycle pushes from neighbours (whose
+// visibility depends on visit order and shard boundaries) never affect
+// which routers run.
 func (n *Network) stepRange(lo, hi, v int, cyc int64, ctx stepCtx) {
-	for ri := n.act.Next(lo, hi); ri < hi; ri = n.act.Next(ri+1, hi) {
-		*ctx.visits++
-		r := &n.routers[ri]
-		ob := &n.out[ri][v]
-		if r.effOcc(cyc) != 0 || len(ob.msgs) != 0 {
-			n.stepRouter(ri, r, v, cyc, ctx)
-			n.feedInjection(ri, r, ob, v, cyc, ctx)
-		}
-		if v == 0 && n.idle(ri) {
-			n.act.Remove(ri) // last pass of the cycle and nothing left here
+	for ri := n.act.Next(lo, hi); ri < hi; ri = n.act.Next(ri, hi) {
+		for end := min(ri|63+1, hi); ri < end; ri = n.act.NextInWord(ri+1, end) {
+			*ctx.visits++
+			r := &n.routers[ri]
+			ob := &n.out[ri][v]
+			if r.effOcc(cyc) != 0 || len(ob.msgs) != 0 {
+				n.stepRouter(ri, r, v, cyc, ctx)
+				n.feedInjection(ri, r, ob, v, cyc, ctx)
+			}
+			if v == 0 && n.idle(ri) {
+				n.act.Remove(ri) // last pass of the cycle and nothing left here
+			}
 		}
 	}
 }

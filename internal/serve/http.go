@@ -25,7 +25,7 @@ func NewHandler(g *Manager) http.Handler {
 		}
 		s, err := g.Create(spec)
 		if err != nil {
-			writeErr(w, http.StatusBadRequest, err)
+			writeErr(w, statusOf(err), err)
 			return
 		}
 		writeJSON(w, http.StatusCreated, map[string]any{"id": s.ID, "spec": s.Spec})
@@ -198,8 +198,8 @@ func statusOf(err error) int {
 		return http.StatusNotFound
 	case errors.Is(err, ErrNotResident):
 		return http.StatusConflict
-	case errors.Is(err, ErrJournal):
-		return http.StatusInternalServerError
+	case errors.As(err, new(*PersistError)):
+		return http.StatusInternalServerError // ErrJournal included: it fails a restore
 	case errors.As(err, new(*http.MaxBytesError)):
 		return http.StatusRequestEntityTooLarge
 	default:

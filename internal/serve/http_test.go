@@ -6,6 +6,8 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -252,4 +254,106 @@ func TestHTTPBodyChecks(t *testing.T) {
 	if st.Requests != 1 || st.Fsyncs != 3 || st.Checkpoints != 1 || st.JournalBytes == 0 {
 		t.Errorf("statz after one create and one put: %+v", st)
 	}
+}
+
+// TestPersistenceFailures: a compaction that fails after its request
+// was journalled still answers 200 — the request is on disk — and is
+// counted and retried at the next commit; a failed journal append is a
+// server error that evicts the session. Either way the session, live and
+// recovered, stays where its acknowledged requests put it.
+func TestPersistenceFailures(t *testing.T) {
+	dir := t.TempDir()
+	g, err := NewManager(dir, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := httptest.NewServer(NewHandler(g))
+	defer srv.Close()
+	spec := kvSpec(8, 32, 4)
+	s, err := g.Create(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var acked []ReplayReq
+	reqs := batches(GenOps(5, 32, 4*60), 4)
+	kv := func() int {
+		t.Helper()
+		req := reqs[0]
+		reqs = reqs[1:]
+		code := call(t, srv, "POST", "/v1/sessions/"+s.ID+"/kv", map[string]any{"ops": req.Ops}, nil)
+		if code == 200 {
+			acked = append(acked, req)
+		}
+		return code
+	}
+	same := func(when string, g *Manager) {
+		t.Helper()
+		got, err := digestOf(t, g, s.ID)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := replayDigest(t, spec, acked); got != want {
+			t.Errorf("%s: digest %016x, replay of the %d acknowledged requests gives %016x", when, got, len(acked), want)
+		}
+	}
+
+	// A non-empty directory where the checkpoint goes: the compaction's
+	// rename fails, the old checkpoint stays aside, the journal grows.
+	ckptPath := filepath.Join(dir, s.ID, "state.ckpt")
+	if err := os.Rename(ckptPath, ckptPath+".aside"); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.MkdirAll(filepath.Join(ckptPath, "occupied"), 0o777); err != nil {
+		t.Fatal(err)
+	}
+	for g.Stat().CompactFailures < 2 {
+		if len(reqs) == 0 {
+			t.Fatalf("no compaction failed in %d requests", len(acked))
+		}
+		if code := kv(); code != 200 {
+			t.Fatalf("request %d with the checkpoint blocked: code=%d, want 200", len(acked)+1, code)
+		}
+	}
+	if !s.residentHint() {
+		t.Error("a failed compaction evicted the session")
+	}
+	same("after failed compactions", g)
+
+	// Unblocked, the next commit compacts.
+	if err := os.RemoveAll(ckptPath); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Rename(ckptPath+".aside", ckptPath); err != nil {
+		t.Fatal(err)
+	}
+	before := g.Stat()
+	if code := kv(); code != 200 {
+		t.Fatalf("request after unblocking: code=%d", code)
+	}
+	if st := g.Stat(); st.Checkpoints != before.Checkpoints+1 || st.CompactFailures != before.CompactFailures {
+		t.Errorf("the commit after unblocking did not compact: %+v, before it %+v", st, before)
+	}
+	var st Stats
+	if code := call(t, srv, "GET", "/v1/statz", nil, &st); code != 200 || st.CompactFailures != 2 {
+		t.Errorf("statz: code=%d compact_failures=%d, want 2", code, st.CompactFailures)
+	}
+	same("after the retried compaction", g)
+	g2, err := NewManager(dir, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	same("recovered by a second manager", g2)
+
+	// A journal that cannot be appended to: 500, and the session is
+	// evicted so its next touch restores the acknowledged state.
+	s.mu.Lock()
+	s.jr.f.Close()
+	s.mu.Unlock()
+	if code := kv(); code != 500 {
+		t.Errorf("request with the journal closed: code=%d, want 500", code)
+	}
+	if s.residentHint() {
+		t.Error("a failed append left the session resident")
+	}
+	same("after a failed append", g)
 }

@@ -155,8 +155,11 @@ func (j *journal) append(frame []byte) error {
 }
 
 // reset drops every record: the checkpoint just written covers them.
-// Not synced: if the truncation is lost, replay skips them by seq.
+// Not synced: if the truncation is lost, replay skips them by seq. If it
+// fails, the next append cuts the records off first.
 func (j *journal) reset() error {
 	j.size = min(j.size, int64(len(journalMagic)))
-	return j.f.Truncate(j.size)
+	err := j.f.Truncate(j.size)
+	j.torn = err != nil
+	return err
 }

@@ -110,7 +110,7 @@ func (g *Manager) Create(spec Spec) (*Session, error) {
 	if g.dir != "" {
 		dir = filepath.Join(g.dir, id)
 		if err := os.MkdirAll(dir, 0o777); err != nil {
-			return nil, err
+			return nil, &PersistError{Op: "create", Err: err}
 		}
 	}
 	s := newSession(id, spec, dir)
@@ -120,6 +120,7 @@ func (g *Manager) Create(spec Spec) (*Session, error) {
 	s.mu.Lock()
 	if err = s.start(false); err == nil && dir != "" {
 		if err = writeSpec(dir, spec); err != nil {
+			err = &PersistError{Op: "create", Err: err}
 			s.teardown()
 		}
 	}
@@ -321,10 +322,13 @@ type Stats struct {
 	// Broken names the session directories recovery skipped, and why.
 	Broken []string `json:"broken,omitempty"`
 	// Durable I/O by this manager: fsyncs (one per journal append, two
-	// per checkpoint), checkpoints written, journal bytes appended.
-	Fsyncs       int64 `json:"fsyncs"`
-	Checkpoints  int64 `json:"checkpoints"`
-	JournalBytes int64 `json:"journal_bytes"`
+	// per checkpoint), checkpoints written, journal bytes appended, and
+	// compactions that failed after their request was journalled (the
+	// request still succeeded; the next commit retries).
+	Fsyncs          int64 `json:"fsyncs"`
+	Checkpoints     int64 `json:"checkpoints"`
+	JournalBytes    int64 `json:"journal_bytes"`
+	CompactFailures int64 `json:"compact_failures"`
 }
 
 // Stat reports registry-wide counters.
@@ -341,6 +345,7 @@ func (g *Manager) Stat() Stats {
 		st.Fsyncs += s.fsyncs.Load()
 		st.Checkpoints += s.checkpoints.Load()
 		st.JournalBytes += s.journalBytes.Load()
+		st.CompactFailures += s.compactFails.Load()
 	}
 	return st
 }

@@ -52,7 +52,19 @@ type Session struct {
 	restores atomic.Int64 // evict/restore round-trips survived
 
 	fsyncs, checkpoints, journalBytes atomic.Int64 // durable I/O done, for Stats
+	compactFails                      atomic.Int64 // compactions that failed after their request committed
 }
+
+// PersistError is a failure of a session's durable state — a journal
+// append, a checkpoint write, a create or a restore — rather than of the
+// request: the server's fault, answered 500, never 400.
+type PersistError struct {
+	Op  string
+	Err error
+}
+
+func (e *PersistError) Error() string { return e.Op + ": " + e.Err.Error() }
+func (e *PersistError) Unwrap() error { return e.Err }
 
 // compactNodeCycles is the simulated work a journal may hold before a
 // commit folds it into a checkpoint: at ~31 ns of replay per node·cycle
@@ -155,10 +167,12 @@ func (s *Session) start(resume bool) error {
 	cfg := sim.Config{Shards: spec.Shards, Reference: spec.Reference}
 	var err error
 	if s.run, err = cfg.Attach(s.m); err == nil && s.dir != "" {
+		op, durable := "create", s.create
 		if resume {
-			err = s.recover()
-		} else {
-			err = s.create()
+			op, durable = "restore", s.recover
+		}
+		if err = durable(); err != nil {
+			err = &PersistError{Op: op, Err: err}
 		}
 	}
 	if err != nil {
@@ -361,7 +375,11 @@ func (s *Session) apply(req ReplayReq) ([]KVResult, error) {
 // commit makes the request just applied durable — one synced journal
 // append — before its reply is sent, so a killed daemon resumes at
 // exactly the last acknowledged request; and checkpoints when the
-// journal reaches compactNodeCycles. Caller holds s.mu.
+// journal reaches compactNodeCycles. Once the append is on disk the
+// request is committed: a compaction that then fails is counted and
+// left for the next commit to retry, since the previous checkpoint and
+// the journal still restore every acknowledged request (ckpt.WriteFile
+// replaces the checkpoint by rename, or not at all). Caller holds s.mu.
 func (s *Session) commit(req ReplayReq) error {
 	s.cycle.Store(s.m.Cycle())
 	s.requests.Add(1)
@@ -371,14 +389,17 @@ func (s *Session) commit(req ReplayReq) error {
 	}
 	frame := record{seq: uint64(s.seq), cycle: s.m.Cycle(), req: req}.encode()
 	if err := s.jr.append(frame); err != nil {
-		return err
+		return &PersistError{Op: "journal append", Err: err}
 	}
 	s.fsyncs.Add(1)
 	s.journalBytes.Add(int64(len(frame)))
 	if (s.m.Cycle()-s.ckptAt)*int64(len(s.m.Nodes)) < compactNodeCycles {
 		return nil // a restore's replay is still cheap
 	}
-	return s.checkpoint()
+	if err := s.checkpoint(); err != nil {
+		s.compactFails.Add(1)
+	}
+	return nil
 }
 
 // StepCycles advances the machine n cycles.
@@ -430,7 +451,10 @@ func (s *Session) Checkpoint() error {
 	if s.dir == "" {
 		return nil
 	}
-	return s.checkpoint()
+	if err := s.checkpoint(); err != nil {
+		return &PersistError{Op: "checkpoint", Err: err}
+	}
+	return nil
 }
 
 // SyncObs drains the observability sinks to disk so the timeline and

@@ -44,6 +44,17 @@ go test -run '^$' -fuzz FuzzNetwork -fuzztime 15s ./internal/network/
 # FuzzJournal: the serve journal's decoder on damaged files — never a
 # panic, a stable valid prefix (docs/SERVE.md, "Persistence").
 go test -run '^$' -fuzz FuzzJournal -fuzztime 10s ./internal/serve/
+# The other four targets, 10 s each beyond their seed corpus, which the
+# plain test passes replay: checkpoint decode + restore on mutated
+# bytes (FuzzRestore: each execution builds and restores a machine, so
+# only ~18-28 run per second on a 2-core host), Perfetto/JSONL export
+# (FuzzTraceExport), the effect certifier on random programs
+# (FuzzCertifier), and compiled versus interpreted execution
+# (FuzzCompiledVsInterpreter).
+go test -run '^$' -fuzz '^FuzzRestore$' -fuzztime 10s ./internal/ckpt/
+go test -run '^$' -fuzz '^FuzzTraceExport$' -fuzztime 10s ./internal/obs/
+go test -run '^$' -fuzz '^FuzzCertifier$' -fuzztime 10s ./internal/compiled/
+go test -run '^$' -fuzz '^FuzzCompiledVsInterpreter$' -fuzztime 10s ./internal/compiled/
 
 echo "== go test -race"
 # The broad race pass runs -short: the slowest sweeps (every-cycle
