@@ -1,6 +1,6 @@
 # Convenience targets; everything is plain `go` underneath.
 
-.PHONY: build test check lint tables bench ckpt-smoke serve-smoke serve-bench
+.PHONY: build test check lint tables ckpt-smoke serve-smoke
 
 build:
 	go build ./...
@@ -25,10 +25,6 @@ lint:
 tables:
 	go run ./cmd/jm-tables
 
-# Engine benchmarks: testing.B suite + 512-node probe -> BENCH_engine.json.
-bench:
-	sh scripts/bench.sh
-
 # Crash-recovery smoke: SIGKILL a checkpointing run, resume, compare
 # digests against an uninterrupted run. docs/CHECKPOINT.md.
 ckpt-smoke:
@@ -39,8 +35,3 @@ ckpt-smoke:
 # docs/SERVE.md.
 serve-smoke:
 	sh scripts/serve_smoke.sh
-
-# Full serving benchmark: 32 sessions, 10k+ verified requests ->
-# BENCH_serve.json.
-serve-bench:
-	sh scripts/serve_bench.sh

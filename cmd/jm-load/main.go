@@ -1,40 +1,40 @@
 // jm-load is the synthetic load generator for jm-serve: it creates N
 // concurrent kv sessions on a running daemon, drives each one through
 // a deterministic op stream (seeded per session, so the exact same
-// traffic is reproducible forever), and reports wall-clock request
+// traffic is reproducible forever), and logs wall-clock request
 // latency percentiles, sustained requests/sec, and the in-simulation
 // per-op latency distribution (inject → reply, in machine cycles).
+// Host speed is measured by the repo benchmark, not here: jm-load
+// writes no report.
 //
 // With -verify (the default) it then replays every session's op stream
 // standalone — in-process, no daemon, no checkpoints — and compares
 // StateDigests: the daemon must produce byte-identical machine state
 // no matter how many tenants it interleaved or how often it evicted
-// and restored the session. Any divergence is a hard failure.
-//
-// The report is written in the style of BENCH_engine.json (append-only
-// history) to -out, default BENCH_serve.json.
+// and restored the session. A failed request or a divergent session
+// makes it exit non-zero.
 //
 // Usage:
 //
 //	jm-load [-addr 127.0.0.1:8034] [-sessions 32] [-requests 10000]
 //	        [-batch 4] [-nodes 8] [-keys 32] [-gateways 4] [-conc 16]
-//	        [-seed 1] [-verify] [-label name] [-out BENCH_serve.json]
+//	        [-seed 1] [-verify]
 package main
 
 import (
 	"bytes"
+	"cmp"
 	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
 	"log"
 	"net/http"
-	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
 
-	"jmachine/internal/bench"
 	"jmachine/internal/serve"
 	"jmachine/internal/sim"
 )
@@ -100,8 +100,6 @@ func main() {
 	conc := flag.Int("conc", 16, "client goroutines (sessions driven concurrently)")
 	seed := flag.Int64("seed", 1, "base op-stream seed (session i uses seed+i)")
 	verify := flag.Bool("verify", true, "replay every stream standalone and compare digests")
-	label := flag.String("label", "", "history label for this run")
-	out := flag.String("out", "BENCH_serve.json", "report path (- for stdout)")
 	// The part of the run configuration a session spec can carry: the
 	// daemon owns each session's checkpoint file, and sessions run the
 	// interpreter.
@@ -201,25 +199,12 @@ func main() {
 		reqsDone += int64(len(r.wallMs))
 		opsDone += int64(len(r.cycles))
 	}
-	res := bench.ServeResult{
-		Sessions: *sessions, Requests: reqsDone, Ops: opsDone, Errors: errs,
-		Nodes: *nodes, Keys: *keys, BatchSize: *batch, Conc: *conc,
-		WallSeconds: wall,
-		ReqPerSec:   float64(reqsDone) / wall,
-		OpsPerSec:   float64(opsDone) / wall,
-		WallP50Ms:   bench.PercentileF(allWall, 50),
-		WallP90Ms:   bench.PercentileF(allWall, 90),
-		WallP99Ms:   bench.PercentileF(allWall, 99),
-		CycleP50:    bench.PercentileI(allCycles, 50),
-		CycleP90:    bench.PercentileI(allCycles, 90),
-		CycleP99:    bench.PercentileI(allCycles, 99),
-		Verified:    -1,
-	}
 	log.Printf("%d requests (%d ops) in %.2fs: %.0f req/s, wall p50/p99 = %.2f/%.2f ms, cycle p50/p99 = %d/%d",
-		reqsDone, opsDone, wall, res.ReqPerSec, res.WallP50Ms, res.WallP99Ms, res.CycleP50, res.CycleP99)
+		reqsDone, opsDone, wall, float64(reqsDone)/wall,
+		percentile(allWall, 50), percentile(allWall, 99), percentile(allCycles, 50), percentile(allCycles, 99))
 
+	verified := 0
 	if *verify {
-		res.Verified = 0
 		for i, r := range runs {
 			var dig struct {
 				Digest string `json:"digest"`
@@ -235,36 +220,27 @@ func main() {
 				log.Printf("DIVERGENCE: session %s digest %s, standalone %016x", r.id, dig.Digest, want)
 				continue
 			}
-			res.Verified++
+			verified++
 		}
-		log.Printf("verified %d/%d sessions against standalone replay", res.Verified, *sessions)
+		log.Printf("verified %d/%d sessions against standalone replay", verified, *sessions)
 	}
 
-	rep := &bench.ServeReport{
-		Workload: fmt.Sprintf("jm-serve kv: %d sessions x %d-node machines, %d-op batches",
-			*sessions, *nodes, *batch),
-		Label:      *label,
-		HostCores:  runtime.NumCPU(),
-		GoMaxProcs: runtime.GOMAXPROCS(0),
-		GoVersion:  runtime.Version(),
-		Notes: []string{
-			"wall_* are client-observed request latencies (daemon + HTTP on this host)",
-			"cycle_* are per-op inject-to-reply latencies in simulated machine cycles: host-independent",
-			"verified_sessions counts daemon digests byte-identical to a standalone replay of the same stream (-1 = skipped)",
-			"history carries one summary line per past run of this file",
-		},
-		Result: res,
-	}
-	if err := bench.WriteServeReport(rep, *out); err != nil {
-		log.Fatal(err)
-	}
-	if *out != "-" {
-		log.Printf("wrote %s", *out)
-	}
 	if errs > 0 {
 		log.Fatalf("%d requests failed", errs)
 	}
-	if *verify && res.Verified != *sessions {
-		log.Fatalf("digest divergence: only %d/%d sessions verified", res.Verified, *sessions)
+	if *verify && verified != *sessions {
+		log.Fatalf("digest divergence: only %d/%d sessions verified", verified, *sessions)
 	}
+}
+
+// percentile returns the p-th percentile (0 < p <= 100) of xs by the
+// nearest-rank method, sorting xs in place. Empty input yields zero.
+func percentile[T cmp.Ordered](xs []T, p float64) T {
+	if len(xs) == 0 {
+		var zero T
+		return zero
+	}
+	slices.Sort(xs)
+	i := int(float64(len(xs))*p/100+0.5) - 1
+	return xs[max(0, min(i, len(xs)-1))]
 }

@@ -38,24 +38,6 @@ const (
 // halts after haltAfter iterations so the loop's deterministic cost can
 // be measured exactly (haltAfter=0 runs forever).
 func buildFig3Program(words int, withSends bool, haltAfter int32) *asm.Program {
-	b := fig3Builder(words, withSends, haltAfter)
-	rt.BuildLib(b)
-	return b.MustAssemble()
-}
-
-// buildFig3Standalone is the base case alone: the calibration loop with
-// no echo/ack handlers and no runtime library, so the assembled image
-// contains no SEND instruction at all. The compiled tier's no-send
-// certificate therefore holds, which is exactly what the roofline
-// probe's dispatch-bound shape measures (fusion windows bounded only by
-// the run loop's horizon, not the quiet rule's delivery lookahead).
-func buildFig3Standalone(haltAfter int32) *asm.Program {
-	return fig3Builder(8, false, haltAfter).MustAssemble()
-}
-
-// fig3Builder emits the loop (and, for the loaded variant, its message
-// handlers) into a fresh builder.
-func fig3Builder(words int, withSends bool, haltAfter int32) *asm.Builder {
 	b := asm.NewBuilder()
 	app := int32(rt.AppBase)
 
@@ -106,31 +88,43 @@ func fig3Builder(words int, withSends bool, haltAfter int32) *asm.Builder {
 	b.Lt(isa.R1, asm.Imm(haltAfter)).
 		Bt(isa.R1, "loop").
 		Halt()
-	if !withSends {
-		// The base case never invokes the handlers; omitting them keeps
-		// the standalone image send-free.
-		return b
-	}
+	if withSends {
+		// fig3.echo: [hdr, sender, pads...] — return an L-word ack at
+		// priority 1.
+		b.Label("fig3.echo").
+			Send1(asm.Mem(isa.A3, 1)).
+			MoveHdr(isa.R1, "fig3.ack", int(words)).
+			Send1(asm.R(isa.R1))
+		for i := 0; i < words-2; i++ {
+			b.Send1(asm.R(isa.ZERO))
+		}
+		b.SendE1(asm.R(isa.ZERO)).
+			Suspend()
 
-	// fig3.echo: [hdr, sender, pads...] — return an L-word ack at
-	// priority 1.
-	b.Label("fig3.echo").
-		Send1(asm.Mem(isa.A3, 1)).
-		MoveHdr(isa.R1, "fig3.ack", int(words)).
-		Send1(asm.R(isa.R1))
-	for i := 0; i < words-2; i++ {
-		b.Send1(asm.R(isa.ZERO))
+		// fig3.ack: [hdr, pads...] — raise the client's flag.
+		b.Label("fig3.ack").
+			MoveI(isa.A0, app).
+			MoveI(isa.R0, 1).
+			St(isa.R0, asm.Mem(isa.A0, fig3OffFlag)).
+			Suspend()
 	}
-	b.SendE1(asm.R(isa.ZERO)).
-		Suspend()
+	rt.BuildLib(b)
+	return b.MustAssemble()
+}
 
-	// fig3.ack: [hdr, pads...] — raise the client's flag.
-	b.Label("fig3.ack").
-		MoveI(isa.A0, app).
-		MoveI(isa.R0, 1).
-		St(isa.R0, asm.Mem(isa.A0, fig3OffFlag)).
-		Suspend()
-	return b
+// seedFig3 writes every node's loop parameters for idleIters idle
+// iterations: the table mask, plus a start-up skew and a
+// random-destination table drawn from r.
+func seedFig3(m *machine.Machine, idleIters int, r *rand.Rand) {
+	period := 4*idleIters + 120
+	for _, n := range m.Nodes {
+		n.Mem.Write(rt.AppBase+fig3OffMask, word.Int(fig3TableSize-1))
+		n.Mem.Write(rt.AppBase+fig3OffIdle, word.Int(int32(idleIters)))
+		n.Mem.Write(rt.AppBase+fig3OffSkew, word.Int(int32(r.Intn(period/2+1))))
+		for i := 0; i < fig3TableSize; i++ {
+			n.Mem.Write(fig3TableBase+int32(i), m.Net.NodeWord(r.Intn(m.NumNodes())))
+		}
+	}
 }
 
 // fig3Point is one measured load point.
@@ -182,16 +176,7 @@ func runFig3Point(sc sim.Config, k, words, idleIters int, warm, measure int64, s
 		return fig3Point{}, err
 	}
 	defer stopRun(run)
-	r := rand.New(rand.NewSource(seed))
-	period := 4*idleIters + 120
-	for _, n := range m.Nodes {
-		n.Mem.Write(rt.AppBase+fig3OffMask, word.Int(fig3TableSize-1))
-		n.Mem.Write(rt.AppBase+fig3OffIdle, word.Int(int32(idleIters)))
-		n.Mem.Write(rt.AppBase+fig3OffSkew, word.Int(int32(r.Intn(period/2+1))))
-		for i := 0; i < fig3TableSize; i++ {
-			n.Mem.Write(fig3TableBase+int32(i), m.Net.NodeWord(r.Intn(m.NumNodes())))
-		}
-	}
+	seedFig3(m, idleIters, rand.New(rand.NewSource(seed)))
 	rt.StartAll(m, p, "main")
 	if err := run.PreRun(); err != nil {
 		return fig3Point{}, err

@@ -91,8 +91,7 @@ type Engine struct {
 
 	// rendezvous counts the cycles that engaged the worker fleet. It is
 	// a pure function of simulated state and shard count — never of
-	// host speed or core count — so probe runs can compare it across
-	// machines.
+	// host speed or core count — so tests can pin it exactly.
 	rendezvous int64
 }
 
@@ -152,7 +151,7 @@ func (e *Engine) Shards() int {
 // on a reference-mode machine every cycle counts one. The value depends
 // only on simulated state and the shard count — never on host
 // speed or core count — so it is comparable across machines and is the
-// probe suite's measure of synchronization cost. Nil-safe; a
+// measure of synchronization cost the tests pin. Nil-safe; a
 // sequential engine reports 0.
 func (e *Engine) Rendezvous() int64 {
 	if e == nil {

@@ -98,9 +98,10 @@ func inspectReachable(prog *Program, pkg *Package, reach map[*funcNode]bool, vis
 
 // WallclockAnalyzer flags time.Now / time.Since / time.Until in
 // non-test simulation code. Wall-clock time feeding simulation state is
-// the canonical determinism leak; the bench packages legitimately
-// measure host rates, so a read annotated //jm:wallclock <rationale> is
-// sanctioned.
+// the canonical determinism leak. No internal/ package reads the wall
+// clock today; a host-time measurement that never feeds back into the
+// simulation (a host track in internal/obs, say) may, by annotating the
+// read //jm:wallclock <rationale>.
 var WallclockAnalyzer = &Analyzer{
 	Name: "wallclock",
 	Code: "JML001",

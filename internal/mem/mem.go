@@ -165,8 +165,8 @@ func (m *Memory) FillCfut(addr int32, n int) error {
 }
 
 // HeapBytes estimates the heap footprint of this memory's backing store:
-// the page table plus every materialized page. Used by the mesh-scaling
-// probe's bytes/node report.
+// the page table plus every materialized page. The large-mesh tests pin
+// it per node.
 func (m *Memory) HeapBytes() int64 {
 	b := int64(len(m.pages)) * 8
 	for _, pg := range m.pages {

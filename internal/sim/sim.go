@@ -45,9 +45,9 @@ type Config struct {
 
 // Register declares the run-configuration flags on fs: -shards,
 // -reference, -compiled, -ckpt, -ckpt-every, -resume. A command that
-// cannot honour one of them (jm-load has no checkpoint file of its own;
-// jm-bench's -shards is a list of probe rows) names it in omit, so no
-// binary accepts a flag it would ignore.
+// cannot honour one of them (jm-tables steps many machines per
+// experiment; jm-load has no checkpoint file of its own) names it in
+// omit, so no binary accepts a flag it would ignore.
 func (c *Config) Register(fs *flag.FlagSet, omit ...string) {
 	all := flag.NewFlagSet("", flag.ContinueOnError)
 	all.IntVar(&c.Shards, "shards", 1,

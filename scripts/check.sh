@@ -126,15 +126,6 @@ echo "== serve smoke"
 # jm-load run (docs/SERVE.md).
 sh scripts/serve_smoke.sh
 
-echo "== mesh-scaling smoke"
-# Epoch-batched engine at scale: the deterministic rendezvous probe
-# (epoch protocol vs one rendezvous per cycle, >=10x reduction floor)
-# plus one 4096-node mesh row digest-checked against a sequential
-# reference run (docs/ENGINE.md).
-go build -o /tmp/jm-bench-check ./cmd/jm-bench
-/tmp/jm-bench-check -mesh-smoke -mesh-cycles 1500
-echo "mesh smoke: rendezvous floor held, 4K-node mesh digest-checked"
-
 echo "== trace smoke"
 # The observability CLI must produce a loadable timeline that is
 # byte-identical sequential and sharded.

@@ -110,10 +110,10 @@ fi
 # Fresh sessions on the restarted daemon: a small verified load run —
 # every digest must match a standalone replay of the same stream.
 /tmp/jm-load-smoke -addr "$ADDR" -sessions 4 -requests 24 -batch 4 \
-    -nodes 4 -keys 16 -gateways 2 -conc 4 -out - > "$DIR/load.json" 2> "$DIR/load.log" \
+    -nodes 4 -keys 16 -gateways 2 -conc 4 > "$DIR/load.log" 2>&1 \
     || { cat "$DIR/load.log" >&2; exit 1; }
-grep -q '"verified_sessions": 4' "$DIR/load.json" \
-    || { echo "serve smoke: load run did not verify 4/4 sessions" >&2; cat "$DIR/load.json" >&2; exit 1; }
+grep -q 'verified 4/4 sessions' "$DIR/load.log" \
+    || { echo "serve smoke: load run did not verify 4/4 sessions" >&2; cat "$DIR/load.log" >&2; exit 1; }
 
 kill -TERM "$PID" 2>/dev/null || true
 wait "$PID" 2>/dev/null || true
