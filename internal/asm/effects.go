@@ -15,11 +15,9 @@ import (
 // the network. The certificates feed two consumers:
 //
 //   - the compiled execution tier (asm.Translate → internal/compiled →
-//     mdp.CompiledProgram.SendDist): a per-instruction lower bound on
-//     the instructions retired before the first possible network
-//     injection lets the machine compute a dynamic send horizon and
-//     extend quiet-rule fusion windows far past the fixed 7-cycle
-//     lookahead, even in images that send elsewhere;
+//     mdp.CompiledProgram.SendFree): an image whose every instruction
+//     has infinite send distance cannot inject at all, which extends
+//     quiet-rule fusion windows past the fixed 7-cycle lookahead;
 //   - four diagnostics over the cross-handler send graph: ASM009
 //     (unbounded send loop), ASM010 (cross-priority clobber of shared
 //     static state), ASM011 (amplifying handler send cycle that can

@@ -4,37 +4,47 @@ import (
 	"math/rand"
 	"testing"
 
+	"jmachine/internal/asm"
 	"jmachine/internal/compiled"
+	"jmachine/internal/isa"
 	"jmachine/internal/machine"
 	"jmachine/internal/mdp"
 	"jmachine/internal/rt"
 	"jmachine/internal/word"
 )
 
-// TestCertifiedFusionCoverage pins what the per-handler send-distance
-// certificates buy the compiled tier, on two Figure 3 shapes run from
-// boot both compiled and interpreted, to the same digest:
+// TestCertifiedFusionCoverage pins what the fusion licences buy the
+// compiled tier, on two shapes run from boot by StepN both compiled and
+// interpreted, to the same digest:
 //
-//   - fig3-resident, the calibration loop with the runtime library
-//     resident: the image sends but the loop never does, so certified
-//     windows run to the published limit and one window per node
-//     covers the whole run. Without the certificates (the old
-//     whole-image rule) the quiet cap holds the share near 0.76.
+//   - send-free, the Figure 3 idle loop assembled standalone (no echo
+//     handler, no runtime library): the image certifies send-free,
+//     so windows run to the published limit and one window per node
+//     covers the whole run. Under the quiet rule's 7-cycle window alone
+//     the share would sit near 0.76.
 //   - fig3-exchange, the loaded loop: its windows end at the SEND
 //     instructions, which have no closure. The shape is code-bound, so
 //     no licence could extend them.
 func TestCertifiedFusionCoverage(t *testing.T) {
 	const nodes, cycles, idleIters = 16, 30_000, 16
-	resident := func() *machine.Machine {
-		p := buildFig3Program(8, false, 1<<30)
-		m := machine.MustNew(machine.GridForNodes(nodes), p)
-		rt.Attach(m, rt.Info(p), rt.DefaultPolicy())
-		for _, n := range m.Nodes {
-			n.Mem.Write(rt.AppBase+fig3OffMask, word.Int(fig3TableSize-1))
-			n.Mem.Write(rt.AppBase+fig3OffIdle, word.Int(idleIters))
-			n.Mem.Write(rt.AppBase+fig3OffSkew, word.Int(0))
+	sendFree := func() *machine.Machine {
+		b := asm.NewBuilder()
+		b.Label("main").
+			MoveI(isa.A2, int32(rt.AppBase)).
+			Label("loop").
+			Move(isa.R3, asm.Mem(isa.A2, fig3OffIdle)).
+			Label("idle").
+			Sub(isa.R3, asm.Imm(1)).
+			Bt(isa.R3, "idle").
+			Move(isa.R1, asm.Mem(isa.A2, fig3OffIters)).
+			Add(isa.R1, asm.Imm(1)).
+			St(isa.R1, asm.Mem(isa.A2, fig3OffIters)).
+			Br("loop")
+		m := machine.MustNew(machine.GridForNodes(nodes), b.MustAssemble())
+		for i, n := range m.Nodes {
+			n.Mem.Write(rt.AppBase+fig3OffIdle, word.Int(int32(idleIters+i)))
+			n.StartBackground(0)
 		}
-		rt.StartAll(m, p, "main")
 		return m
 	}
 	exchange := func() *machine.Machine {
@@ -88,12 +98,12 @@ func TestCertifiedFusionCoverage(t *testing.T) {
 		return fs, share
 	}
 
-	fs, share := shape("fig3-resident", resident)
+	fs, share := shape("send-free", sendFree)
 	if share < 0.999 {
-		t.Errorf("fig3-resident: fused share %.4f, want >= 0.999", share)
+		t.Errorf("send-free: fused share %.4f, want >= 0.999", share)
 	}
 	if fs.Windows != nodes || fs.End[mdp.FuseEndLimit] != fs.Windows {
-		t.Errorf("fig3-resident: %d windows, %d ending at the limit; want one per node (%d), all at the limit",
+		t.Errorf("send-free: %d windows, %d ending at the limit; want one per node (%d), all at the limit",
 			fs.Windows, fs.End[mdp.FuseEndLimit], nodes)
 	}
 	fs, _ = shape("fig3-exchange", exchange)

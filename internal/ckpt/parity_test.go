@@ -74,8 +74,6 @@ var paritySpecs = map[string]paritySpec{
 			"horizons",   // attached hook horizons; re-attached
 			"compiledOn", // compiled-tier attachment flag; re-attached (compiled.Attach)
 			"fuse",       // fusion fence, republished by every StepN; dead between runs
-			// send-horizon cache; invalidated by the wakeSeq bump on restore
-			"hznValid", "hznSeq", "hznRetry",
 			"hot",        // live-node set, a function of parked/needWake/wakeAt; rebuilt on restore
 			"nodeVisits", // host-work counter, outside StateDigest
 		},

@@ -20,6 +20,8 @@
 package compiled
 
 import (
+	"slices"
+
 	"jmachine/internal/asm"
 	"jmachine/internal/isa"
 	"jmachine/internal/mdp"
@@ -48,11 +50,13 @@ func Compile(p *asm.Program, allow ...asm.Allowance) (*mdp.CompiledProgram, erro
 			fns[i] = compileInstr(p.Instrs[i], i)
 		}
 	}
-	// The send-distance certificate covers every instruction, reachable
-	// or not: it licenses fusion windows past the quiet rule's fixed
-	// lookahead, so it must hold for anything the machine could
-	// conceivably execute (effects.go computes it over the full stream).
-	return &mdp.CompiledProgram{Fns: fns, SendDist: tr.Certs.SendDist}, nil
+	// The image is send-free only if no instruction, reachable or not,
+	// has a finite send distance: the bit licenses fusion windows past
+	// the quiet rule's fixed lookahead, so it must hold for anything the
+	// machine could conceivably execute (effects.go certifies the full
+	// stream).
+	sendFree := !slices.ContainsFunc(tr.Certs.SendDist, func(d int32) bool { return d < asm.InfDist })
+	return &mdp.CompiledProgram{Fns: fns, SendFree: sendFree}, nil
 }
 
 // presenceOK reports whether a word passes the presence check: cfut

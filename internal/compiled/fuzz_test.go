@@ -6,14 +6,19 @@ package compiled_test
 // runtime library and the six workloads use; programs that pass the
 // static verifier (the same asm.Check gate Compile enforces) then run
 // on an interpreter machine and a compiled machine in lockstep — once
-// per-cycle with fusion pinned off and once in fused StepN batches —
-// failing on any digest, cycle, or fault divergence. Seeds come from
-// handcrafted selector streams covering every generator production and
-// from the opcode streams of the real corpus: the rt library and the
-// application kernels.
+// per-cycle with fusion pinned off, once in fused StepN batches, and
+// once under a run-loop plan drawn from a second fuzz input (StepN
+// chunks, RunWhile on a memory word, RunUntilHalt, RunQuiescent, with
+// an optional periodic cycle hook) — failing on any digest, cycle,
+// error, or fault divergence. Seeds come from handcrafted selector
+// streams covering every generator production and from the opcode
+// streams of the real corpus: the rt library and the application
+// kernels.
 
 import (
 	"errors"
+	"fmt"
+	"math/rand"
 	"testing"
 
 	"jmachine/internal/apps/lcs"
@@ -132,10 +137,10 @@ func genProg(data []byte) *asm.Program {
 }
 
 // fuzzDiff is the differential body: generate, gate on the verifier,
-// and run both lockstep regimes. Inputs the verifier rejects are
+// and run all three lockstep regimes. Inputs the verifier rejects are
 // outside the compiled tier's domain (Compile refuses them too) and
 // skip rather than fail.
-func fuzzDiff(t *testing.T, data []byte) {
+func fuzzDiff(t *testing.T, data []byte, plan uint64) {
 	p := genProg(data)
 	if _, err := asm.Translate(p); err != nil {
 		var ef *asm.ErrFindings
@@ -165,6 +170,81 @@ func fuzzDiff(t *testing.T, data []byte) {
 	compare(t, itp, cpl, "fuzz stepLock end")
 	itp2, cpl2 := buildPair(t, machine.Grid(2, 1, 1), p, setup)
 	batchLock(t, itp2, cpl2, 320)
+	runLock(t, p, plan)
+}
+
+// hookPeriods are the periodic hook horizons the run-loop plan draws
+// from (0: no hook): one cycle, the quiet window, and both sides of the
+// 64-cycle invariant cadence.
+var hookPeriods = [...]int64{0, 1, 7, 63, 64, 65}
+
+// runLock drives both tiers through a run-loop plan drawn from plan.
+// Every run-loop return is an observation point: cycle, digest, fatal
+// state and the returned error must agree. Node 0 runs the program from
+// boot; node 1 runs it from boot or from whichever later step starts it
+// (a host action between loops), so one node can be mid-window when the
+// other's state ends a loop. A periodic no-op hook bounds windows by
+// its horizon, as the chaos and reliable-delivery hooks do.
+func runLock(t *testing.T, p *asm.Program, plan uint64) {
+	r := rand.New(rand.NewSource(int64(plan)))
+	period := hookPeriods[r.Intn(len(hookPeriods))]
+	start1 := r.Intn(2) == 0
+	main := p.Entry("main")
+	setup := func(m *machine.Machine) {
+		for i := range 2 {
+			if err := m.Nodes[i].Mem.Write(100, m.Net.NodeWord(1-i)); err != nil {
+				panic(err)
+			}
+		}
+		m.Nodes[0].StartBackground(main)
+		if start1 {
+			m.Nodes[1].StartBackground(main)
+		}
+		if period > 0 {
+			m.AddCycleHook(func(int64) {}, func(now int64) int64 { return (now/period + 1) * period })
+		}
+	}
+	itp, cpl := buildPair(t, machine.Grid(2, 1, 1), p, setup)
+	for step := 0; step < 8; step++ {
+		max := int64(1 + r.Intn(200))
+		var op string
+		var run func(m *machine.Machine) error
+		switch r.Intn(5) {
+		case 0:
+			op = fmt.Sprintf("StepN(%d)", max)
+			run = func(m *machine.Machine) error { m.StepN(max); return nil }
+		case 1:
+			node, addr := r.Intn(2), int32(64+r.Intn(8))
+			op = fmt.Sprintf("RunWhile(node %d word %d unchanged, %d)", node, addr, max)
+			run = func(m *machine.Machine) error {
+				w0, _ := m.Nodes[node].Mem.Read(addr)
+				return m.RunWhile(func(m *machine.Machine) bool {
+					w, _ := m.Nodes[node].Mem.Read(addr)
+					return w == w0
+				}, max)
+			}
+		case 2:
+			op = fmt.Sprintf("RunUntilHalt(0, %d)", max)
+			run = func(m *machine.Machine) error { return m.RunUntilHalt(0, max) }
+		case 3:
+			op = fmt.Sprintf("RunQuiescent(%d)", max)
+			run = func(m *machine.Machine) error { return m.RunQuiescent(max) }
+		default:
+			op = "start node 1"
+			run = func(m *machine.Machine) error {
+				if n := m.Nodes[1]; !n.Halted() && !n.Ctx(mdp.LvlBG).Running {
+					n.StartBackground(main)
+				}
+				return nil
+			}
+		}
+		when := fmt.Sprintf("step %d %s, hook period %d", step, op, period)
+		ie, ce := run(itp), run(cpl)
+		if fmt.Sprint(ie) != fmt.Sprint(ce) {
+			t.Fatalf("%s: interpreter returned %v, compiled %v", when, ie, ce)
+		}
+		compare(t, itp, cpl, when)
+	}
 }
 
 // opcodeSeed projects a real program onto the generator's input
@@ -187,18 +267,20 @@ func rtLibProgram() *asm.Program {
 	return b.MustAssemble()
 }
 
-// fuzzSeeds loads the shared seed corpus: every generator production,
+// fuzzSeeds is the shared seed corpus: every generator production,
 // the handcrafted stress streams, and the opcode streams of the real
 // corpus (rt library and application kernels).
-func fuzzSeeds(f *testing.F) {
+func fuzzSeeds() [][]byte {
 	var all []byte
 	for sel := 0; sel < genProdCount; sel++ {
 		all = append(all, byte(sel), byte(sel*7+3))
 	}
-	f.Add(all)
-	f.Add([]byte{})
-	f.Add([]byte{24, 0, 24, 1, 0, 0, 24, 2}) // send-heavy
-	f.Add([]byte{6, 0, 20, 1, 18, 2, 15, 3}) // fault-heavy: mod, xlate, wtag
+	seeds := [][]byte{
+		all,
+		{},
+		{24, 0, 24, 1, 0, 0, 24, 2}, // send-heavy
+		{6, 0, 20, 1, 18, 2, 15, 3}, // fault-heavy: mod, xlate, wtag
+	}
 	for _, p := range []*asm.Program{
 		rtLibProgram(),
 		lcs.BuildProgram(),
@@ -206,24 +288,27 @@ func fuzzSeeds(f *testing.F) {
 		nqueens.BuildProgram(),
 		tsp.BuildProgram(),
 	} {
-		f.Add(opcodeSeed(p))
+		seeds = append(seeds, opcodeSeed(p))
 	}
+	return seeds
 }
 
 func FuzzCompiledVsInterpreter(f *testing.F) {
-	fuzzSeeds(f)
+	for i, data := range fuzzSeeds() {
+		f.Add(data, uint64(i))
+	}
 	f.Fuzz(fuzzDiff)
 }
 
 // fuzzCertifier is the certificate-soundness body: the same generated
-// programs, run on a plain interpreter machine with only the
-// send-distance table installed (no closures, so every boundary is
-// interpreted), checking the certifier's dynamic claim against the
-// observed traffic. Node.SendBound promises "no injection before cycle
-// b absent external input"; node 0 receives nothing in this rig, so
-// each per-cycle bound is a standing promise and the running maximum
-// must never be overtaken by an actual send — the exact monotonicity
-// the machine's cached SendHorizon relies on during a quiet streak.
+// programs, run on a plain interpreter machine, checking the
+// certifier's dynamic claim (asm.Certs.SendDist) against the observed
+// traffic. From an instruction boundary about to execute ip, at least
+// SendDist[ip] boundaries retire before any send, and boundaries are a
+// cycle or more apart; the next boundary is no earlier than the node's
+// NextEvent. Node 0 receives nothing in this rig, so each cycle's
+// bound, floor + SendDist over its running contexts, is a standing
+// promise that no later send may break.
 func fuzzCertifier(t *testing.T, data []byte) {
 	p := genProg(data)
 	tr, err := asm.Translate(p)
@@ -242,17 +327,30 @@ func fuzzCertifier(t *testing.T, data []byte) {
 	if err := m.Nodes[0].Mem.Write(100, m.Net.NodeWord(1)); err != nil {
 		t.Fatal(err)
 	}
-	m.Nodes[0].SetCompiled(&mdp.CompiledProgram{SendDist: tr.Certs.SendDist}, nil)
-	m.Nodes[0].StartBackground(p.Entry("main"))
+	n := m.Nodes[0]
+	n.StartBackground(p.Entry("main"))
 
+	dist := tr.Certs.SendDist
 	promise := int64(-1 << 62)
 	seen := 0
 	for i := 0; i < 400; i++ {
-		if b := m.Nodes[0].SendBound(); b < promise {
-			t.Fatalf("cycle %d: SendBound regressed from %d to %d with no external input",
-				m.Cycle(), promise, b)
-		} else {
-			promise = b
+		if floor := n.NextEvent(); floor != mdp.NoEvent {
+			bound := mdp.NoEvent
+			for l := 0; l < mdp.NumLevels; l++ {
+				ctx := n.Ctx(l)
+				if !ctx.Running {
+					continue
+				}
+				b := floor // outside the code segment: take the immediate bound
+				if ctx.IP >= 0 && int(ctx.IP) < len(dist) {
+					if dist[ctx.IP] >= asm.InfDist {
+						continue
+					}
+					b += int64(dist[ctx.IP])
+				}
+				bound = min(bound, b)
+			}
+			promise = max(promise, bound)
 		}
 		m.Step()
 		ev := bufs[0].Events()
@@ -277,6 +375,8 @@ func fuzzCertifier(t *testing.T, data []byte) {
 // soundness on the same program distribution the differential fuzz
 // uses for execution equivalence.
 func FuzzCertifier(f *testing.F) {
-	fuzzSeeds(f)
+	for _, data := range fuzzSeeds() {
+		f.Add(data)
+	}
 	f.Fuzz(fuzzCertifier)
 }

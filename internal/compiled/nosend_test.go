@@ -1,10 +1,11 @@
 package compiled_test
 
-// Send-distance certificate tests. A program whose handlers are all
-// certified send-free publishes an unbounded send horizon, licensing
-// the compiled tier to extend fusion windows to the full run-loop
-// horizon instead of the 7-cycle quiet window. These tests pin down
-// (a) the per-instruction certificate itself — infinite distance
+// Send-free image tests. A program the static verifier certifies
+// send-free — no instruction, reachable or not, can reach the network —
+// compiles to an image with CompiledProgram.SendFree set, licensing the
+// compiled tier to extend fusion windows to the full fuse limit instead
+// of the 7-cycle quiet window. These tests pin down (a) the bit and the
+// per-instruction certificate it is computed from — infinite distance
 // exactly on instructions from which no path reaches a SEND, zero on
 // the sends themselves — and (b) the differential contract under the
 // giant windows it enables, including the nastiest external edge: host
@@ -76,38 +77,55 @@ func seedNoSend(m *machine.Machine) {
 	}
 }
 
-// TestNoSendCertificate: the certificate is per-instruction — every
-// instruction of the send-free build carries an infinite send
-// distance, and adding a SEND handler zeroes the distance only there:
-// the compute loop and acc handler keep their infinite distances, the
-// per-handler improvement over the old whole-image NoSend flag.
+// TestNoSendCertificate: the image bit follows the certificate — every
+// instruction of the send-free build carries an infinite send distance
+// and the image is SendFree; adding a SEND handler, even an unreachable
+// one, zeroes the distance there and clears the bit, while the compute
+// loop and acc handler keep their infinite distances.
 func TestNoSendCertificate(t *testing.T) {
-	cp, err := compiled.Compile(buildNoSendProgram(false))
+	p := buildNoSendProgram(false)
+	cp, err := compiled.Compile(p)
 	if err != nil {
 		t.Fatalf("compile send-free: %v", err)
 	}
-	for ip, d := range cp.SendDist {
+	if !cp.SendFree {
+		t.Error("send-free image: SendFree = false")
+	}
+	for ip, d := range translate(t, p).Certs.SendDist {
 		if d < asm.InfDist {
 			t.Errorf("send-free image: SendDist[%d] = %d, want InfDist", ip, d)
 		}
 	}
-	p := buildNoSendProgram(true)
+	p = buildNoSendProgram(true)
 	cp, err = compiled.Compile(p)
 	if err != nil {
 		t.Fatalf("compile with unreachable send: %v", err)
 	}
-	if d := cp.SendDist[p.Entry("echo")]; d != 0 {
+	if cp.SendFree {
+		t.Error("image with an unreachable SEND: SendFree = true")
+	}
+	dist := translate(t, p).Certs.SendDist
+	if d := dist[p.Entry("echo")]; d != 0 {
 		t.Errorf("SEND instruction: SendDist = %d, want 0", d)
 	}
 	for _, label := range []string{"main", "loop", "acc"} {
-		if d := cp.SendDist[p.Entry(label)]; d < asm.InfDist {
+		if d := dist[p.Entry(label)]; d < asm.InfDist {
 			t.Errorf("send-free handler %q: SendDist = %d, want InfDist", label, d)
 		}
 	}
 }
 
+func translate(t *testing.T, p *asm.Program) *asm.Translation {
+	t.Helper()
+	tr, err := asm.Translate(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return tr
+}
+
 // TestNoSendWindowEquivalence drives both tiers through StepN batches
-// large enough that the certificate's unbounded windows dominate —
+// large enough that the send-free image's unbounded windows dominate —
 // thousands of boundaries fused per window, far past the 7-cycle quiet
 // cap — and requires digest equality at every observation point.
 func TestNoSendWindowEquivalence(t *testing.T) {

@@ -153,25 +153,7 @@ type Machine struct {
 	// any shard worker reads them.
 	compiledOn bool
 	fuse       mdp.FuseCtl
-
-	// Send-horizon cache (see sendHorizon). A freshly computed horizon
-	// stays a sound lower bound for as long as the quiet streak holds
-	// and no out-of-band mutation lands: per-node bounds are
-	// non-decreasing under execution (each retired instruction advances
-	// the boundary floor at least as fast as the send distance falls),
-	// new messages require deliveries (which break the streak), and
-	// every external mutation path bumps wakeSeq. The cache therefore
-	// revalidates only when the streak restarts, wakeSeq moves, or the
-	// published horizon has lapsed behind the clock (retried with a
-	// backoff so an unhelpful horizon does not cost an O(nodes) sweep
-	// per cycle).
-	hznValid bool
-	hznSeq   uint64
-	hznRetry int64
 }
-
-// hznRetryInterval is the recompute backoff for a lapsed send horizon.
-const hznRetryInterval = 64
 
 // NoEvent is the "no wake scheduled" horizon value (re-exported from
 // mdp for hook authors): a horizon function returns it when its hook
@@ -234,9 +216,9 @@ func New(cfg Config, prog *asm.Program) (*Machine, error) {
 		// Catch a parked node up under its pre-mutation flags before an
 		// external actor (chaos freeze/kill, reliable-delivery failure,
 		// a background start) changes them; runs on the coordinator.
-		// The wake generation moves even for unparked nodes: the cached
-		// send horizon (and any other activity summary) must not survive
-		// an external mutation, parking aside.
+		// The wake generation moves even for unparked nodes: the engine's
+		// per-shard activity summaries must not survive an external
+		// mutation, parking aside.
 		m.Nodes[i].SetSyncHook(func() {
 			m.wakeSeq++
 			if m.parked[i] {
@@ -349,14 +331,13 @@ func (m *Machine) FastPathActive() bool { return m.fast && !m.pinned }
 // translated closure for its current IP instead of the interpreter,
 // bailing back to it for scheduler-visible operations (see
 // internal/compiled and docs/COMPILED.md). The machine grants fusion
-// windows bounded by the run loops' caps and every hook's event
-// horizon; a pinned machine (AddCycleFn) stays single-instruction,
-// which is still exact. State, statistics, digests, and traces remain
+// windows bounded by the caller's next check and every hook's event
+// horizon (publishFuseLimit); a pinned machine (AddCycleFn) stays
+// single-instruction, which is still exact. State, statistics, digests, and traces remain
 // byte-identical to interpreted runs in every mode.
 func (m *Machine) SetCompiled(cp *mdp.CompiledProgram) {
 	m.compiledOn = cp != nil
 	m.fuse = mdp.FuseCtl{Limit: 0, QuietCycle: -1}
-	m.hznValid = false
 	for _, n := range m.Nodes {
 		if cp == nil {
 			n.SetCompiled(nil, nil)
@@ -393,12 +374,14 @@ func (m *Machine) FusionStats() mdp.FusionStats {
 	return total
 }
 
-// publishFuseLimit grants the upcoming cycles' fusion window: fused
-// instruction boundaries may extend to min(limit, every hook horizon
-// minus one). A pinned machine's hooks may observe state on any cycle,
-// so the window degenerates to the next cycle (single-instruction
-// compiled execution, exact per boundary).
-func (m *Machine) publishFuseLimit(limit int64) {
+// publishFuseLimit grants the upcoming cycle's fusion window. It is
+// the one place the fusion licence is bounded: a window may not pass
+// the next cycle at which anything can observe machine state — look,
+// the caller's next check (the run loop's, or Step's own cycle), and
+// every hook horizon (exclusive). A pinned machine's hooks may observe
+// state on any cycle, so its window degenerates to the next cycle
+// (single-instruction compiled execution, exact per boundary).
+func (m *Machine) publishFuseLimit(look int64) {
 	if !m.compiledOn {
 		return
 	}
@@ -407,11 +390,11 @@ func (m *Machine) publishFuseLimit(limit int64) {
 		return
 	}
 	for _, h := range m.horizons {
-		if hz := h(m.cycle); hz-1 < limit {
-			limit = hz - 1
+		if hz := h(m.cycle); hz-1 < look {
+			look = hz - 1
 		}
 	}
-	m.fuse.Limit = limit
+	m.fuse.Limit = look
 }
 
 // PublishNetQuiet certifies, for the cycle being stepped, that the
@@ -425,45 +408,10 @@ func (m *Machine) PublishNetQuiet() {
 	if !m.compiledOn {
 		return
 	}
-	if !m.Net.Quiet() {
-		m.fuse.QuietCycle = -1
-		m.hznValid = false // traffic in flight: the streak is broken
-		return
+	m.fuse.QuietCycle = -1
+	if m.Net.Quiet() {
+		m.fuse.QuietCycle = m.cycle
 	}
-	m.fuse.QuietCycle = m.cycle
-	// Publish the send horizon alongside the certification: the earliest
-	// cycle at which any node could inject, per the send-distance
-	// certificates. Cached across the quiet streak (see the field
-	// comment); a lapsed horizon is retried with a backoff because a
-	// node within an instruction of sending will usually break the
-	// streak itself.
-	if !m.hznValid || m.hznSeq != m.wakeSeq ||
-		(m.fuse.SendHorizon <= m.cycle && m.cycle >= m.hznRetry) {
-		m.fuse.SendHorizon = m.sendHorizon()
-		m.hznValid = true
-		m.hznSeq = m.wakeSeq
-		m.hznRetry = m.cycle + hznRetryInterval
-	}
-}
-
-// sendHorizon folds mdp.Node.SendBound over the live nodes: the
-// earliest cycle at which any node could inject a message, given a
-// quiet network. The rest cannot send without external input — each is
-// halted, frozen, or has no running context, no queued message and an
-// empty software queue, for all of which a certified SendBound is
-// NoEvent — so leaving them out loses nothing. Stops scanning once the
-// bound cannot exceed the current cycle (no fusion benefit remains).
-func (m *Machine) sendHorizon() int64 {
-	best := mdp.NoEvent
-	for i, end := m.hot.Next(0, len(m.Nodes)), len(m.Nodes); i < end; i = m.hot.Next(i+1, end) {
-		if b := m.Nodes[i].SendBound(); b < best {
-			best = b
-			if best <= m.cycle {
-				break
-			}
-		}
-	}
-	return best
 }
 
 // SetWatchdog arms (or, with 0, disarms) the progress watchdog after
@@ -521,9 +469,7 @@ func (m *Machine) InjectFree(node, pri int) int {
 // re-synchronizes before returning.)
 func (m *Machine) Step() {
 	m.unparkAll()
-	if m.compiledOn {
-		m.fuse.Limit = m.cycle + 1 // single-instruction boundaries only
-	}
+	m.publishFuseLimit(m.cycle + 1)
 	m.stepOnce()
 }
 
@@ -687,10 +633,12 @@ func (m *Machine) WakeSeq() uint64 { return m.wakeSeq }
 // in the machine can change except cycle counters — the whole dead
 // window up to the nearest of limit, the earliest hook horizon, and
 // the earliest node wake is consumed in one jump; otherwise one real
-// cycle is stepped. Callers cap limit at their own check boundaries
-// (budget, watchdog cadence, quiescence probe) so every check still
-// happens at exactly the cycle the reference loop would perform it.
-func (m *Machine) advance(limit int64) {
+// cycle is stepped, with fusion windows bounded by look, the caller's
+// next observation of machine state (publishFuseLimit). Callers cap
+// limit at their own check boundaries (budget, watchdog cadence,
+// quiescence probe) so every check still happens at exactly the cycle
+// the reference loop would perform it.
+func (m *Machine) advance(limit, look int64) {
 	if m.FastPathActive() && m.nParked.Load() == int64(len(m.Nodes)) && m.Net.Quiet() {
 		if t := m.skipTarget(limit); t > m.cycle {
 			m.Net.SkipCycles(t - m.cycle)
@@ -701,7 +649,7 @@ func (m *Machine) advance(limit int64) {
 			}
 		}
 	}
-	m.publishFuseLimit(limit)
+	m.publishFuseLimit(look)
 	m.stepOnce()
 }
 
@@ -829,7 +777,7 @@ func (m *Machine) StepN(n int64) {
 	m.rederiveWakes()
 	target := m.cycle + n
 	for m.cycle < target {
-		m.advance(target)
+		m.advance(target, target)
 	}
 	m.syncAll()
 }
@@ -945,14 +893,17 @@ func (m *Machine) checkWatchdog() error {
 // watchdog scans run periodically to stay off the per-cycle critical
 // path.
 //
-// Under the event-horizon fast path, bulk skips are capped at the
-// budget boundary and at the 256-cycle fatal/watchdog cadence, so
+// cond is opaque and evaluated after every cycle, so the compiled tier
+// is granted no fusion window here: a fused store would otherwise be
+// visible to cond (and to the exit digest) before its charged cycle.
+// Under the event-horizon fast path, dead-window skips are capped at
+// the budget boundary and at the 256-cycle fatal/watchdog cadence, so
 // every check — and any resulting error — happens at exactly the cycle
 // the single-stepping loop would produce it. During a skipped window
-// nothing observable changes, so cond (which the reference loop
-// evaluates every cycle) is constant across it — except for the cycle
-// counter itself: a cond that reads m.Cycle() observes it at a coarser
-// granularity (it still never overshoots a boundary or the budget).
+// nothing observable changes, so cond is constant across it — except
+// for the cycle counter itself: a cond that reads m.Cycle() observes it
+// at a coarser granularity (it still never overshoots a boundary or the
+// budget).
 func (m *Machine) RunWhile(cond func(*Machine) bool, max int64) error {
 	start := m.cycle
 	m.sigValid = false
@@ -969,7 +920,7 @@ func (m *Machine) RunWhile(cond func(*Machine) bool, max int64) error {
 		if b := (m.cycle | 0xFF) + 1; b < limit {
 			limit = b
 		}
-		m.advance(limit)
+		m.advance(limit, m.cycle+1)
 		if m.cycle&0xFF == 0 {
 			if err := m.FatalErr(); err != nil {
 				return err
@@ -1014,7 +965,7 @@ func (m *Machine) RunQuiescent(max int64) error {
 		// start+8k cycles as the single-stepping loop.
 		target := m.cycle + probe
 		for m.cycle < target {
-			m.advance(target)
+			m.advance(target, target)
 		}
 		if err := m.FatalErr(); err != nil {
 			return err

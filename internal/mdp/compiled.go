@@ -47,22 +47,19 @@
 //     cycle's network/processor phase boundary (FuseCtl.QuietCycle).
 //     A message enqueued at or after that point cannot complete a word
 //     into any delivery queue before fuseQuietWindow cycles elapse, so
-//     inner boundaries are admitted within that lookahead of the
-//     earliest cycle at which any node could inject: the machine's
-//     published send horizon (FuseCtl.SendHorizon), computed from the
-//     per-instruction send-distance certificates the static verifier
-//     proves (CompiledProgram.SendDist, asm.Certs). Without
-//     certificates the horizon degenerates to the current cycle and
-//     the rule is the fixed seven-cycle window; a certified send-free
-//     image has no horizon at all and the window extends to the full
-//     limit.
+//     inner boundaries are admitted through cycle+6. A send-free image
+//     (CompiledProgram.SendFree: the static verifier proves no
+//     instruction reaches the network, asm.Certs) can enqueue nothing,
+//     so its windows extend to the full limit.
 //
-// The machine bounds every window with FuseCtl.Limit: the run loop's
-// cap and every cycle hook's event horizon (exclusive), exactly the
-// bound the event-horizon fast path uses for bulk skips. Observations
-// — digests, run-loop conditions, watchdog scans, checkpoint captures
-// — therefore always happen at cycles where the fused state has
-// collapsed to the reference representation.
+// The machine bounds every window with FuseCtl.Limit: the next cycle at
+// which anything can observe machine state — a cycle hook's event
+// horizon (exclusive), the run loop's next check, a public Step — as
+// folded by Machine.publishFuseLimit. A loop that evaluates an opaque
+// condition every cycle (RunWhile, RunUntilHalt) therefore grants no
+// window at all. Observations — digests, run-loop conditions, watchdog
+// scans, checkpoint captures — happen only at cycles where the fused
+// state has collapsed to the reference representation.
 package mdp
 
 import (
@@ -89,16 +86,10 @@ type InstrFn func(n *Node, ctx *Context, off int32, quiet bool) (cost int32, cat
 // bail compile to nil rather than a closure that always says no).
 type CompiledProgram struct {
 	Fns []InstrFn
-	// SendDist is the per-instruction send-distance certificate
-	// (asm.Certs.SendDist): a proven lower bound on the instruction
-	// boundaries retired, starting from one about to execute that
-	// instruction, before any effect can reach the network — with
-	// asm.InfDist meaning no path sends at all. It covers every code
-	// address, reachable or not. The machine folds it over every
-	// runnable context and every queued activation to publish
-	// FuseCtl.SendHorizon; nil disables the horizon (the quiet rule
-	// falls back to its fixed window).
-	SendDist []int32
+	// SendFree reports that no instruction of the image can reach the
+	// network: every asm.Certs.SendDist entry is asm.InfDist. It lifts
+	// the quiet rule's fixed window to the full fuse limit.
+	SendFree bool
 }
 
 // FuseCtl is the machine-owned fusion control block, shared by every
@@ -107,7 +98,8 @@ type CompiledProgram struct {
 // or the network-phase barrier), so shard workers read stable values.
 type FuseCtl struct {
 	// Limit is the highest cycle at which a fused (non-boundary)
-	// instruction may start: min(run-loop cap, every hook horizon - 1).
+	// instruction may start: the run loop's next check, capped by every
+	// hook horizon - 1 (Machine.publishFuseLimit).
 	// A limit at or below the current cycle disables fusion, leaving
 	// single-instruction compiled execution, which is exact per
 	// boundary.
@@ -116,18 +108,6 @@ type FuseCtl struct {
 	// Net.Quiet() at the network/processor phase boundary; any other
 	// value (stale cycles included) means "not certified".
 	QuietCycle int64
-	// SendHorizon is the earliest cycle at which any node could inject
-	// a message, per the send-distance certificates: the machine folds
-	// CompiledProgram.SendDist over every runnable context's IP and
-	// every queued activation's handler entry whenever it certifies the
-	// network quiet. Deliveries lag injections by fuseQuietWindow, so
-	// the quiet rule admits fused boundaries through
-	// SendHorizon+fuseQuietWindow-1. NoEvent (nothing can ever send)
-	// lifts the cap entirely; values at or below the current cycle
-	// leave the fixed quiet window unchanged. Only meaningful when
-	// QuietCycle matches the current cycle — the machine refreshes both
-	// together.
-	SendHorizon int64
 }
 
 // fuseQuietWindow is the quiet rule's lookahead: after a
@@ -297,23 +277,11 @@ func (n *Node) runCompiled() bool {
 		n.chargeFirst(cost, cat)
 		return true
 	}
-	if !p1 {
+	if !p1 && !cp.SendFree {
 		// Quiet rule: no message can complete a word into a delivery
-		// queue before fuseQuietWindow cycles after the earliest possible
-		// injection. The machine publishes that injection bound as
-		// SendHorizon (folding the send-distance certificates over every
-		// runnable context and queued activation); without certificates
-		// it is at most the current cycle and this is the fixed
-		// seven-cycle window. A send-free image publishes NoEvent and the
-		// cap disappears — externals are already fenced by Limit.
-		base := n.cycle
-		if h := n.fuse.SendHorizon; h > base {
-			base = h
-		}
-		if base > n.cycle+(1<<30) {
-			base = n.cycle + (1 << 30) // keep the cap arithmetic in range
-		}
-		if qc := base + fuseQuietWindow - 1; qc < limit {
+		// queue before fuseQuietWindow cycles have passed. A send-free
+		// image injects nothing, and externals are already fenced by Limit.
+		if qc := n.cycle + fuseQuietWindow - 1; qc < limit {
 			limit = qc
 		}
 	}

@@ -194,72 +194,6 @@ func (n *Node) NextEvent() int64 {
 	return NoEvent
 }
 
-// SendBound returns the earliest cycle at which this node could inject
-// a message into the network, folding the installed send-distance
-// certificates (CompiledProgram.SendDist) over every runnable context
-// and every buffered activation; NoEvent means it provably cannot
-// without external input. The machine publishes the mesh-wide minimum
-// as FuseCtl.SendHorizon whenever it certifies the network quiet.
-//
-// Soundness notes. An instruction boundary can occur no earlier than
-// cycle+stall+1 (the stall's final cycle only retires the counter), and
-// that floor is invariant under SkipTo: a parked node's lagging clock
-// only lowers the bound, never raises it. A queued or relocated
-// activation pays at least one dispatch boundary before its handler's
-// first instruction. Partially-arrived messages need not be considered
-// because the caller only consults the bound when the network is
-// certified quiet — nothing is in flight or arriving. Frozen and halted
-// nodes cannot execute; every path that changes that (thaw, kill, fail,
-// background start, host injection) runs the sync hook or bumps the
-// machine's wake sequence, which invalidates the cached horizon.
-func (n *Node) SendBound() int64 {
-	if n.halted || n.frozen {
-		return NoEvent
-	}
-	cp := n.compiled
-	if cp == nil || cp.SendDist == nil {
-		// No certificates: the node could send at its next boundary.
-		return n.cycle
-	}
-	dist := cp.SendDist
-	floor := n.cycle + int64(n.stall) + 1
-	best := NoEvent
-	consider := func(ip int32, extra int64) {
-		if ip < 0 || int(ip) >= len(dist) {
-			// Outside the code segment: execution would halt the node,
-			// but take the conservative immediate bound anyway.
-			if b := floor + extra; b < best {
-				best = b
-			}
-			return
-		}
-		if d := dist[ip]; d < asm.InfDist {
-			if b := floor + extra + int64(d); b < best {
-				best = b
-			}
-		}
-	}
-	for l := range n.ctx {
-		if n.ctx[l].Running {
-			consider(n.ctx[l].IP, 0)
-		}
-	}
-	for pri := 0; pri < 2; pri++ {
-		n.Queues[pri].ForEachHeader(func(hdr word.Word) {
-			if hdr.Tag() == word.TagMsg {
-				consider(hdr.HeaderIP(), 1)
-			}
-			// Malformed headers halt the node at dispatch: no send.
-		})
-	}
-	for _, sm := range n.softQ {
-		if hdr, err := n.Mem.Read(sm.addr); err == nil && hdr.Tag() == word.TagMsg {
-			consider(hdr.HeaderIP(), 1)
-		}
-	}
-	return best
-}
-
 // SkipTo advances the node's clock to target, charging the skipped
 // cycles byte-identically to target-cycle individual Step calls: a
 // frozen node charges idle (its stall counter is preserved, exactly as

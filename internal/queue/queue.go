@@ -140,23 +140,6 @@ func (q *Queue) WordAt(i int) word.Word {
 	return q.buf[(q.head+i)%q.capWords]
 }
 
-// ForEachHeader calls fn with the header word of every complete message
-// currently buffered, head to tail. Words of a partially-arrived tail
-// message are not visited. The machine's send-horizon computation uses
-// it to bound when a queued activation could first inject.
-func (q *Queue) ForEachHeader(fn func(word.Word)) {
-	off := q.head
-	for m := 0; m < q.msgs; m++ {
-		hdr := q.buf[off%q.capWords]
-		fn(hdr)
-		n := hdr.HeaderLen()
-		if n < 1 {
-			n = 1 // defensive: Push reframes malformed headers to length 1
-		}
-		off += n
-	}
-}
-
 // Pop consumes the head message, freeing its words.
 func (q *Queue) Pop() {
 	if !q.HeadReady() {

@@ -8,6 +8,7 @@ package sim_test
 
 import (
 	"flag"
+	"fmt"
 	"io"
 	"path/filepath"
 	"testing"
@@ -36,16 +37,16 @@ var workloads = []struct {
 	{"lcs", 4096},
 }
 
-// invariantsEvery is the least distance, in cycles, between two checks
-// of a machine's derived bookkeeping (machine.CheckInvariants).
+// invariantsEvery is the distance, in cycles, between two checks of a
+// machine's derived bookkeeping (machine.CheckInvariants).
 const invariantsEvery = 64
 
 // checkInvariants registers the periodic check on m, so every cell runs
-// under it, the zero configuration included. The hook reads only the
-// schedulers' bookkeeping, which is exact on every stepped cycle, never
-// simulated state a skip or a fused window defers: it declares no
-// horizon and checks on the first stepped cycle each period reaches.
-func checkInvariants(t *testing.T) func(m *machine.Machine) {
+// under it, the zero configuration included. Its horizon is the next
+// check, so skips and fused windows end before it. A nonzero period
+// adds a no-op hook whose horizon comes every period cycles: an
+// observer that does nothing must change nothing.
+func checkInvariants(t *testing.T, period int64) func(m *machine.Machine) {
 	return func(m *machine.Machine) {
 		next := int64(invariantsEvery)
 		m.AddCycleHook(func(c int64) {
@@ -57,13 +58,16 @@ func checkInvariants(t *testing.T) func(m *machine.Machine) {
 				next = machine.NoEvent
 				t.Errorf("cycle %d: %v", c, err)
 			}
-		}, func(int64) int64 { return machine.NoEvent })
+		}, func(now int64) int64 { return max(next, now+1) })
+		if period > 0 {
+			m.AddCycleHook(func(int64) {}, func(now int64) int64 { return (now/period + 1) * period })
+		}
 	}
 }
 
-func run(t *testing.T, workload string, sc sim.Config) (cycles int64, digest uint64) {
+func run(t *testing.T, workload string, sc sim.Config, period int64) (cycles int64, digest uint64) {
 	t.Helper()
-	defer sim.SetAttachHook(checkInvariants(t))()
+	defer sim.SetAttachHook(checkInvariants(t, period))()
 	res, err := bench.RunCampaign(workload, chaos.Campaign{}, bench.ResilienceConfig{Nodes: nodes, Config: sc})
 	if err != nil {
 		t.Fatalf("%s %+v: %v", workload, sc, err)
@@ -77,46 +81,40 @@ func run(t *testing.T, workload string, sc sim.Config) (cycles int64, digest uin
 func TestConfigEquivalence(t *testing.T) {
 	for _, w := range workloads {
 		t.Run(w.name, func(t *testing.T) {
-			wantCycles, wantDigest := run(t, w.name, sim.Config{})
+			wantCycles, wantDigest := run(t, w.name, sim.Config{}, 0)
 			if wantCycles <= w.every {
 				t.Fatalf("run of %d cycles is too short for a mid-run checkpoint every %d", wantCycles, w.every)
 			}
 			dir := t.TempDir()
 			ckptPath := filepath.Join(dir, "run.ckpt")
-			deltas := []struct {
-				name string
-				sc   sim.Config
-			}{
-				{"reference", sim.Config{Reference: true}},
-				{"compiled", sim.Config{Compiled: true}},
-				{"shards-2", sim.Config{Shards: 2}},
-				{"shards-4", sim.Config{Shards: 4}},
-				{"shards-7", sim.Config{Shards: 7}},
-				{"reference+shards-4", sim.Config{Reference: true, Shards: 4}},
+			// period, when set, adds a no-op hook with a periodic horizon.
+			type delta struct {
+				name   string
+				sc     sim.Config
+				period int64
+			}
+			deltas := []delta{
+				{"reference", sim.Config{Reference: true}, 0},
+				{"compiled", sim.Config{Compiled: true}, 0},
+				{"shards-2", sim.Config{Shards: 2}, 0},
+				{"shards-4", sim.Config{Shards: 4}, 0},
+				{"shards-7", sim.Config{Shards: 7}, 0},
+				{"reference+shards-4", sim.Config{Reference: true, Shards: 4}, 0},
 				{"obs", sim.Config{Obs: &obs.Options{
 					PerfettoPath: filepath.Join(dir, "trace.json"),
 					MetricsPath:  filepath.Join(dir, "metrics.jsonl"),
 					Every:        64,
-				}}},
+				}}, 0},
 				// The periodic writer leaves the run's last mid-flight
 				// checkpoint behind; the next row resumes from it.
-				{"ckpt", sim.Config{Ckpt: ckpt.Flags{Path: ckptPath, Every: w.every}}},
-				{"ckpt-resume", sim.Config{Ckpt: ckpt.Flags{Path: ckptPath, Every: w.every, Resume: true}}},
+				{"ckpt", sim.Config{Ckpt: ckpt.Flags{Path: ckptPath, Every: w.every}}, 0},
+				{"ckpt-resume", sim.Config{Ckpt: ckpt.Flags{Path: ckptPath, Every: w.every, Resume: true}}, 0},
+			}
+			for _, p := range []int64{1, 7, 63, 64, 65} {
+				deltas = append(deltas, delta{fmt.Sprintf("compiled+hook-%d", p), sim.Config{Compiled: true}, p})
 			}
 			for _, d := range deltas {
-				if d.sc.Compiled && w.name == "pingpong" {
-					// Known divergence, older than this table (the parent
-					// commit's `jm-chaos -workload pingpong -faults 0` ends
-					// at cycle 53 interpreted, 51 with -compiled): a fused
-					// window makes the ack handler's flag store visible to
-					// RunWhile's memory-reading predicate before its
-					// charged cycle. Hook horizons (reliable delivery, obs)
-					// hide it, which is why compiled/equiv_test.go passes.
-					// Delete this skip with the fix in machine.RunWhile.
-					t.Logf("%s: skipped, see comment", d.name)
-					continue
-				}
-				cycles, digest := run(t, w.name, d.sc)
+				cycles, digest := run(t, w.name, d.sc, d.period)
 				if cycles != wantCycles || digest != wantDigest {
 					t.Errorf("%s: cycles=%d digest=%#x, zero config has cycles=%d digest=%#x",
 						d.name, cycles, digest, wantCycles, wantDigest)

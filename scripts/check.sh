@@ -111,7 +111,13 @@ for delta in -reference -compiled '-shards 4' '-reference -shards 4' '-compiled 
     /tmp/jm-tables-check -quick -exp tab4,tab5 $delta | cmp - /tmp/jm-tables-check.out
     /tmp/jm-chaos-check $SMOKE $delta | cmp - /tmp/jm-chaos-check-1.out
 done
-echo "run-configuration smoke: Table 4/5 and six chaos workloads byte-identical across every flag delta"
+# The same workloads with no fault and no reliable delivery: no hook
+# horizon then bounds a fused window, so only the run loops' own checks
+# do (pingpong's RunWhile reads a flag its ack handler stores).
+PLAIN='-workload all -seed 11 -faults 0'
+/tmp/jm-chaos-check $PLAIN > /tmp/jm-chaos-check-plain.out
+/tmp/jm-chaos-check $PLAIN -compiled | cmp - /tmp/jm-chaos-check-plain.out
+echo "run-configuration smoke: Table 4/5 and six chaos workloads byte-identical across every flag delta, with and without faults"
 
 echo "== checkpoint crash-recovery smoke"
 # SIGKILL a checkpointing jm-chaos run after its first periodic
