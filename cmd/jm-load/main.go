@@ -121,8 +121,7 @@ func main() {
 	}
 
 	spec := serve.Spec{
-		Workload: "kv", Nodes: *nodes,
-		Shards: sc.Shards, Reference: sc.Reference,
+		Workload: "kv", Nodes: *nodes, Reference: sc.Reference,
 		Keys: *keys, Gateways: *gateways,
 	}
 	perSession := (*requests + *sessions - 1) / *sessions

@@ -4,7 +4,7 @@
 // Usage:
 //
 //	jm-tables [-quick] [-paper] [-v] [-exp fig2,tab1,...]
-//	          [-shards N] [-reference] [-compiled]
+//	          [-reference] [-compiled]
 //
 // Experiments: seq, fig2, tab1, fig3, fig4, tab2, tab3, fig5, fig6,
 // tab4, tab5, ablate (default: all).

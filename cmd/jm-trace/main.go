@@ -3,14 +3,14 @@
 // (load it at https://ui.perfetto.dev) and/or a JSONL metrics stream.
 //
 // Attaching the recorder never changes simulation results: the final
-// state digest printed here is byte-identical with tracing on or off,
-// sequential or sharded (the engine equivalence suite enforces it).
+// state digest printed here is byte-identical with tracing on or off
+// (the equivalence suites enforce it).
 //
 // Usage:
 //
 //	jm-trace -perfetto trace.json                      # 64-node pingpong timeline
 //	jm-trace -workload barrier -metrics m.jsonl -every 32
-//	jm-trace -workload lcs -nodes 16 -shards 4 -perfetto t.json -perlink
+//	jm-trace -workload lcs -nodes 16 -perfetto t.json -perlink
 package main
 
 import (
@@ -56,8 +56,8 @@ func main() {
 	if err != nil {
 		log.Fatalf("%s: %v", *workload, err)
 	}
-	fmt.Printf("%s: nodes=%d shards=%d cycles=%d digest=%016x\n",
-		*workload, rc.Nodes, rc.Shards, res.Cycles, res.StateDigest)
+	fmt.Printf("%s: nodes=%d cycles=%d digest=%016x\n",
+		*workload, rc.Nodes, res.Cycles, res.StateDigest)
 	if *perfetto != "" {
 		fmt.Printf("timeline: %s (open at https://ui.perfetto.dev)\n", *perfetto)
 	}

@@ -30,19 +30,15 @@ type Options struct {
 	Verbose  bool
 	Progress func(format string, args ...any)
 	// Config is the run configuration applied to every machine the
-	// experiment steps (stepping mode, handler tier, shards, obs; see
+	// experiment steps (stepping mode, handler tier, obs; see
 	// internal/sim). Every field is purely a wall-clock knob: results
 	// are byte-identical across all of them, which scripts/check.sh
-	// re-proves on the table text. Shards composes with runParallel:
-	// independent experiment points still fan out across GOMAXPROCS,
-	// and each machine additionally steps on Shards goroutines. The
-	// tiny one- and two-node rigs (tab1, tab2, fig4, seq, ablations)
-	// run the zero configuration, where an engine could only add
-	// rendezvous overhead.
+	// re-proves on the table text. The tiny one- and two-node rigs
+	// (tab1, tab2, fig4, seq, ablations) run the zero configuration.
 	sim.Config
 }
 
-// stopRun releases a run's engine workers and drains its trace files.
+// stopRun drains a run's trace files.
 // A trace write failure is reported, not returned: for the tables and
 // figures observability is a tap, never a result dependency.
 func stopRun(r *sim.Run) {

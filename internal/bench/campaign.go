@@ -33,9 +33,14 @@ type ResilienceConfig struct {
 	ReliableCfg rt.ReliableConfig
 	Budget      int64 // cycle budget (default 2,000,000)
 	// Config is the run configuration (internal/sim): stepping mode,
-	// handler tier, shards, observability, checkpoint/resume. Results —
-	// the StateDigest included — are byte-identical across all of it.
+	// handler tier, observability, checkpoint/resume. Results — the
+	// StateDigest included — are byte-identical across all of it.
 	sim.Config
+	// Setup, when non-nil, runs on the campaign machine once the run
+	// configuration is on it, before start-up: where a caller adds a
+	// layer no Config field describes. The equivalence suites attach
+	// internal/engine here and stop it after the run.
+	Setup func(*machine.Machine)
 }
 
 func (c ResilienceConfig) withDefaults() ResilienceConfig {
@@ -62,7 +67,8 @@ type CampaignResult struct {
 	Reliable      rt.ReliableStats
 	ChaosReport   string
 	// StateDigest folds the machine's final state (machine.StateDigest)
-	// so sequential and sharded runs can be compared byte-for-byte.
+	// so runs under different configurations can be compared
+	// byte-for-byte.
 	StateDigest uint64
 }
 
@@ -106,7 +112,9 @@ func prepare(camp chaos.Campaign, rc ResilienceConfig, p *asm.Program) (*machine
 	r := rt.Attach(m, rt.Info(p), rt.DefaultPolicy())
 	c := &campaignRun{}
 	savers := append([]ckpt.Saver{r}, c.layers(camp, rc)(m, r)...)
-	c.run, err = rc.Attach(m, savers...)
+	if c.run, err = rc.Attach(m, savers...); err == nil && rc.Setup != nil {
+		rc.Setup(m)
+	}
 	return m, c, err
 }
 
@@ -157,6 +165,13 @@ func RunCampaign(name string, camp chaos.Campaign, rc ResilienceConfig) (*Campai
 	c := &campaignRun{}
 	run, setup, preRun := rc.Hooks(c.layers(camp, rc))
 	c.run = run
+	if rc.Setup != nil {
+		attach := setup
+		setup = func(m *machine.Machine, r *rt.Runtime) {
+			attach(m, r)
+			rc.Setup(m)
+		}
+	}
 	var m *machine.Machine
 	var cycles int64
 	var err error

@@ -6,9 +6,9 @@ package bench
 // synchronizing-write handler, and suspends again. At any instant all
 // but a handful of nodes are idle — the Figure 6 shape for
 // synchronization-bound programs, and the case the event-horizon
-// stepper and the epoch-batched engine exist for — so the tests below
-// drive it to pin the work the step loops do, the rendezvous the
-// engine takes and what a large mesh costs.
+// stepper exists for — so the tests below drive it to pin the work the
+// step loops do, the rendezvous the engine takes and what a large mesh
+// costs.
 
 import (
 	"math/rand"
@@ -16,6 +16,7 @@ import (
 	"testing"
 
 	"jmachine/internal/asm"
+	"jmachine/internal/engine"
 	"jmachine/internal/isa"
 	"jmachine/internal/machine"
 	"jmachine/internal/rt"
@@ -97,18 +98,22 @@ func newIdleRing(sc sim.Config, nodes, tokens int) (*machine.Machine, *sim.Run, 
 
 // ringRun is what one stepped ring leaves behind.
 type ringRun struct {
-	digest     uint64
-	rendezvous int64
-	visits     int64 // token forwards, summed over the ring
+	digest uint64
+	// stepped counts the cycles the machine stepped rather than
+	// skipped: the engine's rendezvous when sharded, the sequential
+	// loop's cycle bodies otherwise.
+	stepped int64
+	visits  int64 // token forwards, summed over the ring
 	// heap is the host heap building the machine took (GC-settled
 	// before and after) and image its simulated-memory footprint
 	// (mem.Memory.HeapBytes), both per node.
 	heap, image int64
 }
 
-// stepRing builds a ring under sc, steps it for cycles and checks its
-// bookkeeping. The machine is garbage once it returns.
-func stepRing(t *testing.T, sc sim.Config, nodes, tokens int, cycles int64) ringRun {
+// stepRing builds a ring under sc, on the engine when shards > 1, steps
+// it for cycles and checks its bookkeeping. The machine is garbage once
+// it returns.
+func stepRing(t *testing.T, sc sim.Config, shards, nodes, tokens int, cycles int64) ringRun {
 	t.Helper()
 	var before, after runtime.MemStats
 	runtime.GC()
@@ -125,6 +130,12 @@ func stepRing(t *testing.T, sc sim.Config, nodes, tokens int, cycles int64) ring
 		r.image += n.Mem.HeapBytes()
 	}
 	r.image /= int64(nodes)
+	eng := engine.Attach(m, shards)
+	defer eng.Stop()
+	count := &countingStepper{}
+	if shards <= 1 {
+		m.SetStepper(count)
+	}
 	m.StepN(cycles)
 	if err := m.FatalErr(); err != nil {
 		t.Fatalf("%d nodes, %+v: %v", nodes, sc, err)
@@ -132,7 +143,10 @@ func stepRing(t *testing.T, sc sim.Config, nodes, tokens int, cycles int64) ring
 	if err := m.CheckInvariants(); err != nil {
 		t.Fatalf("%d nodes, %+v: %v", nodes, sc, err)
 	}
-	r.digest, r.rendezvous = m.StateDigest(), run.Engine.Rendezvous()
+	r.digest, r.stepped = m.StateDigest(), count.nodePhases
+	if shards > 1 {
+		r.stepped = eng.Rendezvous()
+	}
 	for _, n := range m.Nodes {
 		w, _ := n.Mem.Read(rt.AppBase + idleOffCount)
 		r.visits += int64(w.Data())
@@ -141,82 +155,99 @@ func stepRing(t *testing.T, sc sim.Config, nodes, tokens int, cycles int64) ring
 }
 
 // TestRingEquivalence re-proves the determinism contract on the ring:
-// the reference loop, the fast path and both of them sharded end the
-// same run in byte-identical machine states.
+// the reference loop, the fast path and both of them on the engine end
+// the same run in byte-identical machine states.
 func TestRingEquivalence(t *testing.T) {
 	const nodes, tokens, cycles = 16, 2, 3500
-	want := stepRing(t, sim.Config{Reference: true}, nodes, tokens, cycles)
+	want := stepRing(t, sim.Config{Reference: true}, 1, nodes, tokens, cycles)
 	if want.visits == 0 {
 		t.Fatal("the tokens never moved")
 	}
 	for _, c := range []struct {
-		name string
-		sim.Config
+		name   string
+		sc     sim.Config
+		shards int
 	}{
-		{"fast", sim.Config{}},
-		{"shards-4", sim.Config{Shards: 4}},
-		{"reference/shards-4", sim.Config{Shards: 4, Reference: true}},
+		{"fast", sim.Config{}, 1},
+		{"shards-4", sim.Config{}, 4},
+		{"reference/shards-4", sim.Config{Reference: true}, 4},
 	} {
-		if got := stepRing(t, c.Config, nodes, tokens, cycles); got.digest != want.digest {
+		if got := stepRing(t, c.sc, c.shards, nodes, tokens, cycles); got.digest != want.digest {
 			t.Errorf("%s: digest %#x, reference %#x", c.name, got.digest, want.digest)
 		}
 	}
 }
 
-// TestRendezvousReduction pins the epoch engine's floor: on the ring
-// and on the Figure 2 pingpong (one message in flight, so at most one
-// shard has network work at any instant) epoch batching takes at least
-// 10x fewer rendezvous than the per-cycle protocol. The per-cycle count
-// is measured on the oracle, which must engage the fleet exactly once
-// per cycle and land on the epoch ring's digest. Every count is a
-// function of simulated state alone.
-func TestRendezvousReduction(t *testing.T) {
+// TestRendezvousPerSteppedCycle pins the engine's synchronization cost:
+// exactly one rendezvous per cycle the machine steps and none for the
+// cycles it skips, on the ring and on the Figure 2 pingpong, fast and
+// reference. The stepped count is taken from a sequential twin, by
+// counting its cycle bodies; both are functions of simulated state
+// alone.
+func TestRendezvousPerSteppedCycle(t *testing.T) {
 	const nodes, shards, tokens, cycles = 64, 4, 4, 20_000
-	ring := stepRing(t, sim.Config{Shards: shards}, nodes, tokens, cycles)
-
-	p := buildMicroProgram(buildPingClient)
-	m, err := machine.New(machine.GridForNodes(nodes), p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	run, err := sim.Config{Shards: shards}.Attach(m, rt.Attach(m, rt.Info(p), rt.DefaultPolicy()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer stopRun(run)
-	if err := m.Nodes[0].Mem.Write(rt.AppBase, m.Net.NodeWord(m.NumNodes()-1)); err != nil {
-		t.Fatal(err)
-	}
-	rt.StartNode(m, p, 0, "main")
-	m.StepN(cycles)
-	if err := m.FatalErr(); err != nil {
-		t.Fatal(err)
-	}
-
-	for _, w := range []struct {
-		name       string
-		rendezvous int64
-	}{{"ring", ring.rendezvous}, {"pingpong", run.Engine.Rendezvous()}} {
-		t.Logf("%s: %d rendezvous over %d cycles at %d shards", w.name, w.rendezvous, cycles, shards)
-		if w.rendezvous*10 > cycles {
-			t.Errorf("%s: %d rendezvous over %d cycles, below the 10x reduction floor", w.name, w.rendezvous, cycles)
+	ping := func(sc sim.Config, shards int) (stepped int64, digest uint64) {
+		p := buildMicroProgram(buildPingClient)
+		m, err := machine.New(machine.GridForNodes(nodes), p)
+		if err != nil {
+			t.Fatal(err)
 		}
+		run, err := sc.Attach(m, rt.Attach(m, rt.Info(p), rt.DefaultPolicy()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer stopRun(run)
+		if err := m.Nodes[0].Mem.Write(rt.AppBase, m.Net.NodeWord(m.NumNodes()-1)); err != nil {
+			t.Fatal(err)
+		}
+		rt.StartNode(m, p, 0, "main")
+		eng := engine.Attach(m, shards)
+		defer eng.Stop()
+		count := &countingStepper{}
+		if shards <= 1 {
+			m.SetStepper(count)
+		}
+		m.StepN(cycles)
+		if err := m.FatalErr(); err != nil {
+			t.Fatal(err)
+		}
+		if shards > 1 {
+			return eng.Rendezvous(), m.StateDigest()
+		}
+		return count.nodePhases, m.StateDigest()
 	}
-	oracle := stepRing(t, sim.Config{Shards: shards, Reference: true}, nodes, tokens, cycles)
-	if oracle.rendezvous != cycles {
-		t.Errorf("oracle ring: %d rendezvous over %d cycles, want one per cycle", oracle.rendezvous, cycles)
-	}
-	if oracle.digest != ring.digest {
-		t.Errorf("oracle ring digest %#x != epoch digest %#x", oracle.digest, ring.digest)
+	for _, sc := range []sim.Config{{}, {Reference: true}} {
+		seqRing := stepRing(t, sc, 1, nodes, tokens, cycles)
+		ring := stepRing(t, sc, shards, nodes, tokens, cycles)
+		seqPing, seqDigest := ping(sc, 1)
+		pingRendezvous, pingDigest := ping(sc, shards)
+		t.Logf("reference=%v: ring %d rendezvous, pingpong %d, over %d cycles at %d shards",
+			sc.Reference, ring.stepped, pingRendezvous, cycles, shards)
+		if ring.stepped != seqRing.stepped || ring.digest != seqRing.digest {
+			t.Errorf("reference=%v ring: %d rendezvous, digest %#x; sequential stepped %d cycles, digest %#x",
+				sc.Reference, ring.stepped, ring.digest, seqRing.stepped, seqRing.digest)
+		}
+		if pingRendezvous != seqPing || pingDigest != seqDigest {
+			t.Errorf("reference=%v pingpong: %d rendezvous, digest %#x; sequential stepped %d cycles, digest %#x",
+				sc.Reference, pingRendezvous, pingDigest, seqPing, seqDigest)
+		}
+		// The oracle steps every cycle; the fast path skips the
+		// pingpong's idle tail, so the two counts are told apart.
+		if sc.Reference && (seqRing.stepped != cycles || seqPing != cycles) {
+			t.Errorf("oracle stepped %d ring and %d pingpong cycles of %d", seqRing.stepped, seqPing, cycles)
+		}
+		if !sc.Reference && seqPing >= cycles {
+			t.Errorf("fast pingpong stepped all %d cycles; nothing was skipped", cycles)
+		}
 	}
 }
 
 // TestLargeMeshRing steps the ring at 4,096 nodes and, without -short,
-// at 16,384: at 4 shards and then sequentially, to the same digest,
-// with the rendezvous count, the simulated-memory image per node and
-// the host heap per node pinned. One machine is alive at a time: a
-// 16K-node machine is about 290 MiB of heap, which the race pass
-// (-short) would multiply.
+// at 16,384: at 4 shards and then sequentially, to the same digest and
+// the same stepped-cycle count, with the simulated-memory image per
+// node and the host heap per node pinned. One machine is alive at a
+// time: a 16K-node machine is about 290 MiB of heap, which the race
+// pass (-short) would multiply.
 func TestLargeMeshRing(t *testing.T) {
 	const (
 		shards, tokens, cycles = 4, 4, 1500
@@ -224,29 +255,25 @@ func TestLargeMeshRing(t *testing.T) {
 		// fully deterministic.
 		memImage = 8736
 		maxHeap  = 20 << 10
-		// rendezvous is the seeding transient; after it every cycle
-		// runs inline.
-		rendezvous = 2
 	)
 	sizes := []int{4096, 16384}
 	if testing.Short() {
 		sizes = sizes[:1]
 	}
 	for _, nodes := range sizes {
-		sharded := stepRing(t, sim.Config{Shards: shards}, nodes, tokens, cycles)
+		sharded := stepRing(t, sim.Config{}, shards, nodes, tokens, cycles)
 		t.Logf("%d nodes: %d B/node host heap, %d B/node memory image, %d rendezvous, digest %#x",
-			nodes, sharded.heap, sharded.image, sharded.rendezvous, sharded.digest)
+			nodes, sharded.heap, sharded.image, sharded.stepped, sharded.digest)
 		if sharded.image != memImage {
 			t.Errorf("%d nodes: memory image %d B/node, want %d", nodes, sharded.image, memImage)
 		}
 		if sharded.heap >= maxHeap {
 			t.Errorf("%d nodes: building the machine took %d B/node of host heap, want < %d", nodes, sharded.heap, maxHeap)
 		}
-		if sharded.rendezvous != rendezvous {
-			t.Errorf("%d nodes: %d rendezvous over %d cycles, want %d", nodes, sharded.rendezvous, cycles, rendezvous)
-		}
-		if seq := stepRing(t, sim.Config{}, nodes, tokens, cycles); seq.digest != sharded.digest {
-			t.Errorf("%d nodes: %d shards end in digest %#x, sequential in %#x", nodes, shards, sharded.digest, seq.digest)
+		seq := stepRing(t, sim.Config{}, 1, nodes, tokens, cycles)
+		if seq.digest != sharded.digest || seq.stepped != sharded.stepped {
+			t.Errorf("%d nodes: %d shards end in digest %#x after %d rendezvous, sequential in %#x after %d stepped cycles",
+				nodes, shards, sharded.digest, sharded.stepped, seq.digest, seq.stepped)
 		}
 	}
 }

@@ -3,61 +3,21 @@ package bench
 // Cross-shard statistics aggregation: the per-node stats.Node counters
 // are folded into machine-wide figures (per-Cat cycle totals, Table 4's
 // per-thread-class rows, Table 5's user/OS split) on the coordinator.
-// Sharded stepping must produce exactly the same aggregates as the
-// sequential reference — not merely close, since every counter is part
-// of the determinism contract.
+// Stepping the node phase on the engine's slabs must produce exactly
+// the same aggregates as the sequential loop — not merely close, since
+// every counter is part of the determinism contract.
 
 import (
-	"reflect"
 	"testing"
 
 	"jmachine/internal/apps/lcs"
 	"jmachine/internal/engine"
 	"jmachine/internal/machine"
 	"jmachine/internal/rt"
-	"jmachine/internal/sim"
 	"jmachine/internal/stats"
 )
 
 var statShardCounts = []int{1, 2, 4}
-
-func TestTable4CrossShard(t *testing.T) {
-	if testing.Short() {
-		t.Skip("cross-shard table sweep is slow")
-	}
-	ref, err := Table4(Options{Quick: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, k := range statShardCounts {
-		got, err := Table4(Options{Quick: true, Config: sim.Config{Shards: k}})
-		if err != nil {
-			t.Fatalf("shards=%d: %v", k, err)
-		}
-		if !reflect.DeepEqual(got, ref) {
-			t.Errorf("shards=%d: Table 4 diverged from sequential:\n  seq: %+v\n  par: %+v", k, ref, got)
-		}
-	}
-}
-
-func TestTable5CrossShard(t *testing.T) {
-	if testing.Short() {
-		t.Skip("cross-shard table sweep is slow")
-	}
-	ref, err := Table5(Options{Quick: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, k := range statShardCounts {
-		got, err := Table5(Options{Quick: true, Config: sim.Config{Shards: k}})
-		if err != nil {
-			t.Fatalf("shards=%d: %v", k, err)
-		}
-		if !reflect.DeepEqual(got, ref) {
-			t.Errorf("shards=%d: Table 5 diverged from sequential:\n  seq: %+v\n  par: %+v", k, ref, got)
-		}
-	}
-}
 
 // catTotals is the complete per-category cycle fold plus the other
 // machine-wide stat aggregates.

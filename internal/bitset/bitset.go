@@ -2,8 +2,9 @@
 // simulator's active sets (docs/PERF.md, "Active sets"): one bit per
 // router or per node, iterated in ascending order.
 //
-// A word covers 64 consecutive ids and so can straddle two shards' slabs,
-// whose goroutines set and clear their own bits concurrently; words are
+// A word covers 64 consecutive ids and so can straddle two of the
+// engine's node slabs, whose goroutines set and clear their own bits
+// concurrently during the node phase; words are
 // therefore atomic, updated by compare-and-swap (go.mod is at go 1.22,
 // before atomic Or/And). Two goroutines never update the same bit at
 // once — that is the callers' contract, not something the set enforces.
@@ -140,20 +141,6 @@ func (s Set) NextInWord(lo, end int) int {
 		return min(lo+bits.TrailingZeros64(w), end)
 	}
 	return end
-}
-
-// Count returns the number of members in [lo, hi).
-func (s Set) Count(lo, hi int) int {
-	n := 0
-	for lo < hi {
-		w := s[lo>>6].Load() >> (lo & 63)
-		if rest := hi - lo; rest < 64-lo&63 {
-			w &= 1<<rest - 1
-		}
-		n += bits.OnesCount64(w)
-		lo = lo&^63 + 64
-	}
-	return n
 }
 
 // Check verifies the summary invariant — every non-zero word has its

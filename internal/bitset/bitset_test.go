@@ -27,18 +27,14 @@ func TestAgainstBoolSlice(t *testing.T) {
 			}
 			lo := r.Intn(n + 1)
 			hi := lo + r.Intn(n+1-lo)
-			next, count := hi, 0
+			next := hi
 			for j := hi - 1; j >= lo; j-- {
 				if ref[j] {
 					next = j
-					count++
 				}
 			}
 			if got := s.Next(lo, hi); got != next {
 				t.Fatalf("n=%d: Next(%d, %d) = %d, want %d", n, lo, hi, got, next)
-			}
-			if got := s.Count(lo, hi); got != count {
-				t.Fatalf("n=%d: Count(%d, %d) = %d, want %d", n, lo, hi, got, count)
 			}
 			if s.Has(i) != ref[i] {
 				t.Fatalf("n=%d: Has(%d) = %v", n, i, s.Has(i))
@@ -201,8 +197,8 @@ func TestNextSeesAdditionsAheadOfCursor(t *testing.T) {
 }
 
 // TestConcurrentNeighbours has several goroutines add and remove
-// interleaved bits of the same words, as shards whose slabs meet inside
-// a word do. Run under -race.
+// interleaved bits of the same words, as node slabs that meet inside a
+// word do. Run under -race.
 func TestConcurrentNeighbours(t *testing.T) {
 	const n, workers = 256, 4
 	s := New(n)

@@ -162,6 +162,8 @@ func microCases() []microCase {
 // (restores the file, runs to completion), "clean" (no checkpointing).
 func runMicro(t *testing.T, w microCase, shards int, reference bool, path, phase string) uint64 {
 	t.Helper()
+	var eng *engine.Engine
+	defer func() { eng.Stop() }()
 	rc := bench.ResilienceConfig{
 		Nodes:      equivNodes,
 		Checksum:   true,
@@ -169,7 +171,8 @@ func runMicro(t *testing.T, w microCase, shards int, reference bool, path, phase
 		MaxReturns: 32,
 		Watchdog:   100_000,
 		Reliable:   true,
-		Config:     sim.Config{Shards: shards, Reference: reference},
+		Config:     sim.Config{Reference: reference},
+		Setup:      func(m *machine.Machine) { eng = engine.Attach(m, shards) },
 	}
 	switch phase {
 	case "truncated":
@@ -239,8 +242,8 @@ func TestCheckpointEquivalence(t *testing.T) {
 
 // TestCheckpointCrossShardResume proves a checkpoint is portable
 // across stepping configurations: a file captured under the sequential
-// reference loop resumes under the sharded fast path (and vice versa)
-// with the same final digest.
+// reference loop resumes under the fast path on the engine with the
+// same final digest.
 func TestCheckpointCrossShardResume(t *testing.T) {
 	w := appCases()[0] // lcs
 	path := filepath.Join(t.TempDir(), "cross.ckpt")

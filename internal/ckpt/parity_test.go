@@ -62,7 +62,6 @@ var paritySpecs = map[string]paritySpec{
 			"lastSig", "lastMove", "sigValid",
 			"parked", "wakeAt", "needWake", "caughtUpTo"},
 		derived: []string{
-			"wakeSeq",    // engine cache-invalidation generation; restore bumps it, exact value unobservable
 			"Cfg",        // construction input; dims verified on restore
 			"Stats",      // view over the per-node stats.Node accumulators, serialized via each mdp.Node
 			"cycleFns",   // attached hooks; re-attached by the restoring process
@@ -103,8 +102,7 @@ var paritySpecs = map[string]paritySpec{
 	"jmachine/internal/network.buf": {
 		serialized: []string{"slots", "n", "popStamp"},
 		derived: []string{
-			"head",    // ring rotation is unobservable; restore rebases to 0
-			"snapOcc", // shard-phase scratch, dead between cycles
+			"head", // ring rotation is unobservable; restore rebases to 0
 		},
 	},
 	"jmachine/internal/network.phitRef": {

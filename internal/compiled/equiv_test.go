@@ -66,7 +66,7 @@ type appOut struct {
 }
 
 // tierSetup returns an app Setup hook installing the compiled tier and
-// the parallel engine per tc, plus the stop function.
+// the engine per tc, plus the stop function.
 func tierSetup(t *testing.T, tc tierCase) (func(*machine.Machine, *rt.Runtime), func()) {
 	t.Helper()
 	var eng *engine.Engine
@@ -84,6 +84,14 @@ func tierSetup(t *testing.T, tc tierCase) (func(*machine.Machine, *rt.Runtime), 
 		}
 	}
 	return setup, func() { eng.Stop() }
+}
+
+// campaignEngine returns a bench.ResilienceConfig Setup hook attaching
+// the engine at shards, as benchmark/mesh.go attaches it, and the stop
+// to call once the campaign returns.
+func campaignEngine(shards int) (setup func(*machine.Machine), stop func()) {
+	var eng *engine.Engine
+	return func(m *machine.Machine) { eng = engine.Attach(m, shards) }, func() { eng.Stop() }
 }
 
 // appEquiv runs one application across the matrix and requires every
@@ -241,6 +249,8 @@ func TestEquivPingChaos(t *testing.T) {
 	for _, seed := range seeds {
 		camp := chaos.RandomCampaign(seed, 8, 4000, 4)
 		campaignEquiv(t, camp.Name+"/ping", func(tc tierCase) (*bench.CampaignResult, error) {
+			setup, stop := campaignEngine(tc.shards)
+			defer stop()
 			return bench.PingCampaign(camp, bench.ResilienceConfig{
 				Nodes:    8,
 				Checksum: true,
@@ -248,7 +258,8 @@ func TestEquivPingChaos(t *testing.T) {
 				Reliable: true,
 				Watchdog: 50_000,
 				Budget:   300_000,
-				Config:   sim.Config{Shards: tc.shards, Reference: tc.reference, Compiled: tc.compiled},
+				Config:   sim.Config{Reference: tc.reference, Compiled: tc.compiled},
+				Setup:    setup,
 			})
 		})
 	}
@@ -263,6 +274,8 @@ func TestEquivBarrierChaos(t *testing.T) {
 	for _, seed := range seeds {
 		camp := chaos.RandomCampaign(seed, 8, 4000, 3)
 		campaignEquiv(t, camp.Name+"/barrier", func(tc tierCase) (*bench.CampaignResult, error) {
+			setup, stop := campaignEngine(tc.shards)
+			defer stop()
 			return bench.BarrierCampaign(camp, bench.ResilienceConfig{
 				Nodes:    8,
 				Checksum: true,
@@ -270,7 +283,8 @@ func TestEquivBarrierChaos(t *testing.T) {
 				Reliable: true,
 				Watchdog: 50_000,
 				Budget:   300_000,
-				Config:   sim.Config{Shards: tc.shards, Reference: tc.reference, Compiled: tc.compiled},
+				Config:   sim.Config{Reference: tc.reference, Compiled: tc.compiled},
+				Setup:    setup,
 			}, 2)
 		})
 	}
@@ -316,6 +330,8 @@ func newObsOptions(t *testing.T) (*obs.Options, func() obsFiles) {
 func TestEquivObservedPing(t *testing.T) {
 	camp := chaos.RandomCampaign(1, 8, 4000, 4)
 	run := func(tc tierCase, o *obs.Options) campSum {
+		setup, stop := campaignEngine(tc.shards)
+		defer stop()
 		res, err := bench.PingCampaign(camp, bench.ResilienceConfig{
 			Nodes:    8,
 			Checksum: true,
@@ -323,7 +339,8 @@ func TestEquivObservedPing(t *testing.T) {
 			Reliable: true,
 			Watchdog: 50_000,
 			Budget:   300_000,
-			Config:   sim.Config{Shards: tc.shards, Reference: tc.reference, Compiled: tc.compiled, Obs: o},
+			Config:   sim.Config{Reference: tc.reference, Compiled: tc.compiled, Obs: o},
+			Setup:    setup,
 		})
 		if err != nil {
 			t.Fatalf("obs/ping %+v: %v", tc, err)

@@ -1,11 +1,15 @@
 package engine_test
 
 import (
+	"strings"
 	"testing"
 
 	"jmachine/internal/asm"
 	"jmachine/internal/engine"
+	"jmachine/internal/isa"
 	"jmachine/internal/machine"
+	"jmachine/internal/rt"
+	"jmachine/internal/trace"
 )
 
 func haltProg() *asm.Program {
@@ -79,4 +83,76 @@ func TestEngineRunsTrivialProgram(t *testing.T) {
 		t.Errorf("trivial program diverged: seq (cycle %d, %#x) vs par (cycle %d, %#x)",
 			seq.Cycle(), seq.StateDigest(), par.Cycle(), par.StateDigest())
 	}
+}
+
+// TestAttachWithoutLaunchLatency runs reliable-delivery pings on a mesh
+// with no network-interface launch latency, where an ack a deliver hook
+// injects can enter its router in the cycle it was injected, and
+// requires every shard count to reach the sequential loop's cycle
+// count and digest.
+func TestAttachWithoutLaunchLatency(t *testing.T) {
+	b := asm.NewBuilder()
+	b.Label("main").
+		MoveI(isa.A0, rt.AppBase).
+		Send(asm.Mem(isa.A0, 0)).
+		MoveHdr(isa.R1, rt.LPing, 2).
+		Send(asm.R(isa.R1)).
+		SendE(asm.R(isa.NNR)).
+		Suspend()
+	rt.BuildLib(b)
+	p := b.MustAssemble()
+	run := func(shards int) (int64, uint64) {
+		cfg := machine.GridForNodes(8)
+		cfg.Net.LaunchCycles = -1 // none
+		m := machine.MustNew(cfg, p)
+		if got := m.Net.LaunchLatency(); got != 0 {
+			t.Fatalf("launch latency %d, want 0", got)
+		}
+		rt.EnableReliable(rt.Attach(m, rt.Info(p), rt.DefaultPolicy()), rt.ReliableConfig{})
+		for i := range m.Nodes {
+			if err := m.Nodes[i].Mem.Write(rt.AppBase, m.Net.NodeWord((i+3)%m.NumNodes())); err != nil {
+				t.Fatal(err)
+			}
+		}
+		rt.StartAll(m, p, "main")
+		eng := engine.Attach(m, shards)
+		defer eng.Stop()
+		if err := m.RunQuiescent(100_000); err != nil {
+			t.Fatalf("shards=%d: %v", shards, err)
+		}
+		return m.Cycle(), m.StateDigest()
+	}
+	wantCycles, wantDigest := run(0)
+	for _, k := range []int{2, 4, 7} {
+		if cycles, digest := run(k); cycles != wantCycles || digest != wantDigest {
+			t.Errorf("shards=%d: cycle %d digest %#x, sequential cycle %d digest %#x",
+				k, cycles, digest, wantCycles, wantDigest)
+		}
+	}
+}
+
+// TestWorkerPanicRecovery forces a panic on a worker goroutine's slab
+// (the observer tap fires during the node phase) and requires the
+// engine to re-raise it on the coordinator with the slab attributed,
+// rather than deadlocking the join.
+func TestWorkerPanicRecovery(t *testing.T) {
+	m := machine.MustNew(machine.GridForNodes(8), haltProg())
+	m.SetFastPath(false) // every cycle releases the workers
+	eng := engine.Attach(m, 4)
+	defer eng.Stop()
+	last := m.NumNodes() - 1 // in slab 3, stepped by worker 3
+	m.Nodes[last].StartBackground(0)
+	m.Nodes[last].Watch = func(trace.Event) { panic("tap boom") }
+	defer func() {
+		r := recover()
+		if r == nil {
+			t.Fatal("worker panic was not re-raised on the coordinator")
+		}
+		msg, ok := r.(string)
+		if !ok || !strings.Contains(msg, "shard 3") || !strings.Contains(msg, "tap boom") {
+			t.Errorf("re-raised panic %v does not attribute shard 3 / original message", r)
+		}
+	}()
+	m.StepN(10)
+	t.Fatal("StepN returned despite a worker panic")
 }

@@ -1,14 +1,15 @@
 package engine_test
 
-// The determinism contract: a machine stepped by the parallel engine
-// must be byte-identical to the sequential reference loop, cycle for
-// cycle. The tests here run the same workload with Shards=0 (the
-// reference) and a spread of shard counts, and compare cycle counts,
-// workload results, network statistics, and the full machine state
-// digest (machine.StateDigest folds every router buffer, memory word,
-// queue, and counter). Any divergence — a reordered hook, a phit that
-// crossed a shard boundary a cycle early — shows up as a digest
-// mismatch.
+// The determinism contract: a machine whose node phase the engine steps
+// on several goroutines must be byte-identical to the sequential
+// reference loop, cycle for cycle. The tests here run the same workload
+// sequentially (shards 0) and under a spread of shard counts, attaching
+// the engine with engine.Attach, and compare cycle counts, workload
+// results, network statistics, and the full machine state digest
+// (machine.StateDigest folds every router buffer, memory word, queue,
+// and counter). Any divergence — a node reading a neighbour's state
+// mid-phase, an injection landing in the wrong order — shows up as a
+// digest mismatch.
 
 import (
 	"bytes"
@@ -61,6 +62,13 @@ func sumOf(r *bench.CampaignResult) runSum {
 	return s
 }
 
+// campaignEngine returns a bench.ResilienceConfig Setup hook attaching
+// the engine at shards, and the stop to call once the campaign returns.
+func campaignEngine(shards int) (setup func(*machine.Machine), stop func()) {
+	var eng *engine.Engine
+	return func(m *machine.Machine) { eng = engine.Attach(m, shards) }, func() { eng.Stop() }
+}
+
 // campaignEquiv runs one campaign workload sequentially and under every
 // shard count and requires identical summaries.
 func campaignEquiv(t *testing.T, name string, run func(shards int) (*bench.CampaignResult, error)) {
@@ -90,6 +98,8 @@ func TestEquivPingChaos(t *testing.T) {
 	for _, seed := range []uint64{1, 2, 3} {
 		camp := chaos.RandomCampaign(seed, 8, 4000, 4)
 		run := func(shards int) (*bench.CampaignResult, error) {
+			setup, stop := campaignEngine(shards)
+			defer stop()
 			return bench.PingCampaign(camp, bench.ResilienceConfig{
 				Nodes:    8,
 				Checksum: true,
@@ -97,7 +107,7 @@ func TestEquivPingChaos(t *testing.T) {
 				Reliable: true,
 				Watchdog: 50_000,
 				Budget:   300_000,
-				Config:   sim.Config{Shards: shards},
+				Setup:    setup,
 			})
 		}
 		campaignEquiv(t, camp.Name+"/ping", run)
@@ -109,6 +119,8 @@ func TestEquivBarrierChaos(t *testing.T) {
 	for _, seed := range []uint64{4, 5, 6} {
 		camp := chaos.RandomCampaign(seed, 8, 4000, 3)
 		run := func(shards int) (*bench.CampaignResult, error) {
+			setup, stop := campaignEngine(shards)
+			defer stop()
 			return bench.BarrierCampaign(camp, bench.ResilienceConfig{
 				Nodes:    8,
 				Checksum: true,
@@ -116,7 +128,7 @@ func TestEquivBarrierChaos(t *testing.T) {
 				Reliable: true,
 				Watchdog: 50_000,
 				Budget:   300_000,
-				Config:   sim.Config{Shards: shards},
+				Setup:    setup,
 			}, 2)
 		}
 		campaignEquiv(t, camp.Name+"/barrier", run)
@@ -132,12 +144,14 @@ func TestEquivNoProgress(t *testing.T) {
 		{Kind: chaos.CorruptMsg, Cycle: 1, Node: 0, Word: 1},
 	}}
 	run := func(shards int) (*bench.CampaignResult, error) {
+		setup, stop := campaignEngine(shards)
+		defer stop()
 		return bench.PingCampaign(camp, bench.ResilienceConfig{
 			Nodes:    8,
 			Checksum: true,
 			Watchdog: 5_000,
 			Budget:   200_000,
-			Config:   sim.Config{Shards: shards},
+			Setup:    setup,
 		})
 	}
 	ref, err := run(0)
@@ -353,6 +367,8 @@ func obsEquivCampaign(t *testing.T, name string, run func(shards int, o *obs.Opt
 func TestEquivObservedPing(t *testing.T) {
 	camp := chaos.RandomCampaign(1, 8, 4000, 4)
 	obsEquivCampaign(t, "obs/ping", func(shards int, o *obs.Options) (*bench.CampaignResult, error) {
+		setup, stop := campaignEngine(shards)
+		defer stop()
 		return bench.PingCampaign(camp, bench.ResilienceConfig{
 			Nodes:    8,
 			Checksum: true,
@@ -360,17 +376,21 @@ func TestEquivObservedPing(t *testing.T) {
 			Reliable: true,
 			Watchdog: 50_000,
 			Budget:   300_000,
-			Config:   sim.Config{Shards: shards, Obs: o},
+			Config:   sim.Config{Obs: o},
+			Setup:    setup,
 		})
 	})
 }
 
 func TestEquivObservedBarrier(t *testing.T) {
 	obsEquivCampaign(t, "obs/barrier", func(shards int, o *obs.Options) (*bench.CampaignResult, error) {
+		setup, stop := campaignEngine(shards)
+		defer stop()
 		return bench.BarrierCampaign(chaos.Campaign{}, bench.ResilienceConfig{
 			Nodes:  8,
 			Budget: 300_000,
-			Config: sim.Config{Shards: shards, Obs: o},
+			Config: sim.Config{Obs: o},
+			Setup:  setup,
 		}, 2)
 	})
 }

@@ -31,7 +31,7 @@ import (
 type fpConfig struct {
 	name      string
 	reference bool // force the reference loop (fast path off)
-	shards    int  // 0 = sequential, >1 = parallel engine
+	shards    int  // 0 = sequential, >1 = on the engine
 }
 
 // fpSweep is the acceptance matrix: the reference loop sequential and
@@ -75,6 +75,8 @@ func fastPathCampaignEquiv(t *testing.T, name string, run func(c fpConfig) (*ben
 func TestFastPathEquivPing(t *testing.T) {
 	camp := chaos.RandomCampaign(2, 8, 4000, 4)
 	fastPathCampaignEquiv(t, camp.Name+"/ping", func(c fpConfig) (*bench.CampaignResult, error) {
+		setup, stop := campaignEngine(c.shards)
+		defer stop()
 		return bench.PingCampaign(camp, bench.ResilienceConfig{
 			Nodes:    8,
 			Checksum: true,
@@ -82,7 +84,8 @@ func TestFastPathEquivPing(t *testing.T) {
 			Reliable: true,
 			Watchdog: 50_000,
 			Budget:   300_000,
-			Config:   sim.Config{Shards: c.shards, Reference: c.reference},
+			Config:   sim.Config{Reference: c.reference},
+			Setup:    setup,
 		})
 	})
 }
@@ -90,6 +93,8 @@ func TestFastPathEquivPing(t *testing.T) {
 func TestFastPathEquivBarrier(t *testing.T) {
 	camp := chaos.RandomCampaign(5, 8, 4000, 3)
 	fastPathCampaignEquiv(t, camp.Name+"/barrier", func(c fpConfig) (*bench.CampaignResult, error) {
+		setup, stop := campaignEngine(c.shards)
+		defer stop()
 		return bench.BarrierCampaign(camp, bench.ResilienceConfig{
 			Nodes:    8,
 			Checksum: true,
@@ -97,7 +102,8 @@ func TestFastPathEquivBarrier(t *testing.T) {
 			Reliable: true,
 			Watchdog: 50_000,
 			Budget:   300_000,
-			Config:   sim.Config{Shards: c.shards, Reference: c.reference},
+			Config:   sim.Config{Reference: c.reference},
+			Setup:    setup,
 		}, 2)
 	})
 }
@@ -220,6 +226,8 @@ func TestFastPathEquivTSP(t *testing.T) {
 func TestFastPathEquivObservedPing(t *testing.T) {
 	camp := chaos.RandomCampaign(3, 8, 4000, 4)
 	run := func(c fpConfig, o *obs.Options) (*bench.CampaignResult, error) {
+		setup, stop := campaignEngine(c.shards)
+		defer stop()
 		return bench.PingCampaign(camp, bench.ResilienceConfig{
 			Nodes:    8,
 			Checksum: true,
@@ -227,7 +235,8 @@ func TestFastPathEquivObservedPing(t *testing.T) {
 			Reliable: true,
 			Watchdog: 50_000,
 			Budget:   300_000,
-			Config:   sim.Config{Shards: c.shards, Reference: c.reference, Obs: o},
+			Config:   sim.Config{Reference: c.reference, Obs: o},
+			Setup:    setup,
 		})
 	}
 	ref, err := run(fpSweep[0], nil)

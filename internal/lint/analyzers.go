@@ -23,8 +23,8 @@ var stepRootNames = map[string]bool{
 }
 
 // digestRoot selects functions whose output must be bit-identical
-// across shard counts and stepping modes: digest computations, hook
-// callbacks (replayed in a defined order and therefore part of the
+// across stepping modes and engine shard counts: digest computations,
+// hook callbacks (run in a defined order and therefore part of the
 // observable trace), and anything marked //jm:trace-root.
 func (g *callGraph) digestRoot(fn *funcNode) bool {
 	if fn.hookArg {
@@ -211,9 +211,10 @@ var MapOrderAnalyzer = &Analyzer{
 // StepConcurrencyAnalyzer flags goroutine spawns and channel operations
 // in functions reachable from Step/SkipTo (and from registered hooks)
 // outside internal/engine. The engine owns all host-side parallelism
-// and keeps it deterministic by sharded replay; anywhere else, a `go`
-// statement or channel op on the per-cycle path introduces scheduling
-// nondeterminism the replay cannot see.
+// and keeps it deterministic by running only the node phase
+// concurrently, each goroutine on its own slab of nodes; anywhere else,
+// a `go` statement or channel op on the per-cycle path introduces
+// scheduling nondeterminism the equivalence suites cannot see.
 var StepConcurrencyAnalyzer = &Analyzer{
 	Name: "stepconc",
 	Code: "JML004",

@@ -18,7 +18,7 @@ type funcNode struct {
 
 	// hookArg marks a function passed to a hook-registration call
 	// (AddCycleFn, AddDeliverFn, SetSyncHook, ...): it will run once
-	// per cycle or per replayed event on the determinism-critical path.
+	// per cycle or per event on the determinism-critical path.
 	hookArg bool
 }
 
@@ -42,9 +42,9 @@ func (fn *funcNode) node() ast.Node {
 }
 
 // hookRegistrars are the functions whose func-typed arguments become
-// per-cycle hooks or replayed event callbacks: anything handed to them
-// executes on the determinism-critical path (ordered hook replay,
-// cycle hooks on the coordinator, per-node taps).
+// per-cycle hooks or event callbacks: anything handed to them executes
+// on the determinism-critical path (deliver and drop hooks in router
+// order, cycle hooks on the coordinator, per-node taps).
 var hookRegistrars = map[string]bool{
 	"AddCycleFn":      true,
 	"AddCycleHook":    true,

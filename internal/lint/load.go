@@ -4,7 +4,7 @@
 // The headline guarantee of the engine work (docs/ENGINE.md,
 // docs/PERF.md) — byte-identical StateDigest and trace output across
 // shard counts and stepping modes — is easy to break silently: one
-// `range` over a map in a digest or hook-replay path, one wall-clock
+// `range` over a map in a digest or hook path, one wall-clock
 // read feeding simulation state, one goroutine spawned inside a
 // per-cycle step path. The runtime equivalence sweeps only catch a
 // divergence when a test happens to exercise it; the analyzers here

@@ -142,7 +142,6 @@ func (m *Machine) RestoreState(d *wire.Decoder) error {
 		m.hot.Put(i, m.isHot(i))
 	}
 	m.nParked.Store(nParked)
-	m.wakeSeq++ // engine activity caches are stale for the restored state
 	if err := d.Err(); err != nil {
 		return err
 	}

@@ -121,7 +121,7 @@ type Machine struct {
 	parked     []bool       // node i's Step is currently being skipped
 	wakeAt     []int64      // cycle at which parked node i must step again (NoEvent = external wake only)
 	needWake   []bool       // external work arrived for parked node i (delivery, thaw)
-	nParked    atomic.Int64 // |parked|; atomic: shards park their own slabs concurrently
+	nParked    atomic.Int64 // |parked|; atomic: engine slabs park their own nodes concurrently
 	caughtUpTo int64        // cycle through which lagging nodes must catch up (cycle-1 while stepping)
 	horizons   []func(now int64) int64
 
@@ -136,21 +136,11 @@ type Machine struct {
 	hot        bitset.Set
 	nodeVisits atomic.Int64
 
-	// wakeSeq is a generation counter bumped whenever node activity
-	// changes outside the stepping sweep itself — host injection, the
-	// per-node sync hook (chaos freeze/thaw/kill, reliable-delivery
-	// failures, background starts), unparkAll, bulk-step entry
-	// (rederiveWakes), checkpoint restore. The parallel engine caches
-	// per-shard activity summaries and rescans them whenever this
-	// generation moves.
-	wakeSeq uint64
-
 	// Compiled tier (docs/COMPILED.md). fuse is the fusion control
 	// block every node reads through a pointer: the coordinator writes
 	// the window limit before the processor phase of each cycle and
 	// certifies network quiescence at the network/processor phase
-	// boundary, both at points the engine's rendezvous orders before
-	// any shard worker reads them.
+	// boundary, both before the engine releases its node-phase workers.
 	compiledOn bool
 	fuse       mdp.FuseCtl
 }
@@ -162,11 +152,12 @@ const NoEvent = mdp.NoEvent
 
 // Stepper advances the machine's network and nodes through one cycle.
 // The machine's built-in sequential loop is the reference
-// implementation; internal/engine installs a parallel one that must be
-// byte-identical to it. The stepper runs after the cycle counter has
-// advanced and the cycle hooks have fired (both stay on the
-// coordinating goroutine, keeping the watchdog, diagnostics, chaos
-// injection, and reliable-delivery timers engine-agnostic).
+// implementation; internal/engine installs one that runs the node
+// phase on several goroutines and must be byte-identical to it. The
+// stepper runs after the cycle counter has advanced and the cycle hooks
+// have fired (both stay on the coordinating goroutine, keeping the
+// watchdog, diagnostics, chaos injection, and reliable-delivery timers
+// engine-agnostic).
 type Stepper interface {
 	StepCycle(m *Machine)
 }
@@ -216,11 +207,7 @@ func New(cfg Config, prog *asm.Program) (*Machine, error) {
 		// Catch a parked node up under its pre-mutation flags before an
 		// external actor (chaos freeze/kill, reliable-delivery failure,
 		// a background start) changes them; runs on the coordinator.
-		// The wake generation moves even for unparked nodes: the engine's
-		// per-shard activity summaries must not survive an external
-		// mutation, parking aside.
 		m.Nodes[i].SetSyncHook(func() {
-			m.wakeSeq++
 			if m.parked[i] {
 				m.Nodes[i].SkipTo(m.caughtUpTo)
 				m.parked[i] = false
@@ -399,11 +386,9 @@ func (m *Machine) publishFuseLimit(look int64) {
 
 // PublishNetQuiet certifies, for the cycle being stepped, that the
 // network held no phits or outbox messages at the network/processor
-// phase boundary — the quiet fusion rule's precondition. The
-// sequential loop calls it between the network and processor phases;
-// the engine calls it from the coordinator (empty-mesh cycles) or from
-// shard 0 inside the commit phase, so every worker observes the same
-// deterministic certification.
+// phase boundary — the quiet fusion rule's precondition. Both the
+// sequential loop and the engine call it on the coordinator between
+// the network and processor phases.
 func (m *Machine) PublishNetQuiet() {
 	if !m.compiledOn {
 		return
@@ -447,7 +432,6 @@ func (m *Machine) Inject(node, pri int, msg []word.Word) bool {
 	// A parked node must notice host-delivered work exactly as it
 	// notices a mesh delivery.
 	m.wake(node)
-	m.wakeSeq++
 	return true
 }
 
@@ -504,17 +488,15 @@ func (m *Machine) stepOnce() {
 // active set: a parked node is skipped until its wake cycle (or an
 // external wake flag) comes due, at which point it is caught up in bulk
 // and stepped; a node whose next event lies beyond the next cycle is
-// parked. Both the sequential loop and the parallel engine's processor
-// phase use it — under the engine each shard calls it for its own
-// slab, so the bookkeeping for index i is only ever touched by i's
-// owning goroutine (nParked and the words of hot, which shards share,
-// are atomic).
+// parked. Both the sequential loop and the engine's node phase use it —
+// under the engine each worker calls it for its own slab, so the
+// bookkeeping for index i is only ever touched by i's owning goroutine
+// (nParked and the words of hot, which slabs share, are atomic).
 //
 // It returns an activity summary for the range, computed in the same
 // pass: live is the number of nodes left unparked, minWake the
 // earliest wake cycle among the parked ones (NoEvent when none is
-// scheduled). The parallel engine caches these per shard to decide
-// which slabs the next cycle can skip.
+// scheduled).
 func (m *Machine) StepNodeRangeInfo(lo, hi int) (live int, minWake int64) {
 	fast := m.FastPathActive()
 	cycle := m.cycle
@@ -571,25 +553,6 @@ func (m *Machine) StepNodeRangeInfo(lo, hi int) (live int, minWake int64) {
 // host-work counter — exact at a seed, digest-exempt, not checkpointed.
 func (m *Machine) NodeVisits() int64 { return m.nodeVisits.Load() }
 
-// NodeActivity summarizes nodes [lo, hi) without stepping anything:
-// live counts unparked nodes plus parked ones with a pending external
-// wake, minWake is the earliest scheduled wake among the rest (NoEvent
-// when none). Used by the engine to rebuild its per-shard activity
-// cache after an out-of-band change (WakeSeq moved).
-func (m *Machine) NodeActivity(lo, hi int) (live int, minWake int64) {
-	minWake = NoEvent
-	for i := m.hot.Next(lo, hi); i < hi; i = m.hot.Next(i+1, hi) {
-		if !m.parked[i] || m.needWake[i] {
-			live++
-			continue
-		}
-		if m.wakeAt[i] < minWake {
-			minWake = m.wakeAt[i]
-		}
-	}
-	return live, minWake
-}
-
 // isHot is the membership rule of the hot set.
 func (m *Machine) isHot(i int) bool {
 	return !m.parked[i] || m.needWake[i] || m.wakeAt[i] != NoEvent
@@ -624,9 +587,6 @@ func (m *Machine) CheckInvariants() error {
 	}
 	return m.Net.CheckInvariants()
 }
-
-// WakeSeq returns the out-of-band activity generation (see wakeSeq).
-func (m *Machine) WakeSeq() uint64 { return m.wakeSeq }
 
 // advance moves the machine forward at least one cycle, but never past
 // limit. When every node is parked and the network is empty — nothing
@@ -710,7 +670,6 @@ func (m *Machine) unparkAll() {
 		}
 	}
 	m.nParked.Store(0)
-	m.wakeSeq++
 }
 
 // rederiveWakes re-decides, at bulk-step entry, each parked node's place
@@ -749,15 +708,14 @@ func (m *Machine) rederiveWakes() {
 		m.wakeAt[i] = ne
 	}
 	m.nParked.Add(-unparked)
-	m.wakeSeq++
 }
 
 // StateDigest folds the machine's complete dynamic state — cycle
 // counter, network (routers, in-flight worms, outboxes, stats), and
 // every node's architectural state, memory, queues, and statistics —
 // into a 64-bit digest. Two runs with equal digests are in
-// byte-identical states; the engine equivalence suite compares
-// sequential and sharded runs with it.
+// byte-identical states; the equivalence suites compare runs under
+// different configurations with it.
 func (m *Machine) StateDigest() uint64 {
 	m.syncAll()
 	h := uint64(0xcbf29ce484222325) ^ uint64(m.cycle)

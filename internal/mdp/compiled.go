@@ -33,7 +33,7 @@
 // rather than silent divergence.
 //
 // Fusion is admitted under two rules, both decided from state that is
-// identical in sequential and sharded runs:
+// identical in sequential and engine runs:
 //
 //   - P1 rule: the node is running a priority-1 thread and the
 //     software overflow queue is disabled. The P1-running scheduler

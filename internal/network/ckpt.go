@@ -113,7 +113,7 @@ func (n *Network) collectMessages() (table []*Message, index map[*Message]int) {
 // the in-flight message table, every router's buffers, worm ownership
 // and link stamps, every outbox, the round-robin offsets, the
 // incremental in-flight counters, and the accumulated stats.
-// Within-cycle scratch (pushStamp/pushedNew, snapOcc) is dead between
+// Within-cycle scratch (pushStamp/pushedNew) is dead between
 // cycles and deliberately excluded, matching StateDigest; so are the
 // active set and the occupied-port masks, which RestoreState rebuilds.
 func (n *Network) SaveState(e *wire.Encoder) {
@@ -198,8 +198,7 @@ func (n *Network) restoreStats(d *wire.Decoder) {
 }
 
 // RestoreState rebuilds the network in place: router and outbox arrays
-// are mutated, never reallocated, because the parallel engine's shards
-// hold references into them. Buffers land rebased to ring offset zero,
+// are mutated, never reallocated. Buffers land rebased to ring offset zero,
 // which is unobservable (all access is logical from head).
 func (n *Network) RestoreState(d *wire.Decoder) error {
 	if r := d.Int(); r != len(n.routers) {
@@ -239,7 +238,6 @@ func (n *Network) RestoreState(d *wire.Decoder) error {
 					r.busy[v] |= 1 << q
 				}
 				b.popStamp = d.I64()
-				b.snapOcc = 0
 				for i := 0; i < cnt; i++ {
 					m, err := msgAt(d.U32())
 					if err != nil {

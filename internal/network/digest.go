@@ -1,12 +1,11 @@
 package network
 
-// State digesting for the engine equivalence suite: a 64-bit FNV-style
-// fold over the network's complete dynamic state, so sequential and
-// sharded runs can be compared byte-for-byte without serializing
-// anything. Within-cycle scratch fields (pushStamp/pushedNew, snapOcc)
-// are excluded: they are dead between cycles and legitimately differ
-// between the two engines, which never read them across a cycle
-// boundary.
+// State digesting for the equivalence suites: a 64-bit FNV-style fold
+// over the network's complete dynamic state, so runs under different
+// configurations can be compared byte-for-byte without serializing
+// anything. Within-cycle scratch fields (pushStamp/pushedNew) are
+// excluded: they are dead between cycles and never read across a
+// cycle boundary.
 
 // digestMix folds one value into a running 64-bit digest.
 func digestMix(h, v uint64) uint64 {

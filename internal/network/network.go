@@ -140,30 +140,27 @@ type Network struct {
 	// In-flight accounting for O(1) quiescence checks. actPhits counts
 	// phits buffered in routers (== the sum of router occ between
 	// cycles): +1 when a phit enters at feedInjection, -1 when one
-	// retires at the delivery port; mesh hops are pop+push neutral. In
-	// parallel mode the deltas accumulate per shard and fold at commit.
+	// retires at the delivery port; mesh hops are pop+push neutral.
 	// actMsgs counts messages queued in outboxes; it is atomic because
-	// Inject runs on the node-stepping goroutines while the injection
-	// feed runs in the network phases.
+	// the engine's node phase calls Inject from several goroutines.
 	actPhits int64
 	actMsgs  atomic.Int64
 
 	// act is the active-router set the step loop iterates instead of
 	// sweeping the mesh (docs/PERF.md, "Active sets"): router i is a
 	// member whenever it may hold a phit or a queued outbox message.
-	// Inject, a neighbour's push and a staged push landing at commit
-	// add it; the priority-0 pass removes it once it holds nothing, so
-	// between cycles the set is exact. Derived state: outside the digest
-	// and the checkpoint, rebuilt by RestoreState.
+	// Inject and a neighbour's push add it; the priority-0 pass removes
+	// it once it holds nothing, so between cycles the set is exact.
+	// Derived state: outside the digest and the checkpoint, rebuilt by
+	// RestoreState.
 	act bitset.Set
-	// routerVisits counts the routers whose skip predicate stepRange
+	// routerVisits counts the routers whose skip predicate stepPass
 	// evaluated — host work, not simulated state.
 	routerVisits int64
 
 	// wakeFn, when non-nil, is told that a completed word entered node
 	// id's delivery queue this cycle, so an active-set scheduler can
-	// wake a parked node. Called from the goroutine stepping the node's
-	// own router (node i and router i always share a shard).
+	// wake a parked node. Called from Step, between node phases.
 	wakeFn func(node int)
 
 	// Fault-injection and delivery hooks (see Add*/Set* below). All are
@@ -421,53 +418,36 @@ func (n *Network) Stats() Stats {
 // host-work counter — exact at a seed, digest-exempt, not checkpointed.
 func (n *Network) RouterVisits() int64 { return n.routerVisits }
 
-// stepCtx carries the state sinks for one stepping pass: the stats
-// struct to charge (the network's own in sequential mode, a shard-local
-// copy in parallel mode) and, when non-nil, the shard whose boundary
-// pushes and hook events must be staged for the commit phase.
-type stepCtx struct {
-	st *Stats
-	sh *shard
-	// dPhits receives the pass's in-flight phit delta: the network's
-	// own counter in sequential mode, a shard-local accumulator folded
-	// at commit in parallel mode.
-	dPhits *int64
-	// visits receives the pass's router-visit count, likewise.
-	visits *int64
-}
-
 // Step advances the network one cycle: injection feeds, phit movement,
-// and delivery, honouring priority-1 channel preference. This is the
-// sequential reference loop; ShardRun (shard.go) steps the same cycle
-// function over disjoint node ranges in parallel with byte-identical
-// results.
+// and delivery, honouring priority-1 channel preference. It is the one
+// way the mesh is stepped; deliver and drop hooks run inline, in
+// router order.
 func (n *Network) Step() {
 	n.cycle++
-	ctx := stepCtx{st: &n.stats, dPhits: &n.actPhits, visits: &n.routerVisits}
 	for v := 1; v >= 0; v-- {
-		n.stepRange(0, len(n.routers), v, n.cycle, ctx)
+		n.stepPass(v, n.cycle)
 	}
 }
 
-// stepRange steps the active routers of [lo,hi) at priority v, in
-// ascending order, a word of the set at a time (bitset.Set.Next shows
-// the loop; the per-router step inlines). Both levels re-read the set,
-// so a router activated ahead of the cursor during the pass (a
-// neighbour's push, a deliver hook's Inject) is reached in this pass,
-// exactly where a sweep over every router would have reached it. The
-// skip fast-path uses effOcc — start-of-cycle occupancy minus this
-// cycle's pops — so that same-cycle pushes from neighbours (whose
-// visibility depends on visit order and shard boundaries) never affect
-// which routers run.
-func (n *Network) stepRange(lo, hi, v int, cyc int64, ctx stepCtx) {
-	for ri := n.act.Next(lo, hi); ri < hi; ri = n.act.Next(ri, hi) {
+// stepPass steps the active routers at priority v, in ascending
+// order, a word of the set at a time (bitset.Set.Next shows the loop;
+// the per-router step inlines). Both levels re-read the set, so a
+// router activated ahead of the cursor during the pass (a neighbour's
+// push, a deliver hook's Inject) is reached in this pass, exactly where
+// a sweep over every router would have reached it. The skip fast-path
+// uses effOcc — start-of-cycle occupancy minus this cycle's pops — so
+// that same-cycle pushes from neighbours, whose visibility depends on
+// visit order, never affect which routers run.
+func (n *Network) stepPass(v int, cyc int64) {
+	hi := len(n.routers)
+	for ri := n.act.Next(0, hi); ri < hi; ri = n.act.Next(ri, hi) {
 		for end := min(ri|63+1, hi); ri < end; ri = n.act.NextInWord(ri+1, end) {
-			*ctx.visits++
+			n.routerVisits++
 			r := &n.routers[ri]
 			ob := &n.out[ri][v]
 			if r.effOcc(cyc) != 0 || len(ob.msgs) != 0 {
-				n.stepRouter(ri, r, v, cyc, ctx)
-				n.feedInjection(ri, r, ob, v, cyc, ctx)
+				n.stepRouter(ri, r, v, cyc)
+				n.feedInjection(ri, r, ob, v, cyc)
 			}
 			if v == 0 && n.idle(ri) {
 				n.act.Remove(ri) // last pass of the cycle and nothing left here
@@ -487,7 +467,7 @@ func (n *Network) idle(ri int) bool {
 // buffer at priority v. The occupied-port mask is read once: while a
 // router steps, its own buffers only lose phits, and only at the port
 // being visited.
-func (n *Network) stepRouter(ri int, r *router, v int, cyc int64, ctx stepCtx) {
+func (n *Network) stepRouter(ri int, r *router, v int, cyc int64) {
 	start := 0
 	if n.cfg.Arbitration == RoundRobin {
 		start = int(n.rr[ri]) % NumPorts
@@ -518,11 +498,11 @@ func (n *Network) stepRouter(ri int, r *router, v int, cyc int64, ctx stepCtx) {
 			continue // physical channel already used this cycle
 		}
 		if n.stallFn != nil && n.stallFn(ri, int(out), cyc) {
-			ctx.st.StallsInjected++
+			n.stats.StallsInjected++
 			continue // injected link fault holds the channel
 		}
 		if out == PortLocal {
-			n.deliverPhit(ri, r, v, q, b, cyc, ctx)
+			n.deliverPhit(ri, r, v, q, b, cyc)
 			continue
 		}
 		nb := n.nbr[ri][out]
@@ -533,18 +513,9 @@ func (n *Network) stepRouter(ri int, r *router, v int, cyc int64, ctx stepCtx) {
 		}
 		nr := &n.routers[nb]
 		nbuf := &nr.in[v][opposite[out]]
-		remote := ctx.sh != nil && (int(nb) < ctx.sh.lo || int(nb) >= ctx.sh.hi)
-		var occStart int
-		if remote {
-			// The consuming shard owns nbuf's n/popStamp; use the
-			// occupancy it snapshotted at the cycle start, which equals
-			// the reconstruction below.
-			occStart = int(nbuf.snapOcc)
-		} else {
-			occStart = int(nbuf.n)
-			if nbuf.popStamp == cyc {
-				occStart++
-			}
+		occStart := int(nbuf.n)
+		if nbuf.popStamp == cyc {
+			occStart++
 		}
 		if occStart >= bufCap {
 			continue // downstream buffer full at cycle start
@@ -552,20 +523,11 @@ func (n *Network) stepRouter(ri int, r *router, v int, cyc int64, ctx stepCtx) {
 		p := r.pop(v, q, cyc)
 		r.linkStamp[out] = cyc
 		p.arrived = cyc
-		if remote {
-			// Cross-shard boundary: stage the push; the commit phase
-			// applies it after every shard has finished stepping. The
-			// phit could not have moved again this cycle anyway.
-			ctx.sh.pushes = append(ctx.sh.pushes,
-				stagedPush{nb: nb, v: int8(v), port: int8(opposite[out]), p: p})
-		} else {
-			nr.push(v, opposite[out], p)
-			nr.notePush(cyc)
-			n.act.Add(int(nb))
-		}
-		ctx.st.PhitHops++
+		nr.push(v, opposite[out], p, cyc)
+		n.act.Add(int(nb))
+		n.stats.PhitHops++
 		if (out == PortXP && r.x == n.midX-1) || (out == PortXM && r.x == n.midX) {
-			ctx.st.BisectionPhits++
+			n.stats.BisectionPhits++
 		}
 		if p.isTail() {
 			r.outOwner[v][out] = noPort
@@ -584,7 +546,7 @@ func (n *Network) stepRouter(ri int, r *router, v int, cyc int64, ctx stepCtx) {
 // drop duplicates; and with return-to-sender flow control a message that
 // would not fit in the destination queue is drained and turned around —
 // or dropped once it has been refused MaxReturns times.
-func (n *Network) deliverPhit(ri int, r *router, v, q int, b *buf, cyc int64, ctx stepCtx) {
+func (n *Network) deliverPhit(ri int, r *router, v, q int, b *buf, cyc int64) {
 	head := b.peek()
 	m := head.m
 	if head.idx == 0 && !m.absorb {
@@ -594,30 +556,30 @@ func (n *Network) deliverPhit(ri int, r *router, v, q int, b *buf, cyc int64, ct
 		case !m.CheckOK():
 			m.absorb, m.drop = true, true
 			m.dropReason = DropCorrupt
-			ctx.st.CorruptDrops++
+			n.stats.CorruptDrops++
 		case n.filterFn != nil && n.filterFn(ri, m, cyc):
 			m.absorb, m.drop = true, true
 			m.dropReason = DropFiltered
-			ctx.st.DupDrops++
+			n.stats.DupDrops++
 		case n.cfg.ReturnToSender &&
 			n.queues[ri][v].Free() < len(m.Words) && n.queues[ri][v].Cap() >= len(m.Words):
 			if n.cfg.MaxReturns > 0 && int(m.Returns) >= n.cfg.MaxReturns {
 				m.absorb, m.drop = true, true
 				m.dropReason = DropMaxReturns
-				ctx.st.DroppedMsgs++
+				n.stats.DroppedMsgs++
 			} else {
 				m.absorb = true // refuse: drain and turn around
 			}
 		}
 	}
 	if m.absorb {
-		n.absorbPhit(ri, r, v, q, cyc, ctx)
+		n.absorbPhit(ri, r, v, q, cyc)
 		return
 	}
 	w, complete := head.payloadWord()
 	if complete {
 		if !n.queues[ri][v].Push(w) {
-			ctx.st.DeliveryStalls++
+			n.stats.DeliveryStalls++
 			return // queue full; back-pressure into the network
 		}
 		if n.wakeFn != nil {
@@ -626,27 +588,20 @@ func (n *Network) deliverPhit(ri int, r *router, v, q int, b *buf, cyc int64, ct
 	}
 	p := r.pop(v, q, cyc)
 	r.linkStamp[PortLocal] = cyc
-	*ctx.dPhits--
+	n.actPhits--
 	if complete {
-		ctx.st.DeliveredWords[v]++
+		n.stats.DeliveredWords[v]++
 	}
 	if p.isTail() {
 		p.m.DeliverCycle = cyc
-		ctx.st.DeliveredMsgs[v]++
-		ctx.st.LatencySum[v] += uint64(cyc - p.m.EnqueueCycle)
+		n.stats.DeliveredMsgs[v]++
+		n.stats.LatencySum[v] += uint64(cyc - p.m.EnqueueCycle)
 		r.outOwner[v][PortLocal] = noPort
 		r.inRoute[v][q] = noPort
-		if ctx.sh != nil {
-			// Hooks may mutate state shared across shards (reliable-
-			// delivery maps, ack injection at arbitrary nodes); stage
-			// the event for single-threaded replay at commit.
-			ctx.sh.events = append(ctx.sh.events, hookEvent{node: int32(ri), m: p.m})
-		} else {
-			for _, fn := range n.deliverFns {
-				fn(ri, p.m, cyc)
-			}
-			n.release(p.m)
+		for _, fn := range n.deliverFns {
+			fn(ri, p.m, cyc)
 		}
+		n.release(p.m)
 	}
 }
 
@@ -655,10 +610,10 @@ func (n *Network) deliverPhit(ri int, r *router, v, q int, b *buf, cyc int64, ct
 // either discarded (drop set) or re-injected: back toward the source
 // (refusal) or toward its true destination after the backoff
 // (retransmission).
-func (n *Network) absorbPhit(ri int, r *router, v, q int, cyc int64, ctx stepCtx) {
+func (n *Network) absorbPhit(ri int, r *router, v, q int, cyc int64) {
 	p := r.pop(v, q, cyc)
 	r.linkStamp[PortLocal] = cyc
-	*ctx.dPhits--
+	n.actPhits--
 	if !p.isTail() {
 		return
 	}
@@ -668,15 +623,10 @@ func (n *Network) absorbPhit(ri int, r *router, v, q int, cyc int64, ctx stepCtx
 	m.absorb = false
 	if m.drop {
 		m.drop = false
-		if ctx.sh != nil {
-			ctx.sh.events = append(ctx.sh.events,
-				hookEvent{drop: true, node: int32(ri), reason: m.dropReason, m: m})
-		} else {
-			for _, fn := range n.dropFns {
-				fn(ri, m, m.dropReason, cyc)
-			}
-			n.release(m)
+		for _, fn := range n.dropFns {
+			fn(ri, m, m.dropReason, cyc)
 		}
+		n.release(m)
 		return
 	}
 	ob := &n.out[ri][v]
@@ -686,7 +636,7 @@ func (n *Network) absorbPhit(ri int, r *router, v, q int, cyc int64, ctx stepCtx
 		m.Returning = false
 		m.DestX, m.DestY, m.DestZ = m.origX, m.origY, m.origZ
 		m.EnqueueCycle = cyc + int64(n.cfg.RTSBackoff)
-		ctx.st.Retransmits++
+		n.stats.Retransmits++
 	} else {
 		// Refused: turn the message around toward its source.
 		m.Returning = true
@@ -695,7 +645,7 @@ func (n *Network) absorbPhit(ri int, r *router, v, q int, cyc int64, ctx stepCtx
 		sx, sy, sz := n.NodeCoords(int(m.Src))
 		m.DestX, m.DestY, m.DestZ = int8(sx), int8(sy), int8(sz)
 		m.EnqueueCycle = cyc
-		ctx.st.ReturnedMsgs++
+		n.stats.ReturnedMsgs++
 	}
 	// Hardware-level requeue: bypasses the injection capacity check
 	// (the words were already accounted to this node's outbox only if
@@ -707,12 +657,12 @@ func (n *Network) absorbPhit(ri int, r *router, v, q int, cyc int64, ctx stepCtx
 
 // feedInjection streams the node's next outgoing phit at priority v into
 // the router's local input buffer, one phit per cycle.
-func (n *Network) feedInjection(ri int, r *router, ob *outbox, v int, cyc int64, ctx stepCtx) {
+func (n *Network) feedInjection(ri int, r *router, ob *outbox, v int, cyc int64) {
 	if len(ob.msgs) == 0 {
 		return
 	}
 	if n.stallFn != nil && n.stallFn(ri, PortLocal, cyc) {
-		ctx.st.StallsInjected++
+		n.stats.StallsInjected++
 		return // injected NI fault: nothing enters the router
 	}
 	b := &r.in[v][PortLocal]
@@ -727,9 +677,8 @@ func (n *Network) feedInjection(ri int, r *router, ob *outbox, v int, cyc int64,
 	if ob.phitIdx == 0 && cyc < m.EnqueueCycle+int64(n.cfg.LaunchCycles) {
 		return // network-interface launch latency
 	}
-	r.push(v, PortLocal, phitRef{m: m, idx: ob.phitIdx, arrived: cyc})
-	r.notePush(cyc)
-	*ctx.dPhits++
+	r.push(v, PortLocal, phitRef{m: m, idx: ob.phitIdx, arrived: cyc}, cyc)
+	n.actPhits++
 	ob.phitIdx++
 	if ob.phitIdx == m.WirePhits() {
 		ob.msgs = ob.msgs[1:]

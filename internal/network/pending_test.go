@@ -3,10 +3,10 @@ package network
 // Cross-checks for the O(1) Pending() fast path: the incremental
 // in-flight counters (actPhits, actMsgs) must agree with the full
 // router/outbox scan (CheckInvariants) at every cycle of a random
-// traffic mix, and must return exactly to zero once the mesh drains. Both the
-// sequential Step loop and the sharded Snapshot/StepShard/Commit
-// protocol are exercised — the shards accumulate phit deltas locally
-// and fold them at Commit, which is a separate code path.
+// traffic mix, and must return exactly to zero once the mesh drains —
+// with traffic injected in order, and from node slabs on concurrent
+// goroutines as the engine's node phase injects (actMsgs is the counter
+// they share).
 
 import (
 	"math/rand"
@@ -59,25 +59,31 @@ func TestPendingCounterMatchesScan(t *testing.T) {
 func TestPendingCounterMatchesScanSharded(t *testing.T) {
 	const nodes = 16
 	n, _ := makeNet(t, 4, 4, 1, 1<<14)
-	sr := NewShardRun(n, 4)
 	r := rand.New(rand.NewSource(11))
-	step := func() {
-		sr.Begin()
-		for s := 0; s < sr.Shards(); s++ {
-			sr.Snapshot(s)
-		}
-		for s := 0; s < sr.Shards(); s++ {
-			sr.StepShard(s)
-		}
-		sr.Commit()
+	type send struct {
+		src   int
+		m     *Message
+		delay int32
 	}
 	for c := 0; c < 3000; c++ {
-		randomTraffic(r, n, nodes)
-		step()
+		var sends []send
+		for i := 0; i < 4; i++ {
+			if r.Intn(3) == 0 {
+				sends = append(sends, send{r.Intn(nodes), msgTo(n, r.Intn(nodes), r.Intn(2), 1+r.Intn(6)), int32(r.Intn(3))})
+			}
+		}
+		injectSlabs(n, 4, func(lo, hi int) {
+			for _, s := range sends {
+				if s.src >= lo && s.src < hi {
+					n.Inject(s.src, s.m, s.delay)
+				}
+			}
+		})
+		n.Step()
 		pendingCheck(t, n, c)
 	}
 	for c := 0; c < 20_000 && n.Pending(); c++ {
-		step()
+		n.Step()
 	}
 	if n.Pending() || n.actPhits != 0 || n.actMsgs.Load() != 0 {
 		t.Fatalf("drained network left residue: actPhits=%d actMsgs=%d",

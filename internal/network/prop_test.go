@@ -9,9 +9,9 @@ package network
 // payload integrity, no duplication and — wherever the regime
 // guarantees it — per-(src, dst, pri) order; at the end, that every
 // message was delivered or counted as dropped and that the mesh drained
-// within a bound. A sharded run (k slabs on k goroutines, injecting in
-// parallel as the engine's node phase does) must show the sequential
-// run's state digest after every cycle.
+// within a bound. A run whose traffic is injected from k node slabs on
+// k goroutines, as the engine's node phase reaches Inject, must show
+// the in-order run's state digest after every cycle.
 
 import (
 	"fmt"
@@ -56,8 +56,7 @@ func (sc scenario) String() string {
 const drainBound = 20_000
 
 // mix64 is a pure hash for decisions that must not depend on call
-// order: the sharded engine consults the stall oracle from several
-// goroutines.
+// order.
 func mix64(vs ...uint64) uint64 {
 	h := uint64(0x9E3779B97F4A7C15)
 	for _, v := range vs {
@@ -82,7 +81,7 @@ type propRun struct {
 	sc  scenario
 	n   *Network
 	qs  [][2]*queue.Queue
-	sr  *ShardRun // nil steps sequentially
+	k   int // node slabs injecting concurrently; 1 injects in order
 	rng *rand.Rand
 	cyc int
 
@@ -94,7 +93,7 @@ type propRun struct {
 	sent, corrupted, delivered, dropped int
 }
 
-func newPropRun(t testing.TB, sc scenario, shards int) *propRun {
+func newPropRun(t testing.TB, sc scenario, slabs int) *propRun {
 	nodes := sc.x * sc.y * sc.z
 	cfg := Config{DimX: sc.x, DimY: sc.y, DimZ: sc.z, Arbitration: sc.arb}
 	qcap := 16
@@ -113,7 +112,7 @@ func newPropRun(t testing.TB, sc scenario, shards int) *propRun {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p := &propRun{t: t, sc: sc, n: n, qs: qs, rng: rand.New(rand.NewSource(sc.seed)),
+	p := &propRun{t: t, sc: sc, n: n, qs: qs, k: slabs, rng: rand.New(rand.NewSource(sc.seed)),
 		nextSeq: map[flow]int{}, lastSeq: map[flow]int{}, seen: map[[4]int]bool{}}
 	n.AddDropFn(func(int, *Message, DropReason, int64) { p.dropped++ })
 	switch sc.mode {
@@ -129,9 +128,6 @@ func newPropRun(t testing.TB, sc scenario, shards int) *propRun {
 				n.Inject(node, p.message(node, int(m.Src), 1, 2, true), 0)
 			}
 		})
-	}
-	if shards > 1 {
-		p.sr = NewShardRun(n, shards)
 	}
 	return p
 }
@@ -192,19 +188,18 @@ func (p *propRun) generate() {
 	}
 }
 
-// inject hands the staged traffic to the network: in order when
-// sequential, one goroutine per shard when sharded — different nodes'
-// outboxes are independent, and that is how the engine's node phase
-// reaches Inject.
+// inject hands the staged traffic to the network: in order with one
+// slab, else from k contiguous node slabs on k goroutines — different
+// nodes' outboxes are independent, and that is how the engine's node
+// phase reaches Inject.
 func (p *propRun) inject() {
-	if p.sr == nil {
+	if p.k <= 1 {
 		for _, in := range p.staged {
 			p.n.Inject(in.src, in.m, in.delay)
 		}
 		return
 	}
-	p.eachShard(func(s int) {
-		lo, hi := p.sr.NodeRange(s)
+	injectSlabs(p.n, p.k, func(lo, hi int) {
 		for _, in := range p.staged {
 			if in.src >= lo && in.src < hi {
 				p.n.Inject(in.src, in.m, in.delay)
@@ -213,27 +208,19 @@ func (p *propRun) inject() {
 	})
 }
 
-func (p *propRun) eachShard(fn func(s int)) {
+// injectSlabs runs inject on k goroutines, one per contiguous node slab
+// [lo, hi) — the engine's node-phase partition — and waits for them.
+func injectSlabs(n *Network, k int, inject func(lo, hi int)) {
+	nodes := n.Nodes()
 	var wg sync.WaitGroup
-	for s := 0; s < p.sr.Shards(); s++ {
+	for s := 0; s < k; s++ {
 		wg.Add(1)
-		go func(s int) {
+		go func(lo, hi int) {
 			defer wg.Done()
-			fn(s)
-		}(s)
+			inject(lo, hi)
+		}(s*nodes/k, (s+1)*nodes/k)
 	}
 	wg.Wait()
-}
-
-func (p *propRun) step() {
-	if p.sr == nil {
-		p.n.Step()
-		return
-	}
-	p.sr.Begin()
-	p.eachShard(p.sr.Snapshot)
-	p.eachShard(p.sr.StepShard)
-	p.sr.Commit()
 }
 
 // hotspot is the node an eighth of the traffic converges on.
@@ -304,7 +291,7 @@ func (p *propRun) digest() uint64 {
 func (p *propRun) advance() {
 	p.generate()
 	p.inject()
-	p.step()
+	p.n.Step()
 	p.consume(p.cyc >= p.sc.cycles)
 	p.cyc++
 }
@@ -343,8 +330,8 @@ func (p *propRun) run(each func(cycle int)) {
 	}
 }
 
-// checkScenario runs sc sequentially, then sharded at each k, requiring
-// the sequential digest after every cycle.
+// checkScenario runs sc injecting in order, then from k slabs at each
+// k, requiring the in-order digest after every cycle.
 func checkScenario(t testing.TB, sc scenario, ks ...int) {
 	var want []uint64
 	seq := newPropRun(t, sc, 1)
@@ -353,11 +340,11 @@ func checkScenario(t testing.TB, sc scenario, ks ...int) {
 		sh := newPropRun(t, sc, k)
 		sh.run(func(c int) {
 			if c > len(want) || sh.digest() != want[c-1] {
-				t.Fatalf("%v shards=%d: state diverged from the sequential run at cycle %d", sc, k, c)
+				t.Fatalf("%v slabs=%d: state diverged from the in-order run at cycle %d", sc, k, c)
 			}
 		})
 		if sh.cyc != len(want) {
-			t.Fatalf("%v shards=%d: drained at cycle %d, sequential at %d", sc, k, sh.cyc, len(want))
+			t.Fatalf("%v slabs=%d: drained at cycle %d, in order at %d", sc, k, sh.cyc, len(want))
 		}
 	}
 }
@@ -385,7 +372,7 @@ func TestNetworkProperties(t *testing.T) {
 }
 
 // fuzzScenario decodes the fuzzer's arguments into a scenario and a
-// shard count.
+// slab count.
 func fuzzScenario(seed int64, shape uint16, knobs uint8) (scenario, int) {
 	sc := scenario{seed: seed, cycles: 120,
 		mode: trafficMode(knobs&7) % numModes, arb: Arbitration(knobs >> 3 & 1)}
@@ -446,10 +433,10 @@ func TestSteppingPinnedToParent(t *testing.T) {
 				p.advance()
 			}
 			if got := p.n.StateDigest(); got != pin.digest {
-				t.Errorf("%v shards=%d: digest %#016x at cycle %d, parent had %#016x", pin.sc, k, got, pin.at, pin.digest)
+				t.Errorf("%v slabs=%d: digest %#016x at cycle %d, parent had %#016x", pin.sc, k, got, pin.at, pin.digest)
 			}
 			if got := p.n.Stats(); got != pin.stats {
-				t.Errorf("%v shards=%d: stats at cycle %d\n got  %+v\n want %+v", pin.sc, k, pin.at, got, pin.stats)
+				t.Errorf("%v slabs=%d: stats at cycle %d\n got  %+v\n want %+v", pin.sc, k, pin.at, got, pin.stats)
 			}
 		}
 	}

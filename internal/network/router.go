@@ -33,14 +33,6 @@ type buf struct {
 	head     int8
 	n        int8
 	popStamp int64 // cycle of the most recent pop
-
-	// snapOcc is the occupancy recorded by ShardRun.Snapshot at the
-	// start of the cycle. A producer in a different shard cannot use the
-	// popStamp reconstruction — n and popStamp are concurrently mutated
-	// by the consuming shard — so it admits phits against this frozen
-	// value instead, which equals exactly what the reconstruction would
-	// have computed. Unused in sequential stepping.
-	snapOcc int8
 }
 
 func (b *buf) push(p phitRef) {
@@ -85,20 +77,24 @@ type router struct {
 	// pushStamp/pushedNew track phits pushed into this router during the
 	// current cycle (by neighbours or the local outbox). The stepping
 	// skip check subtracts them from occ so that whether a same-cycle
-	// push has already landed — which depends on sweep order in the
-	// sequential loop and on shard boundaries in the parallel engine —
-	// never changes which routers are stepped. The resulting effective
-	// occupancy, start-of-cycle phits minus this cycle's pops, is
-	// identical in both engines.
+	// push has already landed — which depends on sweep order — never
+	// changes which routers are stepped. The resulting effective
+	// occupancy is start-of-cycle phits minus this cycle's pops.
 	pushStamp int64
 	pushedNew int32
 }
 
-// push appends p to input q at priority v. The caller accounts occ
-// (notePush during a cycle, directly at commit).
-func (r *router) push(v, q int, p phitRef) {
+// push appends p to input q at priority v during cycle cyc. The phit
+// cannot move until the next cycle, so the skip check must not count
+// it (effOcc).
+func (r *router) push(v, q int, p phitRef, cyc int64) {
 	r.in[v][q].push(p)
 	r.busy[v] |= 1 << q
+	if r.pushStamp != cyc {
+		r.pushStamp, r.pushedNew = cyc, 0
+	}
+	r.pushedNew++
+	r.occ++
 }
 
 // pop removes the head phit of input q at priority v during cycle cyc.
@@ -111,16 +107,6 @@ func (r *router) pop(v, q int, cyc int64) phitRef {
 	}
 	r.occ--
 	return p
-}
-
-// notePush records a phit entering the router this cycle (it cannot
-// move until the next one, so the skip check must not count it).
-func (r *router) notePush(cyc int64) {
-	if r.pushStamp != cyc {
-		r.pushStamp, r.pushedNew = cyc, 0
-	}
-	r.pushedNew++
-	r.occ++
 }
 
 // effOcc returns the router's phit occupancy excluding phits that

@@ -58,10 +58,10 @@ type flowEvent struct {
 // events are staged by the digest-exempt mdp.Node.Watch tap into a slot
 // owned by that node's stepping goroutine (exactly one writer per cycle
 // under both engines); network flows arrive via the deliver/drop hooks,
-// which the sharded engine replays single-threaded in sequential sweep
-// order at commit. The cycle hook then drains everything on the
-// coordinating goroutine at the start of the next cycle, in an order —
-// samples, then ascending node id, then flow replay order — that
+// which fire from the network phase on the coordinator in router order.
+// The cycle hook then drains everything on the coordinating goroutine
+// at the start of the next cycle, in an order — samples, then ascending
+// node id, then flows in firing order — that
 // depends only on the simulation, not on the shard count. The exported
 // timeline is therefore byte-identical across engines and shard counts,
 // and machine.StateDigest() is byte-identical with the recorder on or

@@ -4,8 +4,8 @@
 //
 // The design constraint that shapes everything here is determinism:
 // attaching an observer must leave machine.StateDigest() byte-identical
-// to an unobserved run, under both the sequential loop and the sharded
-// engine at any shard count. The recorder therefore only *reads*
+// to an unobserved run, under both the sequential loop and the engine
+// at any shard count. The recorder therefore only *reads*
 // machine state, stages per-node events behind the digest-exempt
 // mdp.Node.Watch tap, and drains everything on the coordinating
 // goroutine between cycles (see obs.go).

@@ -81,12 +81,11 @@ type relNode struct {
 // and a message still unacknowledged after MaxRetries fails its sender
 // node with a diagnosable error instead of retrying forever.
 //
-// Concurrency contract under the parallel engine: onInject runs in the
-// node phase and touches only the injecting node's relNode; onDeliver,
-// onDrop, and retransmission run on the coordinator (commit phase and
-// cycle hooks); filterDup runs in the network phase but only reads
-// seen, which is written exclusively at commit; svcDack runs in the
-// node phase on the owning node's relNode. Stats are atomic.
+// Concurrency contract under the engine: onInject runs in the node
+// phase and touches only the injecting node's relNode; onDeliver,
+// onDrop, filterDup and retransmission run on the coordinator (network
+// phase and cycle hooks); svcDack runs in the node phase on the owning
+// node's relNode. Stats are atomic.
 type Reliable struct {
 	rt    *Runtime
 	cfg   ReliableConfig

@@ -515,6 +515,59 @@ func TestBrokenDirectoriesAreSkipped(t *testing.T) {
 	}
 }
 
+// TestSpecWithShardsRestores restores a session directory whose
+// spec.json carries "shards": 4, as specs were written while a session
+// could step on the parallel engine. The field is ignored: the session
+// comes back at the digest serve.Replay gives for its requests.
+func TestSpecWithShardsRestores(t *testing.T) {
+	root := t.TempDir()
+	g, err := NewManager(root, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	created, err := g.Create(kvSpec(8, 32, 4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	reqs := batches(GenOps(5, 32, 4*6), 4)
+	for _, req := range reqs {
+		if err := serveReq(t, g, created.ID, req); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := g.Shutdown(); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(root, created.ID, "spec.json")
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var fields map[string]any
+	if err := json.Unmarshal(data, &fields); err != nil {
+		t.Fatal(err)
+	}
+	fields["shards"] = 4
+	if data, err = json.Marshal(fields); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, data, 0o666); err != nil {
+		t.Fatal(err)
+	}
+	g2, err := NewManager(root, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer g2.Shutdown()
+	got, err := digestOf(t, g2, created.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := replayDigest(t, created.Spec, reqs); got != want {
+		t.Errorf("restored digest %016x, Replay gives %016x", got, want)
+	}
+}
+
 func TestOpKindJSON(t *testing.T) {
 	ops := []KVOp{{Op: OpPut, Key: 2, Value: 7}, {Op: OpGet, Key: 3}}
 	data, err := json.Marshal(ops)

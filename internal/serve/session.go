@@ -32,7 +32,7 @@ type Session struct {
 	mu       sync.Mutex
 	resident bool
 	m        *machine.Machine
-	run      *sim.Run // engine shards
+	run      *sim.Run
 	rec      *obs.Recorder
 	obsBufs  []*bufio.Writer
 	obsFiles []*os.File
@@ -164,7 +164,7 @@ func (s *Session) start(resume bool) error {
 	// directory's obs sinks stay outside it (the timeline and metrics
 	// endpoints need the recorder handle to sync mid-run), and so does
 	// its checkpoint: a periodic writer would save half a request.
-	cfg := sim.Config{Shards: spec.Shards, Reference: spec.Reference}
+	cfg := sim.Config{Reference: spec.Reference}
 	var err error
 	if s.run, err = cfg.Attach(s.m); err == nil && s.dir != "" {
 		op, durable := "create", s.create

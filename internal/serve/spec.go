@@ -1,7 +1,7 @@
 // Package serve hosts many independent simulated J-Machines behind an
 // HTTP/JSON API — the multi-tenant serving experiment of ROADMAP item
-// 3. Each session is one machine with its own engine shards, runtime,
-// and observability sinks; sessions persist as a checkpoint
+// 3. Each session is one machine with its own runtime and
+// observability sinks; sessions persist as a checkpoint
 // (internal/ckpt) plus a journal of the requests served since it: every
 // request is journalled and synced before its reply, so LRU eviction
 // under memory pressure, shutdown and kill -9 all leave a directory the
@@ -11,9 +11,8 @@
 // concurrent (one HTTP request per goroutine), but every machine is
 // owned by exactly one session and every session op runs under that
 // session's mutex, between machine cycles, on whichever goroutine
-// holds it. The simulation core itself never sees concurrency beyond
-// what internal/engine already proves deterministic, so a session's
-// final StateDigest depends only on its own request stream — never on
+// holds it. The simulation core itself never sees concurrency, so a
+// session's final StateDigest depends only on its own request stream — never on
 // how many neighbours it shares the daemon with (the equivalence tests
 // pin this).
 package serve
@@ -29,15 +28,14 @@ import (
 // load into it, and which observability layers to attach.
 // It is written to the session directory verbatim and is everything
 // needed to rebuild the machine after an eviction or a daemon crash.
+// Decoding ignores fields it does not know, so a spec.json written with
+// a field since removed (an engine shard count, say) still restores.
 type Spec struct {
 	// Workload is "kv" (the distributed key-value/RPC service built on
 	// the cst object runtime) or "jlang" (a compiled jlang program).
 	Workload string `json:"workload"`
 	// Nodes is the machine size (kv requires a power of two).
 	Nodes int `json:"nodes"`
-	// Shards > 1 steps the machine with the parallel engine; results
-	// are byte-identical either way.
-	Shards int `json:"shards,omitempty"`
 	// Reference disables the event-horizon fast path.
 	Reference bool `json:"reference,omitempty"`
 	// Watchdog is the progress-watchdog window in cycles (0 = off).

@@ -1,6 +1,6 @@
 // Package sim holds the one description of how a simulated machine is
-// run — which stepping mode, handler tier, shard count, observability
-// sinks and checkpoint file — and the one place that applies it.
+// run — which stepping mode, handler tier, observability sinks and
+// checkpoint file — and the one place that applies it.
 // Experiments (internal/bench), serve sessions and every cmd/jm-*
 // binary hold a Config and call Attach; none of them wires a layer by
 // hand, so a knob set on the command line cannot be dropped on the way
@@ -8,30 +8,24 @@
 package sim
 
 import (
-	"errors"
 	"flag"
 	"fmt"
 
 	"jmachine/internal/ckpt"
 	"jmachine/internal/compiled"
-	"jmachine/internal/engine"
 	"jmachine/internal/machine"
 	"jmachine/internal/obs"
 	"jmachine/internal/rt"
 )
 
 // Config describes one run. The zero value is the default everywhere:
-// event-horizon fast path, interpreted handlers, sequential stepping,
-// no observability, no checkpoints. Every field is digest-neutral —
+// event-horizon fast path, interpreted handlers, no observability, no
+// checkpoints. Every field is digest-neutral —
 // StateDigest, cycle counts and obs trace bytes are identical across
 // all settings (sim_test.go holds the table that proves it).
 type Config struct {
-	// Shards > 1 steps the machine with the parallel engine on that
-	// many goroutines (clamped to the node count); 0 or 1 is the
-	// sequential loop.
-	Shards int
 	// Reference selects the oracle: the literal every-node-every-cycle
-	// loop and, when sharded, a worker rendezvous on every cycle.
+	// loop.
 	Reference bool
 	// Compiled installs the compiled handler tier (docs/COMPILED.md).
 	Compiled bool
@@ -43,17 +37,14 @@ type Config struct {
 	Ckpt ckpt.Flags
 }
 
-// Register declares the run-configuration flags on fs: -shards,
-// -reference, -compiled, -ckpt, -ckpt-every, -resume. A command that
+// Register declares the run-configuration flags on fs: -reference, -compiled, -ckpt, -ckpt-every, -resume. A command that
 // cannot honour one of them (jm-tables steps many machines per
 // experiment; jm-load has no checkpoint file of its own) names it in
 // omit, so no binary accepts a flag it would ignore.
 func (c *Config) Register(fs *flag.FlagSet, omit ...string) {
 	all := flag.NewFlagSet("", flag.ContinueOnError)
-	all.IntVar(&c.Shards, "shards", 1,
-		"parallel-engine shards per machine (0 or 1 = sequential; results are byte-identical)")
 	all.BoolVar(&c.Reference, "reference", false,
-		"run the oracle: every-node-every-cycle loop, per-cycle shard rendezvous (results are byte-identical)")
+		"run the oracle: every-node-every-cycle loop (results are byte-identical)")
 	all.BoolVar(&c.Compiled, "compiled", false,
 		"execute handlers through the compiled tier (results are byte-identical)")
 	c.Ckpt.Register(all)
@@ -69,17 +60,11 @@ func (c *Config) Register(fs *flag.FlagSet, omit ...string) {
 
 // Validate reports the configuration errors shared by every command.
 func (c Config) Validate() error {
-	if c.Shards < 0 {
-		return errors.New("-shards must not be negative")
-	}
 	return c.Ckpt.Validate()
 }
 
 // Run is the handle of an attached configuration.
 type Run struct {
-	// Engine is the parallel engine, nil when sequential. Its
-	// Rendezvous and Stop methods are nil-safe.
-	Engine *engine.Engine
 	// Layers is the checkpoint stack (WriteNow forces a checkpoint).
 	Layers *ckpt.Layers
 
@@ -88,18 +73,15 @@ type Run struct {
 }
 
 // attachHook, when non-nil, sees every machine Attach configures, once
-// its layers are on and before the engine is. It is a variable only so
+// its layers are on. It is a variable only so
 // export_test.go can check machine invariants inside runs the
 // equivalence table reaches through other packages.
 var attachHook func(*machine.Machine)
 
 // Attach applies c to m in the canonical order: stepping mode, compiled
 // tier, checkpoint layers (savers in attachment order, after every
-// layer that owns state is on the machine), observability, and the
-// engine last — it replaces the machine's stepper, so everything that
-// registers cycle hooks or changes what a step does must already be in
-// place. The caller must Stop the returned run once the run loops have
-// returned.
+// layer that owns state is on the machine), then observability. The
+// caller must Stop the returned run once the run loops have returned.
 func (c Config) Attach(m *machine.Machine, savers ...ckpt.Saver) (*Run, error) {
 	if c.Reference {
 		m.SetFastPath(false)
@@ -115,9 +97,6 @@ func (c Config) Attach(m *machine.Machine, savers ...ckpt.Saver) (*Run, error) {
 	if attachHook != nil {
 		attachHook(m)
 	}
-	if c.Shards > 1 {
-		r.Engine = engine.Attach(m, c.Shards)
-	}
 	return r, nil
 }
 
@@ -131,15 +110,10 @@ func (r *Run) PreRun() error {
 	return r.Layers.PreRun()
 }
 
-// Stop releases the engine workers first (restoring the sequential
-// stepper), then drains and closes the observability sinks, returning
-// their first write error. Idempotent and nil-safe.
+// Stop drains and closes the observability sinks, returning their
+// first write error. Idempotent and nil-safe.
 func (r *Run) Stop() error {
-	if r == nil {
-		return nil
-	}
-	r.Engine.Stop()
-	if r.stopObs == nil {
+	if r == nil || r.stopObs == nil {
 		return nil
 	}
 	err := r.stopObs()

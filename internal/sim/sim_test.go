@@ -96,10 +96,6 @@ func TestConfigEquivalence(t *testing.T) {
 			deltas := []delta{
 				{"reference", sim.Config{Reference: true}, 0},
 				{"compiled", sim.Config{Compiled: true}, 0},
-				{"shards-2", sim.Config{Shards: 2}, 0},
-				{"shards-4", sim.Config{Shards: 4}, 0},
-				{"shards-7", sim.Config{Shards: 7}, 0},
-				{"reference+shards-4", sim.Config{Reference: true, Shards: 4}, 0},
 				{"obs", sim.Config{Obs: &obs.Options{
 					PerfettoPath: filepath.Join(dir, "trace.json"),
 					MetricsPath:  filepath.Join(dir, "metrics.jsonl"),
@@ -138,15 +134,15 @@ func TestRegister(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want := (sim.Config{Shards: 1, Ckpt: ckpt.Flags{Every: ckpt.DefaultEvery}}); sc != want {
+	if want := (sim.Config{Ckpt: ckpt.Flags{Every: ckpt.DefaultEvery}}); sc != want {
 		t.Errorf("defaults = %+v, want %+v", sc, want)
 	}
-	sc, err = parse(t, nil, "-shards", "4", "-reference", "-compiled",
+	sc, err = parse(t, nil, "-reference", "-compiled",
 		"-ckpt", "x.ckpt", "-ckpt-every", "128", "-resume")
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := sim.Config{Shards: 4, Reference: true, Compiled: true,
+	want := sim.Config{Reference: true, Compiled: true,
 		Ckpt: ckpt.Flags{Path: "x.ckpt", Every: 128, Resume: true}}
 	if sc != want {
 		t.Errorf("parsed = %+v, want %+v", sc, want)
@@ -159,6 +155,9 @@ func TestRegister(t *testing.T) {
 	if _, err := parse(t, []string{"compiled"}, "-reference"); err != nil {
 		t.Errorf("-reference rejected although only -compiled was omitted: %v", err)
 	}
+	if _, err := parse(t, nil, "-shards", "2"); err == nil {
+		t.Error("-shards parsed; the engine is not a run-configuration knob")
+	}
 }
 
 func TestValidate(t *testing.T) {
@@ -168,7 +167,6 @@ func TestValidate(t *testing.T) {
 		ok   bool
 	}{
 		{"zero", sim.Config{}, true},
-		{"negative shards", sim.Config{Shards: -1}, false},
 		{"resume without ckpt", sim.Config{Ckpt: ckpt.Flags{Resume: true}}, false},
 		{"resume with ckpt", sim.Config{Ckpt: ckpt.Flags{Path: "x", Resume: true}}, true},
 	} {
@@ -184,7 +182,7 @@ func TestStopIdempotentNilSafe(t *testing.T) {
 		t.Errorf("nil Stop: %v", err)
 	}
 	// A Hooks run whose Setup never ran (the app failed first).
-	unset, _, _ := sim.Config{Shards: 4}.Hooks(nil)
+	unset, _, _ := sim.Config{}.Hooks(nil)
 	if err := unset.Stop(); err != nil {
 		t.Errorf("unset Stop: %v", err)
 	}
@@ -193,17 +191,15 @@ func TestStopIdempotentNilSafe(t *testing.T) {
 	rt.BuildLib(b)
 	p := b.MustAssemble()
 	m := machine.MustNew(machine.GridForNodes(8), p)
-	r, err := sim.Config{Shards: 4}.Attach(m, rt.Attach(m, rt.Info(p), rt.DefaultPolicy()))
+	o := &obs.Options{MetricsPath: filepath.Join(t.TempDir(), "m.jsonl")}
+	r, err := sim.Config{Obs: o}.Attach(m, rt.Attach(m, rt.Info(p), rt.DefaultPolicy()))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r.Engine == nil {
-		t.Fatal("Shards: 4 attached no engine")
-	}
+	m.StepN(3)
 	for i := 0; i < 2; i++ {
 		if err := r.Stop(); err != nil {
 			t.Errorf("Stop #%d: %v", i+1, err)
 		}
 	}
-	m.StepN(3) // the sequential stepper is back
 }

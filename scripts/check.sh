@@ -22,21 +22,22 @@ go build -o /tmp/jm-jc-check ./cmd/jm-jc
 /tmp/jm-jc-check -check examples/jlang/dotprod.j
 
 echo "== engine equivalence under the race detector"
-# The parallel engine's determinism contract, gated explicitly: every
-# workload digest-equal to the sequential loop — including the observed
+# The engine's determinism contract, gated explicitly: every workload
+# digest-equal to the sequential loop — including the observed
 # variants, whose recorder must leave the digest untouched, and the
 # fast-path sweep (TestFastPathEquiv*: ping, barrier, and the four
 # applications under {reference, event-horizon} x shards {1,2,4,7}) —
-# with the race detector checking the shard rendezvous protocol and
-# the recorder's staging path.
+# with the race detector checking the node-phase slabs (the active-set
+# words, park count and outbox counter they share) and the recorder's
+# staging path.
 go test -race -count=1 ./internal/engine/
 
 echo "== network properties under the race detector, and a fuzz run"
 # The mesh's property test (random traffic x mesh shapes x arbitration
-# x delivery regimes; conservation, order, no duplication, drain) steps
-# its sharded runs on real goroutines that inject in parallel, so the
-# race detector sees the active-router bitmap's shared words the way
-# the engine drives them. -short keeps a third of the table, three
+# x delivery regimes; conservation, order, no duplication, drain)
+# injects from k node slabs on real goroutines, so the race detector
+# sees the active-router bitmap's shared words the way the engine's node
+# phase drives them. -short keeps a third of the table, three
 # times over; the full table runs race-free in the coverage pass.
 # FuzzNetwork is the same generator under the fuzzer, time-boxed.
 go test -race -short -count=3 -run 'TestNetworkProperties' ./internal/network/
@@ -57,10 +58,10 @@ go test -run '^$' -fuzz '^FuzzCertifier$' -fuzztime 10s ./internal/compiled/
 go test -run '^$' -fuzz '^FuzzCompiledVsInterpreter$' -fuzztime 10s ./internal/compiled/
 
 echo "== go test -race"
-# The broad race pass runs -short: the slowest sweeps (every-cycle
-# observability sampling, cross-shard table reruns) run at full depth
-# race-free in the coverage pass below, and the engine package already
-# ran complete under race above.
+# The broad race pass runs -short (internal/compiled's engine rows
+# included): the slowest sweeps (every-cycle observability sampling)
+# run at full depth race-free in the coverage pass below, and the
+# engine package already ran complete under race above.
 go test -race -short ./...
 
 echo "== go test -cover"
@@ -101,13 +102,13 @@ echo "== run-configuration equivalence smoke"
 # Every run-configuration flag delta (internal/sim, docs/ENGINE.md "Run
 # configuration") at the CLI surface: the Table 4/5 text (thread
 # statistics off full application runs) and the six chaos workloads
-# must print byte-identical results under the oracle, the compiled
-# tier, and sharding, alone and combined, as the default run produced.
+# must print byte-identical results under the oracle and the compiled
+# tier as the default run produced.
 # The package suites prove the same per cycle; this proves the shipped
 # binaries agree end to end.
 go build -o /tmp/jm-tables-check ./cmd/jm-tables
 /tmp/jm-tables-check -quick -exp tab4,tab5 > /tmp/jm-tables-check.out
-for delta in -reference -compiled '-shards 4' '-reference -shards 4' '-compiled -shards 4'; do
+for delta in -reference -compiled; do
     /tmp/jm-tables-check -quick -exp tab4,tab5 $delta | cmp - /tmp/jm-tables-check.out
     /tmp/jm-chaos-check $SMOKE $delta | cmp - /tmp/jm-chaos-check-1.out
 done
@@ -133,12 +134,11 @@ echo "== serve smoke"
 sh scripts/serve_smoke.sh
 
 echo "== trace smoke"
-# The observability CLI must produce a loadable timeline that is
-# byte-identical sequential and sharded.
+# The observability CLI must produce the same timeline on every run.
 go build -o /tmp/jm-trace-check ./cmd/jm-trace
-/tmp/jm-trace-check -perfetto /tmp/jm-trace-1.json -shards 1 > /dev/null
-/tmp/jm-trace-check -perfetto /tmp/jm-trace-4.json -shards 4 > /dev/null
-cmp /tmp/jm-trace-1.json /tmp/jm-trace-4.json
-echo "trace smoke: timeline byte-identical across shard counts"
+/tmp/jm-trace-check -perfetto /tmp/jm-trace-1.json > /dev/null
+/tmp/jm-trace-check -perfetto /tmp/jm-trace-2.json > /dev/null
+cmp /tmp/jm-trace-1.json /tmp/jm-trace-2.json
+echo "trace smoke: timeline byte-identical across runs"
 
 echo "== OK"
