@@ -246,15 +246,16 @@ func TestRendezvousPerSteppedCycle(t *testing.T) {
 // at 16,384: at 4 shards and then sequentially, to the same digest and
 // the same stepped-cycle count, with the simulated-memory image per
 // node and the host heap per node pinned. One machine is alive at a
-// time: a 16K-node machine is about 290 MiB of heap, which the race
+// time: a 16K-node machine is about 86 MiB of heap, which the race
 // pass (-short) would multiply.
 func TestLargeMeshRing(t *testing.T) {
 	const (
 		shards, tokens, cycles = 4, 4, 1500
 		// memImage is the page table plus materialized pages per node,
-		// fully deterministic.
-		memImage = 8736
-		maxHeap  = 20 << 10
+		// fully deterministic: a 16-entry table over internal memory
+		// (8 B an entry) and the one 2 KiB page the ring's words sit in.
+		memImage = 2176
+		maxHeap  = 8 << 10
 	)
 	sizes := []int{4096, 16384}
 	if testing.Short() {

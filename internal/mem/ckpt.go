@@ -8,17 +8,25 @@ import (
 )
 
 // runEnd returns the first address after at whose word differs from v,
-// fast-forwarding across whole unmaterialized pages when v is zero so
-// the encoder stays O(materialized words) on sparse images.
+// fast-forwarding across whole unmaterialized pages when v is zero (and
+// straight to the end past the page table) so the encoder stays
+// O(materialized words) on sparse images.
 func (m *Memory) runEnd(at int, v word.Word) int {
 	j := at + 1
 	for j < m.size {
-		pg := m.pages[j>>pageShift]
+		pi := j >> pageShift
+		if pi >= len(m.pages) {
+			if v != 0 {
+				return j
+			}
+			return m.size
+		}
+		pg := m.pages[pi]
 		if pg == nil {
 			if v != 0 {
 				return j
 			}
-			j = (j>>pageShift + 1) << pageShift
+			j = (pi + 1) << pageShift
 			continue
 		}
 		if pg[j&pageMask] != v {
@@ -49,9 +57,10 @@ func (m *Memory) SaveState(e *wire.Encoder) {
 	}
 }
 
-// RestoreState rebuilds the memory image from the checkpoint, dropping
-// every materialized page first so zero runs restore to lazy pages. The
-// configured geometry must match the checkpoint exactly.
+// RestoreState rebuilds the memory image from the checkpoint over a
+// fresh page table that covers internal memory only, so zero runs
+// restore to lazy pages. The configured geometry must match the
+// checkpoint exactly.
 func (m *Memory) RestoreState(d *wire.Decoder) error {
 	if n := d.Int(); n != m.size {
 		return fmt.Errorf("mem: checkpoint size %d words != configured %d", n, m.size)
@@ -59,9 +68,7 @@ func (m *Memory) RestoreState(d *wire.Decoder) error {
 	if iw := d.Int(); iw != m.imemWords {
 		return fmt.Errorf("mem: checkpoint imem %d words != configured %d", iw, m.imemWords)
 	}
-	for i := range m.pages {
-		m.pages[i] = nil
-	}
+	m.pages = make([]*page, pagesFor(m.imemWords))
 	at := 0
 	for at < m.size {
 		run := int(d.U32())

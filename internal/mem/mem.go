@@ -15,8 +15,10 @@
 //
 // The backing store is paged and lazily materialized: a nil page reads as
 // integer zero, and pages are only allocated on the first non-zero write.
-// Programs execute from the assembled image held machine-wide, so a node
-// that only touches a few hundred data words costs a few pages rather
+// The page table itself starts over internal memory alone and is extended
+// over external memory on the first non-zero write there. Programs execute
+// from the assembled image held machine-wide, so a node that only touches
+// a few hundred data words costs a page or two and a 16-entry table rather
 // than the full 70K-word image — the difference between a 16K-node mesh
 // fitting in memory or not.
 package mem
@@ -36,10 +38,11 @@ const (
 	DefaultEmemWords = 65536
 )
 
-// Page geometry. 1K words (8 KiB) per page keeps the page table at 68
-// pointers for the default 70K-word node while amortizing allocation.
+// Page geometry. 256 words (2 KiB) per page: the words rt.Attach and a
+// boot write sit in one page, the default SRAM needs a 16-entry table,
+// and a node that writes DRAM extends it to 272 entries.
 const (
-	pageShift = 10
+	pageShift = 8
 	pageWords = 1 << pageShift
 	pageMask  = pageWords - 1
 )
@@ -64,10 +67,16 @@ func (c Config) withDefaults() Config {
 // outside a segment descriptor's extent.
 var ErrBounds = errors.New("mem: address out of bounds")
 
+// page is one materialized page of the backing store.
+type page = [pageWords]word.Word
+
 // Memory is one node's storage.
 type Memory struct {
-	pages     [][]word.Word // fixed page table; a nil page reads as word.Int(0)
-	size      int           // addressable words
+	// pages is the page table: it covers internal memory from New and
+	// the whole address space once a non-zero word is written past it.
+	// A nil page, or one past the table, reads as word.Int(0).
+	pages     []*page
+	size      int // addressable words
 	imemWords int
 }
 
@@ -75,13 +84,15 @@ type Memory struct {
 // is materialized until written.
 func New(cfg Config) *Memory {
 	cfg = cfg.withDefaults()
-	size := cfg.ImemWords + cfg.EmemWords
 	return &Memory{
-		pages:     make([][]word.Word, (size+pageWords-1)/pageWords),
-		size:      size,
+		pages:     make([]*page, pagesFor(cfg.ImemWords)),
+		size:      cfg.ImemWords + cfg.EmemWords,
 		imemWords: cfg.ImemWords,
 	}
 }
+
+// pagesFor returns the number of pages that cover words words.
+func pagesFor(words int) int { return (words + pageWords - 1) / pageWords }
 
 // Size returns the total number of addressable words.
 func (m *Memory) Size() int { return m.size }
@@ -101,11 +112,7 @@ func (m *Memory) Read(addr int32) (word.Word, error) {
 	if addr < 0 || int(addr) >= m.size {
 		return 0, ErrBounds
 	}
-	pg := m.pages[addr>>pageShift]
-	if pg == nil {
-		return 0, nil
-	}
-	return pg[addr&pageMask], nil
+	return m.get(int(addr)), nil
 }
 
 // Write stores w at addr, replacing both data and tag. Writing integer
@@ -119,26 +126,37 @@ func (m *Memory) Write(addr int32, w word.Word) error {
 }
 
 // set stores w at a bounds-checked word index, materializing the page
-// only for non-zero words.
+// (and extending the page table over the whole address space) only for
+// non-zero words.
 func (m *Memory) set(addr int, w word.Word) {
-	pg := m.pages[addr>>pageShift]
+	pi := addr >> pageShift
+	if pi >= len(m.pages) {
+		if w == 0 {
+			return
+		}
+		pages := make([]*page, pagesFor(m.size))
+		copy(pages, m.pages)
+		m.pages = pages
+	}
+	pg := m.pages[pi]
 	if pg == nil {
 		if w == 0 {
 			return
 		}
-		pg = make([]word.Word, pageWords)
-		m.pages[addr>>pageShift] = pg
+		pg = new(page)
+		m.pages[pi] = pg
 	}
 	pg[addr&pageMask] = w
 }
 
 // get returns the word at a bounds-checked word index.
 func (m *Memory) get(addr int) word.Word {
-	pg := m.pages[addr>>pageShift]
-	if pg == nil {
-		return 0
+	if pi := addr >> pageShift; pi < len(m.pages) {
+		if pg := m.pages[pi]; pg != nil {
+			return pg[addr&pageMask]
+		}
 	}
-	return pg[addr&pageMask]
+	return 0
 }
 
 // Load copies ws into memory starting at addr (host/loader operation,
@@ -164,17 +182,23 @@ func (m *Memory) FillCfut(addr int32, n int) error {
 	return nil
 }
 
-// HeapBytes estimates the heap footprint of this memory's backing store:
-// the page table plus every materialized page. The large-mesh tests pin
-// it per node.
-func (m *Memory) HeapBytes() int64 {
-	b := int64(len(m.pages)) * 8
+// Footprint reports the backing store's allocation: the page table's
+// entries and the pages materialized under it.
+func (m *Memory) Footprint() (tableEntries, pages int) {
 	for _, pg := range m.pages {
 		if pg != nil {
-			b += pageWords * 8
+			pages++
 		}
 	}
-	return b
+	return len(m.pages), pages
+}
+
+// HeapBytes is the heap the backing store holds: one pointer per page
+// table entry plus every materialized page. The large-mesh tests pin it
+// per node.
+func (m *Memory) HeapBytes() int64 {
+	entries, pages := m.Footprint()
+	return int64(entries)*8 + int64(pages)*pageWords*8
 }
 
 // Segment descriptors.

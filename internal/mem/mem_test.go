@@ -1,10 +1,12 @@
 package mem
 
 import (
+	"bytes"
 	"errors"
 	"testing"
 	"testing/quick"
 
+	"jmachine/internal/ckpt/wire"
 	"jmachine/internal/word"
 )
 
@@ -109,5 +111,76 @@ func TestSegProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestPageTableGrowsOnFirstExternalWrite pins the lazy geometry: the
+// page table covers internal memory until a non-zero word is written
+// past it, a zero write changes nothing, and neither the digest nor
+// the checkpoint bytes depend on how far the table reaches; a restore
+// starts over from the internal-memory table.
+func TestPageTableGrowsOnFirstExternalWrite(t *testing.T) {
+	const imemPages, allPages = DefaultImemWords / pageWords, (DefaultImemWords + DefaultEmemWords) / pageWords
+	check := func(what string, m *Memory, entries, pages int) {
+		t.Helper()
+		e, p := m.Footprint()
+		if e != entries || p != pages {
+			t.Errorf("%s: %d table entries, %d pages; want %d, %d", what, e, p, entries, pages)
+		}
+		if want := int64(entries*8 + pages*pageWords*8); m.HeapBytes() != want {
+			t.Errorf("%s: HeapBytes %d, want %d", what, m.HeapBytes(), want)
+		}
+	}
+	encode := func(m *Memory) []byte {
+		e := &wire.Encoder{}
+		m.SaveState(e)
+		return e.Bytes()
+	}
+	m := New(Config{})
+	check("new", m, imemPages, 0)
+	ext := int32(DefaultImemWords + 3*pageWords + 5)
+	if err := m.Write(ext, 0); err != nil {
+		t.Fatal(err)
+	}
+	check("zero write to external memory", m, imemPages, 0)
+	if w, err := m.Read(ext); err != nil || w != 0 {
+		t.Fatalf("read past the table = %v, %v", w, err)
+	}
+	if err := m.Write(70, word.Int(1)); err != nil {
+		t.Fatal(err)
+	}
+	check("internal write", m, imemPages, 1)
+	short, shortDigest := encode(m), m.StateDigest(1)
+
+	if err := m.Write(ext, word.Int(2)); err != nil {
+		t.Fatal(err)
+	}
+	check("external write", m, allPages, 2)
+	if w, _ := m.Read(ext); w != word.Int(2) {
+		t.Fatalf("external word = %v", w)
+	}
+	grown := encode(m)
+	r := New(Config{})
+	if err := r.RestoreState(wire.NewDecoder(grown)); err != nil {
+		t.Fatal(err)
+	}
+	check("restored grown image", r, allPages, 2)
+	if r.StateDigest(1) != m.StateDigest(1) || !bytes.Equal(encode(r), grown) {
+		t.Error("the grown image did not restore to itself")
+	}
+
+	// Zeroing the external word keeps its page and the grown table, but
+	// the image digests and encodes as it did before the table grew,
+	// and restores onto the internal-memory table alone.
+	m.Write(ext, 0)
+	if m.StateDigest(1) != shortDigest || !bytes.Equal(encode(m), short) {
+		t.Error("a grown table holding a zero page differs from the short table")
+	}
+	if err := r.RestoreState(wire.NewDecoder(encode(m))); err != nil {
+		t.Fatal(err)
+	}
+	check("restored short image", r, imemPages, 1)
+	if r.StateDigest(1) != shortDigest {
+		t.Error("the short image restored to a different digest")
 	}
 }

@@ -23,15 +23,17 @@ func (q *Queue) SaveState(e *wire.Encoder) {
 	e.U64(q.delivered)
 	e.U64(q.rejected)
 	for i := 0; i < q.used; i++ {
-		e.U64(uint64(q.buf[(q.head+i)%q.capWords]))
+		e.U64(uint64(q.buf[(q.head+i)&(len(q.buf)-1)]))
 	}
 }
 
 // RestoreState rebuilds the queue from a checkpoint. The buffered
-// words land at ring offset zero: the digest and all queue operations
-// address contents logically from head, so the physical rotation is
-// unobservable. The backing array is written in place (the network and
-// the node share this queue by pointer).
+// words land at offset zero of a fresh ring sized to hold them (the
+// shortest power of two of at least minRing words): the digest and all
+// queue operations address contents logically from head, so neither the
+// physical rotation nor the ring's length is observable. The Queue
+// itself is updated in place, since the network and the node share it
+// by pointer.
 func (q *Queue) RestoreState(d *wire.Decoder) error {
 	if hc := d.Int(); hc != q.capWords {
 		return fmt.Errorf("queue: checkpoint capacity %d != configured %d", hc, q.capWords)
@@ -49,17 +51,15 @@ func (q *Queue) RestoreState(d *wire.Decoder) error {
 	q.rejected = d.U64()
 	q.head = 0
 	q.used = used
-	if used == 0 {
-		q.buf = nil // restore an idle queue to its lazy state
-	} else {
-		if q.buf == nil {
-			q.buf = make([]word.Word, q.capWords)
+	q.buf = nil // restore an idle queue to its lazy state
+	if used > 0 {
+		n := minRing
+		for n < used {
+			n *= 2
 		}
-		for i := 0; i < used; i++ {
+		q.buf = make([]word.Word, n)
+		for i := range used {
 			q.buf[i] = word.Word(d.U64())
-		}
-		for i := used; i < q.capWords; i++ {
-			q.buf[i] = 0
 		}
 	}
 	if q.msgs < 0 || q.arriving < 0 || q.expecting < 0 || q.maxUsed < 0 {

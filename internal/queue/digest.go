@@ -16,7 +16,7 @@ func (q *Queue) StateDigest(h uint64) uint64 {
 	h = mix(h, uint64(q.arriving)|uint64(q.expecting)<<32)
 	h = mix(h, uint64(q.limit))
 	for i := 0; i < q.used; i++ {
-		h = mix(h, uint64(q.buf[(q.head+i)%q.capWords]))
+		h = mix(h, uint64(q.buf[(q.head+i)&(len(q.buf)-1)]))
 	}
 	h = mix(h, uint64(q.maxUsed))
 	h = mix(h, q.delivered)

@@ -20,14 +20,20 @@ import "jmachine/internal/word"
 // configuration: 128 four-word messages).
 const DefaultCapWords = 512
 
+// minRing is the ring's length in words when it is first allocated.
+const minRing = 16
+
 // Queue is one hardware message queue.
 //
-// The backing ring is lazily allocated on the first word pushed (or on
-// restore of a non-empty checkpoint): on large meshes most nodes never
-// receive a message on one of the two priorities, and the unallocated
-// ring costs nothing.
+// The backing ring holds what the queue has buffered, not what it could
+// buffer: it is allocated at minRing words on the first word pushed and
+// doubles whenever a push finds it full, so it is always a power of two
+// and indexed by mask. On large meshes most nodes never receive a
+// message on one of the two priorities, and most that do never buffer
+// more than a few short messages. Capacity, squeeze and back-pressure
+// are set by capWords and limit alone; the ring never constrains them.
 type Queue struct {
-	buf      []word.Word // ring storage; nil until a word is buffered
+	buf      []word.Word // ring storage, a power of two long; nil until a word is buffered
 	capWords int         // hardware capacity in words
 	limit    int         // fault-injected capacity squeeze in words (0 = none)
 	head     int         // ring index of the head message's header
@@ -81,6 +87,10 @@ func (q *Queue) Free() int {
 	return 0
 }
 
+// RingWords returns the length of the backing ring in words: 0 until a
+// word is buffered, then a power of two that only grows.
+func (q *Queue) RingWords() int { return len(q.buf) }
+
 // Messages returns the number of complete messages buffered.
 func (q *Queue) Messages() int { return q.msgs }
 
@@ -105,10 +115,10 @@ func (q *Queue) Push(w word.Word) bool {
 		q.expecting = n
 		q.arriving = 0
 	}
-	if q.buf == nil {
-		q.buf = make([]word.Word, q.capWords)
+	if q.used == len(q.buf) {
+		q.grow()
 	}
-	q.buf[(q.head+q.used)%q.capWords] = w
+	q.buf[(q.head+q.used)&(len(q.buf)-1)] = w
 	q.used++
 	q.arriving++
 	if q.used > q.maxUsed {
@@ -121,6 +131,15 @@ func (q *Queue) Push(w word.Word) bool {
 		q.arriving = 0
 	}
 	return true
+}
+
+// grow replaces a full (or absent) ring with one twice as long, copying
+// the buffered words to its start.
+func (q *Queue) grow() {
+	buf := make([]word.Word, max(minRing, 2*len(q.buf)))
+	n := copy(buf, q.buf[q.head:])
+	copy(buf[n:], q.buf[:q.head])
+	q.buf, q.head = buf, 0
 }
 
 // HeadReady reports whether a complete message is available at the head.
@@ -137,7 +156,7 @@ func (q *Queue) WordAt(i int) word.Word {
 	if i < 0 || !q.HeadReady() || i >= q.HeadLen() {
 		return word.Int(0)
 	}
-	return q.buf[(q.head+i)%q.capWords]
+	return q.buf[(q.head+i)&(len(q.buf)-1)]
 }
 
 // Pop consumes the head message, freeing its words.
@@ -146,7 +165,7 @@ func (q *Queue) Pop() {
 		return
 	}
 	n := q.HeadLen()
-	q.head = (q.head + n) % q.capWords
+	q.head = (q.head + n) & (len(q.buf) - 1)
 	q.used -= n
 	q.msgs--
 }

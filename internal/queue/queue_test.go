@@ -1,9 +1,11 @@
 package queue
 
 import (
+	"math/bits"
 	"testing"
 	"testing/quick"
 
+	"jmachine/internal/ckpt/wire"
 	"jmachine/internal/word"
 )
 
@@ -219,5 +221,48 @@ func TestSqueezeSustainedBackpressureAccounting(t *testing.T) {
 	q.Pop()
 	if q.Used() != 0 || !q.Push(word.MsgHeader(3, 1)) {
 		t.Errorf("queue did not recover after drain: used=%d", q.Used())
+	}
+}
+
+// TestRingGrowsByDoubling pins the ring's geometry: nothing until the
+// first word, 16 words then, doubling only when a push finds it full,
+// never past the power of two the capacity needs, and a restore sized to
+// the words it restores.
+func TestRingGrowsByDoubling(t *testing.T) {
+	q := New(DefaultCapWords)
+	if q.RingWords() != 0 {
+		t.Fatalf("new queue holds a %d-word ring", q.RingWords())
+	}
+	for i := 0; i < DefaultCapWords/4; i++ {
+		if !pushMsg(q, int32(i), 1, 2, 3) {
+			t.Fatalf("message %d refused", i)
+		}
+		if want := max(minRing, 1<<bits.Len(uint(q.Used()-1))); q.RingWords() != want {
+			t.Fatalf("%d words buffered in a %d-word ring, want %d", q.Used(), q.RingWords(), want)
+		}
+	}
+	for i := 0; i < 100; i++ {
+		q.Pop()
+	}
+	pushMsg(q, 7, 1, 2, 3) // wraps around the full-size ring
+	e := &wire.Encoder{}
+	q.SaveState(e)
+	r := New(DefaultCapWords)
+	if err := r.RestoreState(wire.NewDecoder(e.Bytes())); err != nil {
+		t.Fatal(err)
+	}
+	if r.Used() != 116 || r.RingWords() != 128 || r.StateDigest(0) != q.StateDigest(0) {
+		t.Errorf("restored %d words into a %d-word ring (want 116 into 128)", r.Used(), r.RingWords())
+	}
+	for r.HeadReady() {
+		r.Pop()
+	}
+	e = &wire.Encoder{}
+	r.SaveState(e)
+	if err := q.RestoreState(wire.NewDecoder(e.Bytes())); err != nil {
+		t.Fatal(err)
+	}
+	if q.RingWords() != 0 {
+		t.Errorf("an empty queue restored to a %d-word ring", q.RingWords())
 	}
 }

@@ -9,19 +9,20 @@ func mix(h, v uint64) uint64 {
 
 // StateDigest folds the translation table's entries, LRU state, and
 // counters into a running 64-bit digest, for the engine equivalence
-// suite.
+// suite. An unallocated table folds the zeros of an allocated empty one.
 func (t *Table) StateDigest(h uint64) uint64 {
-	for i := range t.keys {
+	for i := range t.sets * t.ways {
+		key, val, valid := t.entry(i)
 		var v uint64
-		if t.valid[i] {
+		if valid {
 			v = 1
 		}
 		h = mix(h, v)
-		h = mix(h, uint64(t.keys[i]))
-		h = mix(h, uint64(t.vals[i]))
+		h = mix(h, uint64(key))
+		h = mix(h, uint64(val))
 	}
-	for _, w := range t.lru {
-		h = mix(h, uint64(w))
+	for s := range t.sets {
+		h = mix(h, uint64(t.lruOf(s)))
 	}
 	h = mix(h, t.hits)
 	h = mix(h, t.misses)

@@ -1,9 +1,11 @@
 package xlate
 
 import (
+	"bytes"
 	"testing"
 	"testing/quick"
 
+	"jmachine/internal/ckpt/wire"
 	"jmachine/internal/word"
 )
 
@@ -115,5 +117,53 @@ func TestMissRatio(t *testing.T) {
 	}
 	if (Stats{}).MissRatio() != 0 {
 		t.Error("empty MissRatio should be 0")
+	}
+}
+
+// TestUnallocatedTableIsAnEmptyTable pins what lazy allocation must not
+// change: a table nothing has ENTERed digests and serializes
+// byte-identically to an allocated empty one, counts lookups as misses,
+// and restores from either's bytes unallocated.
+func TestUnallocatedTableIsAnEmptyTable(t *testing.T) {
+	lazy, empty := New(0, 0), New(0, 0)
+	empty.alloc()
+	if lazy.Allocated() || !empty.Allocated() {
+		t.Fatal("allocation state wrong before any ENTER")
+	}
+	encode := func(tb *Table) []byte {
+		e := &wire.Encoder{}
+		tb.SaveState(e)
+		return e.Bytes()
+	}
+	if lazy.StateDigest(7) != empty.StateDigest(7) {
+		t.Error("unallocated and empty tables digest differently")
+	}
+	if !bytes.Equal(encode(lazy), encode(empty)) {
+		t.Error("unallocated and empty tables encode differently")
+	}
+	k := word.New(word.TagPtr, 3)
+	lazy.Invalidate(k)
+	if _, ok := lazy.Probe(k); ok || lazy.Allocated() {
+		t.Error("Probe or Invalidate of an unallocated table found or allocated something")
+	}
+	lazy.Lookup(k)
+	empty.Lookup(k)
+	if lazy.Stats() != empty.Stats() || lazy.Allocated() {
+		t.Errorf("lookup miss: unallocated %+v, empty %+v", lazy.Stats(), empty.Stats())
+	}
+	restored := New(0, 0)
+	restored.Enter(k, word.Int(1))
+	if err := restored.RestoreState(wire.NewDecoder(encode(empty))); err != nil {
+		t.Fatal(err)
+	}
+	if restored.Allocated() || restored.StateDigest(7) != empty.StateDigest(7) {
+		t.Error("an empty checkpoint did not restore to an unallocated table")
+	}
+	empty.Enter(k, word.Int(1))
+	if err := restored.RestoreState(wire.NewDecoder(encode(empty))); err != nil {
+		t.Fatal(err)
+	}
+	if v, ok := restored.Probe(k); !ok || v != word.Int(1) || restored.StateDigest(7) != empty.StateDigest(7) {
+		t.Error("a non-empty checkpoint did not restore its entry")
 	}
 }

@@ -45,6 +45,11 @@ go test -run '^$' -fuzz FuzzNetwork -fuzztime 15s ./internal/network/
 # FuzzJournal: the serve journal's decoder on damaged files — never a
 # panic, a stable valid prefix (docs/SERVE.md, "Persistence").
 go test -run '^$' -fuzz FuzzJournal -fuzztime 10s ./internal/serve/
+# FuzzQueue: the message queue's lazily grown ring against a plain-slice
+# FIFO model — occupancy, head words, digest and checkpoint bytes after
+# every push, pop, squeeze and save/restore (docs/PERF.md, "Compact
+# node state").
+go test -run '^$' -fuzz '^FuzzQueue$' -fuzztime 10s ./internal/queue/
 # The other four targets, 10 s each beyond their seed corpus, which the
 # plain test passes replay: checkpoint decode + restore on mutated
 # bytes (FuzzRestore: each execution builds and restores a machine, so
