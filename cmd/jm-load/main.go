@@ -36,7 +36,6 @@ import (
 	"time"
 
 	"jmachine/internal/serve"
-	"jmachine/internal/sim"
 )
 
 // client is a thin JSON client for the jm-serve API.
@@ -100,11 +99,6 @@ func main() {
 	conc := flag.Int("conc", 16, "client goroutines (sessions driven concurrently)")
 	seed := flag.Int64("seed", 1, "base op-stream seed (session i uses seed+i)")
 	verify := flag.Bool("verify", true, "replay every stream standalone and compare digests")
-	// The part of the run configuration a session spec can carry: the
-	// daemon owns each session's checkpoint file, and sessions run the
-	// interpreter.
-	var sc sim.Config
-	sc.Register(flag.CommandLine, "compiled", "ckpt", "ckpt-every", "resume")
 	flag.Parse()
 	log.SetPrefix("jm-load: ")
 	log.SetFlags(0)
@@ -112,17 +106,13 @@ func main() {
 	if *sessions < 1 || *requests < 1 || *batch < 1 {
 		log.Fatal("-sessions, -requests, and -batch must be positive")
 	}
-	if err := sc.Validate(); err != nil {
-		log.Fatal(err)
-	}
 	c := &client{base: "http://" + *addr, hc: &http.Client{}}
 	if err := c.do("GET", "/v1/healthz", nil, nil); err != nil {
 		log.Fatalf("daemon not reachable: %v", err)
 	}
 
 	spec := serve.Spec{
-		Workload: "kv", Nodes: *nodes, Reference: sc.Reference,
-		Keys: *keys, Gateways: *gateways,
+		Workload: "kv", Nodes: *nodes, Keys: *keys, Gateways: *gateways,
 	}
 	perSession := (*requests + *sessions - 1) / *sessions
 

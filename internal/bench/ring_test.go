@@ -12,6 +12,7 @@ package bench
 
 import (
 	"math/rand"
+	"path/filepath"
 	"runtime"
 	"testing"
 
@@ -19,6 +20,7 @@ import (
 	"jmachine/internal/engine"
 	"jmachine/internal/isa"
 	"jmachine/internal/machine"
+	"jmachine/internal/obs"
 	"jmachine/internal/rt"
 	"jmachine/internal/sim"
 	"jmachine/internal/word"
@@ -352,6 +354,50 @@ func TestVisitsFollowTokensNotMeshSize(t *testing.T) {
 		if r2, n2, _ := ringVisits(t, nodes, 1); r2 != r || n2 != n {
 			t.Errorf("%d nodes: visits not repeatable: %v, %v then %v, %v", nodes, r, n, r2, n2)
 		}
+	}
+}
+
+// TestObservedRingVisits pins the work an observed run does: the
+// recorder's cycle hook declares its next sample as its horizon, so a
+// 512-node ring with four tokens and a recorder sampling every 64
+// cycles parks and skips as the unobserved run does, and ends in its
+// digest, where a loop stepping every node every cycle would visit 512
+// nodes a cycle. The counts are exact at the seed.
+func TestObservedRingVisits(t *testing.T) {
+	const nodes, cycles = 512, 4000
+	type work struct{ visits, nodePhases int64 }
+	ring := func(o *obs.Options) (work, uint64) {
+		m, run, err := newIdleRing(sim.Config{Obs: o}, nodes, 4)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer stopRun(run)
+		c := &countingStepper{}
+		m.SetStepper(c)
+		visited := m.NodeVisits()
+		m.StepN(cycles)
+		m.SetStepper(nil)
+		if err := m.FatalErr(); err != nil {
+			t.Fatal(err)
+		}
+		return work{m.NodeVisits() - visited, c.nodePhases}, m.StateDigest()
+	}
+	unobserved, want := ring(nil)
+	dir := t.TempDir()
+	got, digest := ring(&obs.Options{
+		PerfettoPath: filepath.Join(dir, "trace.json"),
+		MetricsPath:  filepath.Join(dir, "metrics.jsonl"),
+		Every:        64,
+	})
+	t.Logf("observed: %d node visits over %d node phases (%.2f each); unobserved: %d over %d (%.2f each)",
+		got.visits, got.nodePhases, float64(got.visits)/float64(got.nodePhases),
+		unobserved.visits, unobserved.nodePhases, float64(unobserved.visits)/float64(unobserved.nodePhases))
+	if digest != want {
+		t.Errorf("observed ring ends in digest %#x, unobserved in %#x", digest, want)
+	}
+	if wantWork := (work{16528, 1727}); got != wantWork {
+		t.Errorf("observed ring: %d node visits over %d node phases, want %d over %d",
+			got.visits, got.nodePhases, wantWork.visits, wantWork.nodePhases)
 	}
 }
 

@@ -68,7 +68,6 @@ var paritySpecs = map[string]paritySpec{
 			"stepper",    // engine attachment; re-attached
 			"watchdog",   // config window (SetWatchdog), not run state
 			"fast",       // stepping-mode switch (SetFastPath), digest-neutral
-			"pinned",     // derived from the registered hooks' horizons
 			"nParked",    // recomputed from parked on restore
 			"horizons",   // attached hook horizons; re-attached
 			"compiledOn", // compiled-tier attachment flag; re-attached (compiled.Attach)

@@ -292,11 +292,11 @@ func TestEquivBarrierChaos(t *testing.T) {
 
 // --- observability byte-equality -------------------------------------
 //
-// With the recorder attached the machine is pinned (no fusion), so this
-// sweep proves the per-boundary compiled execution leaves the exported
-// timeline and metrics streams byte-identical to the interpreter's.
-// The digest sweeps above cover the fused regime, where no recorder
-// can observe mid-window state by construction.
+// The recorder's hook declares its next sample as its horizon, which
+// bounds fused windows there, so this sweep proves fused compiled
+// execution leaves the exported timeline and metrics streams
+// byte-identical to the interpreter's: no sample observes mid-window
+// state.
 
 type obsFiles struct {
 	perfetto []byte

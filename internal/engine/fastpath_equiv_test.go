@@ -8,7 +8,7 @@ package engine_test
 // (the chaos-campaign ping and barrier plus the four applications)
 // through the full reference × fast × shards matrix required by the
 // acceptance criteria; equiv_test.go's obs helpers prove the recorder
-// pins the machine without disturbing the digest.
+// leaves the digest and the exported bytes alike in every mode.
 
 import (
 	"bytes"
@@ -219,10 +219,10 @@ func TestFastPathEquivTSP(t *testing.T) {
 }
 
 // TestFastPathEquivObservedPing attaches the recorder on top of the
-// sweep. The recorder registers a legacy per-cycle hook, which pins the
-// machine to single-cycle mode — so observed fast-path runs must
-// degrade to the reference loop and the exported files must come out
-// byte-identical in every mode.
+// sweep. The recorder's hook declares its next sample as its horizon,
+// so observed fast-path runs park and skip between samples as
+// unobserved ones do, and the exported files must come out
+// byte-identical to the reference loop's in every mode.
 func TestFastPathEquivObservedPing(t *testing.T) {
 	camp := chaos.RandomCampaign(3, 8, 4000, 4)
 	run := func(c fpConfig, o *obs.Options) (*bench.CampaignResult, error) {

@@ -251,16 +251,14 @@ var StepConcurrencyAnalyzer = &Analyzer{
 
 // ---- JML005: undeclared cycle hooks ----------------------------------
 
-// HookDeclAnalyzer requires every AddCycleFn call site to carry
-// //jm:pins <rationale> (the hook pins the event horizon: SkipTo can
-// no longer leap over idle regions) and every AddCycleHook call site to
-// carry //jm:horizon <rationale> (why the declared horizon bounds the
-// hook's next effect). The annotations force the horizon cost of a
-// hook to be argued where it is incurred.
+// HookDeclAnalyzer requires every AddCycleHook call site to carry
+// //jm:horizon <rationale> (why the declared horizon bounds the hook's
+// next effect: the machine skips and fuses up to it). The annotation
+// forces the horizon cost of a hook to be argued where it is incurred.
 var HookDeclAnalyzer = &Analyzer{
 	Name: "hookdecl",
 	Code: "JML005",
-	Doc:  "AddCycleFn needs //jm:pins, AddCycleHook needs //jm:horizon, with rationale",
+	Doc:  "AddCycleHook needs //jm:horizon with rationale",
 	Run: func(prog *Program, pkg *Package, report func(ast.Node, string)) {
 		for _, f := range pkg.Files {
 			var stack []*ast.FuncDecl
@@ -273,26 +271,19 @@ var HookDeclAnalyzer = &Analyzer{
 				if !ok {
 					return true
 				}
-				name := calleeName(call)
-				var key string
-				switch name {
-				case "AddCycleFn":
-					key = "pins"
-				case "AddCycleHook":
-					key = "horizon"
-				default:
+				if calleeName(call) != "AddCycleHook" {
 					return true
 				}
 				// The registrar's own (wrapper) implementation is the
-				// mechanism, not a use: a method named AddCycleFn that
-				// forwards to the engine does not need the annotation.
-				if len(stack) > 0 && stack[len(stack)-1].Name.Name == name {
+				// mechanism, not a use: a method named AddCycleHook that
+				// forwards to the machine does not need the annotation.
+				if len(stack) > 0 && stack[len(stack)-1].Name.Name == "AddCycleHook" {
 					return true
 				}
-				if pkg.suppressed(prog.Fset, call, key) {
+				if pkg.suppressed(prog.Fset, call, "horizon") {
 					return true
 				}
-				report(call, fmt.Sprintf("%s call site must declare its horizon cost: annotate //jm:%s <rationale>", name, key))
+				report(call, "AddCycleHook call site must declare its horizon cost: annotate //jm:horizon <rationale>")
 				return true
 			})
 		}

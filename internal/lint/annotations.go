@@ -7,14 +7,14 @@ import (
 )
 
 // Annotation is one //jm: marker comment. The analyzers use them in
-// two directions: required declarations (//jm:pins, //jm:horizon,
+// two directions: required declarations (//jm:horizon,
 // //jm:wallclock) that must be present at certain call sites, and
 // suppressions (//jm:maporder, //jm:digest-exempt-ok) that silence a
 // diagnostic at a site whose determinism has been argued by hand.
 // Every annotation takes a free-form rationale after the keyword; an
 // empty rationale is rejected by the analyzers that require one.
 type Annotation struct {
-	Key       string // "pins", "horizon", "wallclock", "maporder", ...
+	Key       string // "horizon", "wallclock", "maporder", ...
 	Rationale string
 	Line      int
 }
@@ -25,8 +25,8 @@ type Annotation struct {
 //
 //	m.AddCycleHook(fn, hz) //jm:horizon next scheduled fault
 //
-//	//jm:pins observer must see every cycle
-//	m.AddCycleFn(fn)
+//	//jm:horizon next sample cycle
+//	m.AddCycleHook(fn, hz)
 type Annotations map[int][]Annotation
 
 // parseAnnotations extracts the //jm: markers of one file.

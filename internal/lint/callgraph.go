@@ -17,7 +17,7 @@ type funcNode struct {
 	callees []*funcNode
 
 	// hookArg marks a function passed to a hook-registration call
-	// (AddCycleFn, AddDeliverFn, SetSyncHook, ...): it will run once
+	// (AddCycleHook, AddDeliverFn, SetSyncHook, ...): it will run once
 	// per cycle or per event on the determinism-critical path.
 	hookArg bool
 }
@@ -46,7 +46,6 @@ func (fn *funcNode) node() ast.Node {
 // on the determinism-critical path (deliver and drop hooks in router
 // order, cycle hooks on the coordinator, per-node taps).
 var hookRegistrars = map[string]bool{
-	"AddCycleFn":      true,
 	"AddCycleHook":    true,
 	"AddDeliverFn":    true,
 	"AddDropFn":       true,

@@ -3,25 +3,23 @@ package jml005
 
 type Machine struct{}
 
-func (m *Machine) AddCycleFn(fn func(int64))                    {}
 func (m *Machine) AddCycleHook(fn func(int64), hz func() int64) {}
 
 func horizon() int64 { return 0 }
 
-// Bad: hook registrations without their horizon-cost declarations.
+// Bad: a hook registration without its horizon-cost declaration.
 func installBad(m *Machine) {
-	m.AddCycleFn(func(int64) {})            // want JML005
 	m.AddCycleHook(func(int64) {}, horizon) // want JML005
 }
 
 // Bad: the annotation alone, with no rationale, is not a declaration.
 func installBare(m *Machine) {
-	m.AddCycleFn(func(int64) {}) /* want JML005 */ //jm:pins
+	m.AddCycleHook(func(int64) {}, horizon) /* want JML005 */ //jm:horizon
 }
 
 // Good: annotated call sites, trailing or preceding.
 func installGood(m *Machine) {
-	m.AddCycleFn(func(int64) {}) //jm:pins fixture hook samples every cycle
+	m.AddCycleHook(func(int64) {}, horizon) //jm:horizon fixture hook acts only on horizon()
 	//jm:horizon fixture hook's next effect is bounded by horizon()
 	m.AddCycleHook(func(int64) {}, horizon)
 }
@@ -30,4 +28,4 @@ func installGood(m *Machine) {
 // mechanism, not a use.
 type Wrapper struct{ m *Machine }
 
-func (w *Wrapper) AddCycleFn(fn func(int64)) { w.m.AddCycleFn(fn) }
+func (w *Wrapper) AddCycleHook(fn func(int64), hz func() int64) { w.m.AddCycleHook(fn, hz) }

@@ -71,7 +71,7 @@ func (m *Machine) progFingerprint() uint64 {
 // (their lagging clocks and idle statistics caught up, without
 // unparking) first, so the encoded per-node state is reference-exact.
 func (m *Machine) SaveState(e *wire.Encoder) {
-	m.syncAll()
+	m.CatchUp()
 	e.U32(ckptFormat)
 	e.Int(m.Cfg.DimX)
 	e.Int(m.Cfg.DimY)

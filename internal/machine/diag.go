@@ -71,7 +71,7 @@ type Diagnostic struct {
 // enough to call ad hoc but is intended for the watchdog path, not the
 // cycle loop.
 func (m *Machine) Diagnose() *Diagnostic {
-	m.syncAll() // catch parked nodes up so the dump shows reference-exact state
+	m.CatchUp() // catch parked nodes up so the dump shows reference-exact state
 	d := &Diagnostic{Cycle: m.cycle, Nodes: len(m.Nodes)}
 	for i := range m.Nodes {
 		occ := m.Net.RouterOcc(i)

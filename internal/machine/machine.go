@@ -117,7 +117,6 @@ type Machine struct {
 	// exit cycles, watchdog behaviour, and every statistic match a run
 	// with the fast path off.
 	fast       bool         // SetFastPath: fast path permitted
-	pinned     bool         // a horizon-less cycle hook forces single-cycle mode
 	parked     []bool       // node i's Step is currently being skipped
 	wakeAt     []int64      // cycle at which parked node i must step again (NoEvent = external wake only)
 	needWake   []bool       // external work arrived for parked node i (delivery, thaw)
@@ -266,31 +265,20 @@ func (m *Machine) EnableTrace(capEvents int) []*trace.Buffer {
 	return out
 }
 
-// AddCycleFn registers a hook called at the start of every machine
-// cycle (before the network and the nodes step), in registration order.
-//
-// A hook registered this way declares no event horizon, so the machine
-// must assume it can act — observe or mutate state — on any cycle:
-// registration pins the machine to single-cycle mode, disabling the
-// event-horizon fast path for the machine's lifetime (fidelity is
-// never silently lost). Hooks that are no-ops except at predictable
-// cycles should use AddCycleHook instead.
-func (m *Machine) AddCycleFn(fn func(cycle int64)) {
-	m.cycleFns = append(m.cycleFns, fn)
-	m.pinned = true
-	m.unparkAll()
-}
-
-// AddCycleHook registers a per-cycle hook together with its event
-// horizon: horizon(now) returns the earliest cycle strictly after now
-// at which the hook may act on (observe or mutate) machine state, or
-// NoEvent when it is permanently passive until other machinery re-arms
-// it. The hook still runs every simulated cycle — it must be a no-op
-// off its horizon — but the machine may skip a fully-idle window up to
-// (not including) the horizon without running it, so the declaration
-// must be conservative. The chaos injector (next scheduled fault or
-// expiry) and the reliable-delivery timer scan (next scan interval
-// while messages are pending) register this way.
+// AddCycleHook registers a hook called at the start of every stepped
+// machine cycle (before the network and the nodes step), in
+// registration order, together with its event horizon: horizon(now)
+// returns the earliest cycle strictly after now at which the hook may
+// act on (observe or mutate) machine state, or NoEvent when it is
+// permanently passive until other machinery re-arms it. The hook must
+// be a no-op off its horizon: the machine may skip a fully-idle window
+// up to (not including) the horizon without running it, and fusion
+// windows and parked nodes' clocks may run ahead of the hook until
+// then, so the declaration must be conservative. A hook that reads
+// per-node state on its horizon calls CatchUp first. The chaos
+// injector (next scheduled fault or expiry), the reliable-delivery
+// timer scan (next scan interval while messages are pending) and the
+// observability recorder (next sample or snapshot) register this way.
 func (m *Machine) AddCycleHook(fn func(cycle int64), horizon func(now int64) int64) {
 	m.cycleFns = append(m.cycleFns, fn)
 	m.horizons = append(m.horizons, horizon)
@@ -299,8 +287,7 @@ func (m *Machine) AddCycleHook(fn func(cycle int64), horizon func(now int64) int
 // SetFastPath enables or disables the event-horizon fast path (on by
 // default). Disabling it restores the literal reference loop — every
 // node stepped every cycle — which the equivalence suite compares
-// against. A machine pinned by AddCycleFn stays in single-cycle mode
-// regardless.
+// against.
 func (m *Machine) SetFastPath(on bool) {
 	m.fast = on
 	if !on {
@@ -309,9 +296,9 @@ func (m *Machine) SetFastPath(on bool) {
 }
 
 // FastPathActive reports whether the event-horizon scheduler is
-// allowed to park nodes and skip cycles (enabled and not pinned).
+// allowed to park nodes and skip cycles.
 // internal/engine consults it before eliding empty network phases.
-func (m *Machine) FastPathActive() bool { return m.fast && !m.pinned }
+func (m *Machine) FastPathActive() bool { return m.fast }
 
 // SetCompiled installs (or, with nil, removes) a compiled program tier
 // on every node: at each instruction boundary the node runs the
@@ -319,9 +306,8 @@ func (m *Machine) FastPathActive() bool { return m.fast && !m.pinned }
 // bailing back to it for scheduler-visible operations (see
 // internal/compiled and docs/COMPILED.md). The machine grants fusion
 // windows bounded by the caller's next check and every hook's event
-// horizon (publishFuseLimit); a pinned machine (AddCycleFn) stays
-// single-instruction, which is still exact. State, statistics, digests, and traces remain
-// byte-identical to interpreted runs in every mode.
+// horizon (publishFuseLimit). State, statistics, digests, and traces
+// remain byte-identical to interpreted runs in every mode.
 func (m *Machine) SetCompiled(cp *mdp.CompiledProgram) {
 	m.compiledOn = cp != nil
 	m.fuse = mdp.FuseCtl{Limit: 0, QuietCycle: -1}
@@ -364,16 +350,9 @@ func (m *Machine) FusionStats() mdp.FusionStats {
 // publishFuseLimit grants the upcoming cycle's fusion window. It is
 // the one place the fusion licence is bounded: a window may not pass
 // the next cycle at which anything can observe machine state — look,
-// the caller's next check (the run loop's, or Step's own cycle), and
-// every hook horizon (exclusive). A pinned machine's hooks may observe
-// state on any cycle, so its window degenerates to the next cycle
-// (single-instruction compiled execution, exact per boundary).
+// the caller's next check, and every hook horizon (exclusive).
 func (m *Machine) publishFuseLimit(look int64) {
 	if !m.compiledOn {
-		return
-	}
-	if m.pinned {
-		m.fuse.Limit = m.cycle + 1
 		return
 	}
 	for _, h := range m.horizons {
@@ -445,17 +424,10 @@ func (m *Machine) InjectFree(node, pri int) int {
 }
 
 // Step advances the whole machine one cycle: the network moves phits,
-// then each node executes. The public single-step is reference-exact:
-// any nodes the fast path left parked are unparked and caught up
-// first, so after every Step the caller observes the same per-node
-// state the reference loop would show. (Bulk stepping — StepN and the
-// run loops — instead re-derives parked nodes' wakes on entry and
-// re-synchronizes before returning.)
-func (m *Machine) Step() {
-	m.unparkAll()
-	m.publishFuseLimit(m.cycle + 1)
-	m.stepOnce()
-}
+// then each node executes. It is StepN(1), so it is reference-exact:
+// parked nodes are caught up before it returns, and the caller
+// observes the same per-node state the reference loop would show.
+func (m *Machine) Step() { m.StepN(1) }
 
 // stepOnce advances one cycle honouring the active set: parked nodes
 // are not stepped, and the network phase is elided while the mesh is
@@ -503,7 +475,7 @@ func (m *Machine) StepNodeRangeInfo(lo, hi int) (live int, minWake int64) {
 	minWake = NoEvent
 	// Park/unpark deltas batch into one atomic update per call — the
 	// shared counter is only read between processor phases (advance,
-	// syncAll, unparkAll, rederiveWakes), never while a slab is mid-step.
+	// CatchUp, unparkAll, rederiveWakes), never while a slab is mid-step.
 	// The set is walked a word at a time so the per-node step makes no
 	// call into the set (bitset.Set.Next).
 	parkDelta, visits := int64(0), int64(0)
@@ -639,11 +611,12 @@ func (m *Machine) skipTarget(limit int64) int64 {
 	return t
 }
 
-// syncAll catches every parked node up to the current cycle (charging
-// its skipped idle/stall cycles) without unparking it. Run-loop exits,
-// StateDigest, and Diagnose call it so externally-visible state always
-// matches the reference loop.
-func (m *Machine) syncAll() {
+// CatchUp catches every parked node up through the last completed
+// cycle (charging its skipped idle/stall cycles) without unparking it.
+// Run-loop exits, StateDigest, Diagnose and SaveState call it so
+// externally-visible state always matches the reference loop; a cycle
+// hook that reads per-node state on its horizon cycle calls it first.
+func (m *Machine) CatchUp() {
 	if m.nParked.Load() == 0 {
 		return
 	}
@@ -655,8 +628,7 @@ func (m *Machine) syncAll() {
 }
 
 // unparkAll returns every parked node to the active set, caught up.
-// Used where the reference loop is entered: the public Step, pinning,
-// and SetFastPath(false).
+// Used where the reference loop is entered: SetFastPath(false).
 func (m *Machine) unparkAll() {
 	if m.nParked.Load() == 0 {
 		return
@@ -693,7 +665,7 @@ func (m *Machine) rederiveWakes() {
 		if !m.parked[i] {
 			continue
 		}
-		n.SkipTo(m.caughtUpTo) // a no-op after the previous exit's syncAll
+		n.SkipTo(m.caughtUpTo) // a no-op after the previous exit's CatchUp
 		ne := n.NextEvent()
 		if m.needWake[i] || ne <= m.cycle+1 {
 			m.parked[i] = false
@@ -717,7 +689,7 @@ func (m *Machine) rederiveWakes() {
 // byte-identical states; the equivalence suites compare runs under
 // different configurations with it.
 func (m *Machine) StateDigest() uint64 {
-	m.syncAll()
+	m.CatchUp()
 	h := uint64(0xcbf29ce484222325) ^ uint64(m.cycle)
 	h ^= m.Net.StateDigest()
 	h *= 0x100000001b3
@@ -728,16 +700,16 @@ func (m *Machine) StateDigest() uint64 {
 	return h
 }
 
-// StepN advances n cycles. Unlike n calls to Step, dead windows inside
-// the batch are skipped in bulk; the machine is fully re-synchronized
-// before returning, so the final state is reference-exact.
+// StepN advances n cycles. Dead windows inside the batch are skipped
+// in bulk; the machine is fully re-synchronized before returning, so
+// the final state is reference-exact.
 func (m *Machine) StepN(n int64) {
 	m.rederiveWakes()
 	target := m.cycle + n
 	for m.cycle < target {
 		m.advance(target, target)
 	}
-	m.syncAll()
+	m.CatchUp()
 }
 
 // ErrCycleLimit is returned when a run exceeds its cycle budget.
@@ -866,7 +838,7 @@ func (m *Machine) RunWhile(cond func(*Machine) bool, max int64) error {
 	start := m.cycle
 	m.sigValid = false
 	m.rederiveWakes()
-	defer m.syncAll()
+	defer m.CatchUp()
 	for cond(m) {
 		if m.cycle-start >= max {
 			if err := m.FatalErr(); err != nil {
@@ -907,7 +879,7 @@ func (m *Machine) RunQuiescent(max int64) error {
 	start := m.cycle
 	m.sigValid = false
 	m.rederiveWakes()
-	defer m.syncAll()
+	defer m.CatchUp()
 	for {
 		if m.Quiescent() {
 			return nil

@@ -60,12 +60,16 @@ type flowEvent struct {
 // under both engines); network flows arrive via the deliver/drop hooks,
 // which fire from the network phase on the coordinator in router order.
 // The cycle hook then drains everything on the coordinating goroutine
-// at the start of the next cycle, in an order — samples, then ascending
-// node id, then flows in firing order — that
-// depends only on the simulation, not on the shard count. The exported
-// timeline is therefore byte-identical across engines and shard counts,
-// and machine.StateDigest() is byte-identical with the recorder on or
-// off.
+// at the start of the next stepped cycle, in an order — samples, then
+// ascending node id, then flows in firing order — that depends only on
+// the simulation, not on the shard count. The hook's horizon is the
+// next sample or snapshot cycle, so the machine parks nodes, skips dead
+// windows and fuses compiled windows between samples exactly as an
+// unobserved run does; on a sample cycle the recorder catches parked
+// nodes up (machine.CatchUp) before reading per-node state. The
+// exported timeline is therefore byte-identical across engines, shard
+// counts and stepping regimes, and machine.StateDigest() is
+// byte-identical with the recorder on or off.
 type Recorder struct {
 	m   *machine.Machine
 	cfg Config
@@ -76,6 +80,7 @@ type Recorder struct {
 	perNode [][]trace.Event // staged node events; slot i written only by node i's stepper
 	flows   []flowEvent     // staged network events; written only on the coordinator
 
+	stagedAt    int64 // machine cycle of the previous drain: staged events belong to it
 	lastSampled int64 // most recent sampled cycle, -1 before any
 	lastSnap    int64
 	events      uint64 // node events exported
@@ -114,10 +119,18 @@ func Attach(m *machine.Machine, cfg Config) *Recorder {
 	if cfg.MetricsEvery == 0 {
 		cfg.MetricsEvery = cfg.SampleEvery
 	}
+	// A period without its sink is off: nothing is sampled onto it.
+	if cfg.Perfetto == nil {
+		cfg.SampleEvery = -1
+	}
+	if cfg.Metrics == nil {
+		cfg.MetricsEvery = -1
+	}
 	r := &Recorder{
 		m:           m,
 		cfg:         cfg,
 		perNode:     make([][]trace.Event, m.NumNodes()),
+		stagedAt:    m.Cycle(),
 		lastSampled: -1,
 		lastSnap:    -1,
 	}
@@ -150,29 +163,58 @@ func Attach(m *machine.Machine, cfg Config) *Recorder {
 			words: int16(len(msg.Words)), drop: true, reason: reason,
 		})
 	})
-	//jm:pins the recorder samples every cycle by design; recording runs accept the pinned horizon
-	m.AddCycleFn(func(cycle int64) {
+	//jm:horizon the recorder reads machine state only when the previous cycle is due for a sample or snapshot
+	m.AddCycleHook(func(cycle int64) {
 		if r.closed {
 			return
 		}
 		// Cycle hooks fire after the counter advances and before the
 		// stepper, so everything staged belongs to cycles < cycle.
 		r.drain(cycle - 1)
-	})
+	}, r.horizon)
 	return r
 }
 
+// horizon is the recorder hook's event horizon: the hook at cycle c
+// reads state through c-1, so it acts only when c-1 falls on the sample
+// or the snapshot period, the first such c > now. NoEvent once closed.
+func (r *Recorder) horizon(now int64) int64 {
+	next := int64(machine.NoEvent)
+	for _, every := range [...]int{r.cfg.SampleEvery, r.cfg.MetricsEvery} {
+		if e := int64(every); e > 0 && !r.closed {
+			next = min(next, (now+e-1)/e*e+1)
+		}
+	}
+	return next
+}
+
 // drain exports everything staged through the end of cycle `through`.
+// Staged events belong to stagedAt; when that is older than through
+// because cycles were skipped since, they are exported before through's
+// sample, which is where a drain on every cycle would have put them.
 // Runs on the coordinating goroutine only.
 func (r *Recorder) drain(through int64) {
-	if r.cfg.SampleEvery > 0 && through >= 0 && through%int64(r.cfg.SampleEvery) == 0 &&
-		through != r.lastSampled && r.pw != nil {
+	if r.stagedAt < through {
+		r.exportStaged()
+	}
+	se, me := int64(r.cfg.SampleEvery), int64(r.cfg.MetricsEvery)
+	sample := se > 0 && through%se == 0 && through != r.lastSampled
+	snap := me > 0 && through%me == 0 && through != r.lastSnap
+	if sample || snap {
+		r.m.CatchUp()
+	}
+	if sample {
 		r.sample(through)
 	}
-	if r.menc != nil && r.cfg.MetricsEvery > 0 && through >= 0 &&
-		through%int64(r.cfg.MetricsEvery) == 0 && through != r.lastSnap {
+	if snap {
 		r.snapshot(through)
 	}
+	r.exportStaged()
+	r.stagedAt = r.m.Cycle()
+}
+
+// exportStaged exports and clears the staged node events and flows.
+func (r *Recorder) exportStaged() {
 	for i := range r.perNode {
 		if r.pw != nil {
 			for _, e := range r.perNode[i] {
@@ -293,10 +335,10 @@ func (r *Recorder) Close() error {
 	now := r.m.Cycle()
 	r.drain(now)
 	// Always record the final state, even off-period.
-	if r.pw != nil && r.lastSampled != now && r.cfg.SampleEvery > 0 {
+	if r.cfg.SampleEvery > 0 && r.lastSampled != now {
 		r.sample(now)
 	}
-	if r.menc != nil && r.lastSnap != now && r.cfg.MetricsEvery > 0 {
+	if r.cfg.MetricsEvery > 0 && r.lastSnap != now {
 		r.snapshot(now)
 	}
 	r.closed = true

@@ -517,8 +517,10 @@ func TestBrokenDirectoriesAreSkipped(t *testing.T) {
 
 // TestSpecWithShardsRestores restores a session directory whose
 // spec.json carries "shards": 4, as specs were written while a session
-// could step on the parallel engine. The field is ignored: the session
-// comes back at the digest serve.Replay gives for its requests.
+// could step on the parallel engine, and "reference": true, as they
+// were written while a session could run the oracle. Both fields are
+// ignored: the session comes back at the digest serve.Replay gives for
+// its requests.
 func TestSpecWithShardsRestores(t *testing.T) {
 	root := t.TempDir()
 	g, err := NewManager(root, 2)
@@ -548,6 +550,7 @@ func TestSpecWithShardsRestores(t *testing.T) {
 		t.Fatal(err)
 	}
 	fields["shards"] = 4
+	fields["reference"] = true
 	if data, err = json.Marshal(fields); err != nil {
 		t.Fatal(err)
 	}

@@ -160,13 +160,12 @@ func (s *Session) start(resume bool) error {
 		s.teardown()
 		return err
 	}
-	// The one place a spec becomes a run configuration. The session
+	// A session runs the zero run configuration. The session
 	// directory's obs sinks stay outside it (the timeline and metrics
 	// endpoints need the recorder handle to sync mid-run), and so does
 	// its checkpoint: a periodic writer would save half a request.
-	cfg := sim.Config{Reference: spec.Reference}
 	var err error
-	if s.run, err = cfg.Attach(s.m); err == nil && s.dir != "" {
+	if s.run, err = (sim.Config{}).Attach(s.m); err == nil && s.dir != "" {
 		op, durable := "create", s.create
 		if resume {
 			op, durable = "restore", s.recover

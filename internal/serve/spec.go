@@ -36,8 +36,6 @@ type Spec struct {
 	Workload string `json:"workload"`
 	// Nodes is the machine size (kv requires a power of two).
 	Nodes int `json:"nodes"`
-	// Reference disables the event-horizon fast path.
-	Reference bool `json:"reference,omitempty"`
 	// Watchdog is the progress-watchdog window in cycles (0 = off).
 	Watchdog int64 `json:"watchdog,omitempty"`
 	// Budget is the per-request cycle budget (default 4,000,000).

@@ -39,8 +39,8 @@ type Config struct {
 
 // Register declares the run-configuration flags on fs: -reference, -compiled, -ckpt, -ckpt-every, -resume. A command that
 // cannot honour one of them (jm-tables steps many machines per
-// experiment; jm-load has no checkpoint file of its own) names it in
-// omit, so no binary accepts a flag it would ignore.
+// experiment) names it in omit, so no binary accepts a flag it would
+// ignore.
 func (c *Config) Register(fs *flag.FlagSet, omit ...string) {
 	all := flag.NewFlagSet("", flag.ContinueOnError)
 	all.BoolVar(&c.Reference, "reference", false,

@@ -7,9 +7,11 @@ package sim_test
 // and six-workload sweeps; a new Config field earns its row here.
 
 import (
+	"bytes"
 	"flag"
 	"fmt"
 	"io"
+	"os"
 	"path/filepath"
 	"testing"
 
@@ -93,14 +95,25 @@ func TestConfigEquivalence(t *testing.T) {
 				sc     sim.Config
 				period int64
 			}
+			// An obs row writes its sinks under its own name; the rows
+			// after "obs" must write its bytes. The period is off the
+			// invariant check's 64-cycle rhythm, so only the recorder's
+			// own horizon ends skipped and fused windows at its samples.
+			obsFiles := []string{"trace.json", "metrics.jsonl"}
+			withObs := func(name string, sc sim.Config) delta {
+				sc.Obs = &obs.Options{
+					PerfettoPath: filepath.Join(dir, name+"."+obsFiles[0]),
+					MetricsPath:  filepath.Join(dir, name+"."+obsFiles[1]),
+					Every:        63,
+				}
+				return delta{name, sc, 0}
+			}
 			deltas := []delta{
 				{"reference", sim.Config{Reference: true}, 0},
 				{"compiled", sim.Config{Compiled: true}, 0},
-				{"obs", sim.Config{Obs: &obs.Options{
-					PerfettoPath: filepath.Join(dir, "trace.json"),
-					MetricsPath:  filepath.Join(dir, "metrics.jsonl"),
-					Every:        64,
-				}}, 0},
+				withObs("obs", sim.Config{}),
+				withObs("reference+obs", sim.Config{Reference: true}),
+				withObs("compiled+obs", sim.Config{Compiled: true}),
 				// The periodic writer leaves the run's last mid-flight
 				// checkpoint behind; the next row resumes from it.
 				{"ckpt", sim.Config{Ckpt: ckpt.Flags{Path: ckptPath, Every: w.every}}, 0},
@@ -114,6 +127,17 @@ func TestConfigEquivalence(t *testing.T) {
 				if cycles != wantCycles || digest != wantDigest {
 					t.Errorf("%s: cycles=%d digest=%#x, zero config has cycles=%d digest=%#x",
 						d.name, cycles, digest, wantCycles, wantDigest)
+				}
+			}
+			for _, f := range obsFiles {
+				want, err := os.ReadFile(filepath.Join(dir, "obs."+f))
+				if err != nil || len(want) == 0 {
+					t.Fatalf("obs %s: %d bytes, %v", f, len(want), err)
+				}
+				for _, row := range []string{"reference+obs", "compiled+obs"} {
+					if got, err := os.ReadFile(filepath.Join(dir, row+"."+f)); err != nil || !bytes.Equal(got, want) {
+						t.Errorf("%s: %s differs from the obs row's (%d bytes vs %d, %v)", row, f, len(got), len(want), err)
+					}
 				}
 			}
 		})

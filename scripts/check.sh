@@ -139,11 +139,17 @@ echo "== serve smoke"
 sh scripts/serve_smoke.sh
 
 echo "== trace smoke"
-# The observability CLI must produce the same timeline on every run.
+# The observability CLI must produce the same timeline on every run, and
+# the oracle must write the timeline and metrics the default run (event-
+# horizon stepping, the recorder's hook bounding it) wrote, byte for byte.
 go build -o /tmp/jm-trace-check ./cmd/jm-trace
-/tmp/jm-trace-check -perfetto /tmp/jm-trace-1.json > /dev/null
-/tmp/jm-trace-check -perfetto /tmp/jm-trace-2.json > /dev/null
+/tmp/jm-trace-check -perfetto /tmp/jm-trace-1.json -metrics /tmp/jm-trace-1.jsonl > /dev/null
+/tmp/jm-trace-check -perfetto /tmp/jm-trace-2.json -metrics /tmp/jm-trace-2.jsonl > /dev/null
 cmp /tmp/jm-trace-1.json /tmp/jm-trace-2.json
-echo "trace smoke: timeline byte-identical across runs"
+cmp /tmp/jm-trace-1.jsonl /tmp/jm-trace-2.jsonl
+/tmp/jm-trace-check -perfetto /tmp/jm-trace-ref.json -metrics /tmp/jm-trace-ref.jsonl -reference > /dev/null
+cmp /tmp/jm-trace-1.json /tmp/jm-trace-ref.json
+cmp /tmp/jm-trace-1.jsonl /tmp/jm-trace-ref.jsonl
+echo "trace smoke: timeline and metrics byte-identical across runs and with the oracle"
 
 echo "== OK"
