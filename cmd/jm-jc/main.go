@@ -29,6 +29,7 @@ import (
 	"jmachine/internal/machine"
 	"jmachine/internal/rt"
 	"jmachine/internal/stats"
+	"jmachine/internal/trace"
 )
 
 // checkProgram runs the static MDP verifier and prints the findings,
@@ -76,28 +77,42 @@ func main() {
 		os.Exit(checkProgram(os.Stdout, flag.Arg(0), c.Program))
 	}
 
-	m, err := machine.New(machine.GridForNodes(*nodes), c.Program)
-	if err != nil {
+	if err := run(os.Stdout, c, *nodes, *all, *traceN, *max); err != nil {
 		log.Fatal(err)
 	}
+}
+
+// run executes the compiled program until node 0 halts and prints the
+// cycle count, node 0's globals, the execution statistics and, with
+// traceN > 0, the first traceN events of every node.
+func run(w io.Writer, c *jlang.Compiled, nodes int, all bool, traceN int, max int64) error {
+	m, err := machine.New(machine.GridForNodes(nodes), c.Program)
+	if err != nil {
+		return err
+	}
 	rt.Attach(m, rt.Info(c.Program), rt.DefaultPolicy())
-	var bufs = m.EnableTrace(4096)
-	if *traceN == 0 {
-		bufs = nil
-		for _, n := range m.Nodes {
-			n.Trace = nil
+	var events [][]trace.Event
+	if traceN > 0 {
+		events = make([][]trace.Event, len(m.Nodes))
+		for i, n := range m.Nodes {
+			evs := &events[i]
+			n.Watch = func(e trace.Event) {
+				if len(*evs) < traceN {
+					*evs = append(*evs, e)
+				}
+			}
 		}
 	}
-	if *all {
+	if all {
 		rt.StartAll(m, c.Program, "main")
 	} else {
 		rt.StartNode(m, c.Program, 0, "main")
 	}
-	if err := m.RunUntilHalt(0, *max); err != nil {
-		log.Fatal(err)
+	if err := m.RunUntilHalt(0, max); err != nil {
+		return err
 	}
 
-	fmt.Printf("halted after %d cycles (%.3f ms at 12.5 MHz) on %d nodes\n",
+	fmt.Fprintf(w, "halted after %d cycles (%.3f ms at 12.5 MHz) on %d nodes\n",
 		m.Cycle(), bench.Micros(float64(m.Cycle()))/1000, m.NumNodes())
 	names := make([]string, 0, len(c.Globals))
 	for n := range c.Globals {
@@ -105,22 +120,17 @@ func main() {
 	}
 	sort.Strings(names)
 	for _, n := range names {
-		w, _ := m.Nodes[0].Mem.Read(c.Globals[n])
-		fmt.Printf("  %s = %d\n", n, w.Data())
+		v, _ := m.Nodes[0].Mem.Read(c.Globals[n])
+		fmt.Fprintf(w, "  %s = %d\n", n, v.Data())
 	}
 	bd := m.Stats.Breakdown()
-	fmt.Printf("instructions %d, threads %d; comp %.1f%% comm %.1f%% sync %.1f%% idle %.1f%%\n",
+	fmt.Fprintf(w, "instructions %d, threads %d; comp %.1f%% comm %.1f%% sync %.1f%% idle %.1f%%\n",
 		m.Stats.Instrs(), m.Stats.Threads(),
 		100*bd[stats.CatComp], 100*bd[stats.CatComm], 100*bd[stats.CatSync], 100*bd[stats.CatIdle])
-	if bufs != nil {
-		for id, b := range bufs {
-			ev := b.Events()
-			if len(ev) > *traceN {
-				ev = ev[:*traceN]
-			}
-			for _, e := range ev {
-				fmt.Printf("n%02d %s\n", id, e)
-			}
+	for id, evs := range events {
+		for _, e := range evs {
+			fmt.Fprintf(w, "n%02d %s\n", id, e)
 		}
 	}
+	return nil
 }

@@ -1,26 +1,15 @@
 // jm-lint runs the determinism analyzer suite (internal/lint) over the
-// simulation packages. It runs in two modes:
-//
-// Standalone (the canonical mode, used by scripts/check.sh and CI):
+// simulation packages, as scripts/check.sh and CI do:
 //
 //	jm-lint ./internal/...
 //	jm-lint -c maporder,stepconc ./internal/mdp ./internal/machine
 //	jm-lint -list
 //
-// loads and type-checks the named packages fully offline (repository
+// It loads and type-checks the named packages fully offline (repository
 // imports from the module tree, standard library from GOROOT source)
 // and applies every analyzer across the whole package set at once, so
 // cross-package reachability (digest roots in internal/stats calling
 // into internal/mdp) is seen.
-//
-// As a go vet tool:
-//
-//	go vet -vettool=$(which jm-lint) ./internal/...
-//
-// jm-lint speaks enough of the vet driver protocol (-V=full and the
-// JSON .cfg unit file) to run under go vet. In this mode each package
-// is analyzed alone, so cross-package reachability degrades to the
-// package at hand; standalone mode remains authoritative.
 //
 // Exit status is 1 if any diagnostic is reported, 2 on usage or load
 // errors. Diagnostics and their suppression annotations are documented
@@ -28,44 +17,16 @@
 package main
 
 import (
-	"crypto/sha256"
-	"encoding/json"
 	"flag"
 	"fmt"
-	"go/ast"
-	"go/importer"
-	"go/parser"
-	"go/token"
-	"go/types"
-	"io"
 	"os"
 	"path/filepath"
-	"runtime"
 	"strings"
 
 	"jmachine/internal/lint"
 )
 
 func main() {
-	// Vet protocol: `go vet` probes the tool with -V=full, then invokes
-	// it with a single *.cfg argument per package.
-	if len(os.Args) == 2 {
-		switch {
-		case os.Args[1] == "-V=full" || os.Args[1] == "--V=full":
-			// The vet driver caches on the tool's build ID: hash our own
-			// executable, as x/tools' unitchecker does.
-			printVersion()
-			return
-		case os.Args[1] == "-flags" || os.Args[1] == "--flags":
-			// The vet driver asks for the tool's flag definitions as
-			// JSON; jm-lint adds none.
-			fmt.Println("[]")
-			return
-		case strings.HasSuffix(os.Args[1], ".cfg"):
-			os.Exit(runVetUnit(os.Args[1]))
-		}
-	}
-
 	list := flag.Bool("list", false, "list analyzers and exit")
 	only := flag.String("c", "", "comma-separated analyzer names or codes to run (default: all)")
 	flag.Parse()
@@ -106,17 +67,6 @@ func main() {
 	if len(diags) > 0 {
 		os.Exit(1)
 	}
-}
-
-func printVersion() {
-	id := "unknown"
-	if exe, err := os.Executable(); err == nil {
-		if data, err := os.ReadFile(exe); err == nil {
-			sum := sha256.Sum256(data)
-			id = fmt.Sprintf("%02x", sum)
-		}
-	}
-	fmt.Printf("jm-lint version devel comments-go-here buildID=%s\n", id)
 }
 
 func fatal(err error) {
@@ -165,106 +115,4 @@ func rel(modDir string, d lint.Diagnostic) string {
 		d.Pos.Filename = r
 	}
 	return d.String()
-}
-
-// ---- go vet unit mode ------------------------------------------------
-
-// vetConfig is the unit description `go vet` hands to analysis tools
-// (cmd/go's vetConfig struct, decoded from the .cfg JSON file).
-type vetConfig struct {
-	ID          string
-	Compiler    string
-	Dir         string
-	ImportPath  string
-	GoFiles     []string
-	ImportMap   map[string]string
-	PackageFile map[string]string
-	Standard    map[string]bool
-	VetxOnly    bool
-	VetxOutput  string
-
-	SucceedOnTypecheckFailure bool
-}
-
-func runVetUnit(cfgPath string) int {
-	data, err := os.ReadFile(cfgPath)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "jm-lint:", err)
-		return 2
-	}
-	var cfg vetConfig
-	if err := json.Unmarshal(data, &cfg); err != nil {
-		fmt.Fprintf(os.Stderr, "jm-lint: parsing %s: %v\n", cfgPath, err)
-		return 2
-	}
-	// Facts output first: go vet requires the vetx file to exist even
-	// when there is nothing to say (jm-lint exports no facts).
-	if cfg.VetxOutput != "" {
-		if err := os.WriteFile(cfg.VetxOutput, nil, 0o666); err != nil {
-			fmt.Fprintln(os.Stderr, "jm-lint:", err)
-			return 2
-		}
-	}
-	if cfg.VetxOnly {
-		return 0
-	}
-
-	fset := token.NewFileSet()
-	var files []*ast.File
-	for _, name := range cfg.GoFiles {
-		f, err := parser.ParseFile(fset, name, nil, parser.ParseComments|parser.SkipObjectResolution)
-		if err != nil {
-			if cfg.SucceedOnTypecheckFailure {
-				return 0
-			}
-			fmt.Fprintln(os.Stderr, "jm-lint:", err)
-			return 2
-		}
-		files = append(files, f)
-	}
-	// Imports come from the compiler's export data, as recorded by the
-	// driver in PackageFile (keyed by canonical path via ImportMap).
-	compiler := cfg.Compiler
-	if compiler == "" {
-		compiler = "gc"
-	}
-	imp := importer.ForCompiler(fset, compiler, func(path string) (io.ReadCloser, error) {
-		if canon, ok := cfg.ImportMap[path]; ok {
-			path = canon
-		}
-		file, ok := cfg.PackageFile[path]
-		if !ok {
-			return nil, fmt.Errorf("no export data for %q", path)
-		}
-		return os.Open(file)
-	})
-	info := &types.Info{
-		Types:      make(map[ast.Expr]types.TypeAndValue),
-		Uses:       make(map[*ast.Ident]types.Object),
-		Defs:       make(map[*ast.Ident]types.Object),
-		Selections: make(map[*ast.SelectorExpr]*types.Selection),
-	}
-	conf := types.Config{
-		Importer: imp,
-		Sizes:    types.SizesFor(compiler, runtime.GOARCH),
-		Error:    func(error) {},
-	}
-	tpkg, err := conf.Check(cfg.ImportPath, fset, files, info)
-	if err != nil {
-		if cfg.SucceedOnTypecheckFailure {
-			return 0
-		}
-		fmt.Fprintf(os.Stderr, "jm-lint: typecheck %s: %v\n", cfg.ImportPath, err)
-		return 2
-	}
-
-	prog := lint.SinglePackageProgram(fset, cfg.ImportPath, cfg.Dir, tpkg, info, files)
-	diags := lint.Run(prog, lint.Analyzers())
-	for _, d := range diags {
-		fmt.Fprintln(os.Stderr, d.String())
-	}
-	if len(diags) > 0 {
-		return 1
-	}
-	return 0
 }

@@ -74,24 +74,3 @@ func TestStandaloneClean(t *testing.T) {
 		t.Fatalf("want no output when clean, got:\n%s", out)
 	}
 }
-
-// TestVettoolProtocol exercises the go vet driver protocol end to end
-// on one clean package.
-func TestVettoolProtocol(t *testing.T) {
-	if testing.Short() {
-		t.Skip("runs go vet")
-	}
-	bin := buildTool(t)
-	cmd := exec.Command("go", "vet", "-vettool="+bin, "./internal/stats/")
-	cmd.Dir = repoRoot(t)
-	out, err := cmd.CombinedOutput()
-	if err != nil {
-		t.Fatalf("go vet -vettool failed: %v\n%s", err, out)
-	}
-	// And the -V=full probe go vet depends on.
-	probe := exec.Command(bin, "-V=full")
-	pout, err := probe.Output()
-	if err != nil || !strings.HasPrefix(string(pout), "jm-lint version") {
-		t.Fatalf("-V=full probe: %v %q", err, pout)
-	}
-}

@@ -351,15 +351,6 @@ func (inj *Injector) onInject(node int, m *network.Message, cycle int64) {
 	atomic.AddUint64(&inj.corrupts, 1)
 }
 
-// Applied returns how many events of kind k have been put into force.
-func (inj *Injector) Applied(k Kind) uint64 { return inj.applied[k] }
-
-// CorruptionsConsumed returns how many armed corruptions were actually
-// stamped onto a message.
-func (inj *Injector) CorruptionsConsumed() uint64 {
-	return atomic.LoadUint64(&inj.corrupts)
-}
-
 // ArmedRemaining returns corruptions armed but not yet consumed (the
 // target node never sent again).
 func (inj *Injector) ArmedRemaining() int {

@@ -42,16 +42,6 @@ type Snapshot struct {
 	Sections []Section
 }
 
-// Find returns the named section's payload, or nil.
-func (s *Snapshot) Find(name string) []byte {
-	for i := range s.Sections {
-		if s.Sections[i].Name == name {
-			return s.Sections[i].Data
-		}
-	}
-	return nil
-}
-
 // Names returns the section names in order.
 func (s *Snapshot) Names() []string {
 	names := make([]string, len(s.Sections))

@@ -76,8 +76,8 @@ var paritySpecs = map[string]paritySpec{
 			"nodeVisits", // host-work counter, outside StateDigest
 		},
 	},
-	"jmachine/internal/machine.progressSig": {
-		serialized: []string{"instrs", "threads", "faults", "phitHops", "delivered", "returned"},
+	"jmachine/internal/machine.ProgressCounters": {
+		serialized: []string{"Instrs", "Threads", "Faults", "PhitHops", "Delivered", "Returned"},
 	},
 	"jmachine/internal/network.Network": {
 		serialized: []string{"routers", "queues", "out", "rr", "cycle", "stats", "actPhits", "actMsgs"},
@@ -125,7 +125,7 @@ var paritySpecs = map[string]paritySpec{
 			"Retransmits", "DroppedMsgs", "CorruptDrops", "DupDrops", "StallsInjected"},
 	},
 	"jmachine/internal/mdp.Node": {
-		serialized: []string{"Mem", "Xl", "Queues", "Stats", "Trace",
+		serialized: []string{"Mem", "Xl", "Queues", "Stats",
 			"ctx", "cur", "stall", "stallCat", "region", "building", "pendingLen",
 			"softQ", "softAlloc", "softUsed", "p0Soft",
 			"halted", "frozen", "killed", "fatal", "cycle", "nnr"},
@@ -169,15 +169,6 @@ var paritySpecs = map[string]paritySpec{
 	},
 	"jmachine/internal/stats.HandlerStats": {
 		serialized: []string{"Invocations", "Instrs", "MsgWords"},
-	},
-	"jmachine/internal/trace.Buffer": {
-		serialized: []string{"events", "capEvents", "count", "dropped"},
-		derived: []string{
-			"next", // ring rotation is unobservable; restore rebases oldest-first
-		},
-	},
-	"jmachine/internal/trace.Event": {
-		serialized: []string{"Cycle", "Node", "Kind", "A", "B"},
 	},
 	"jmachine/internal/rt.Runtime": {
 		serialized: []string{"nodes"},

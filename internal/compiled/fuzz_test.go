@@ -323,7 +323,12 @@ func fuzzCertifier(t *testing.T, data []byte) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	bufs := m.EnableTrace(4096)
+	var sends []trace.Event
+	m.Nodes[0].Watch = func(e trace.Event) {
+		if e.Kind == trace.Send {
+			sends = append(sends, e)
+		}
+	}
 	if err := m.Nodes[0].Mem.Write(100, m.Net.NodeWord(1)); err != nil {
 		t.Fatal(err)
 	}
@@ -332,7 +337,6 @@ func fuzzCertifier(t *testing.T, data []byte) {
 
 	dist := tr.Certs.SendDist
 	promise := int64(-1 << 62)
-	seen := 0
 	for i := 0; i < 400; i++ {
 		if floor := n.NextEvent(); floor != mdp.NoEvent {
 			bound := mdp.NoEvent
@@ -353,14 +357,13 @@ func fuzzCertifier(t *testing.T, data []byte) {
 			promise = max(promise, bound)
 		}
 		m.Step()
-		ev := bufs[0].Events()
-		for _, e := range ev[seen:] {
-			if e.Kind == trace.Send && e.Cycle < promise {
+		for _, e := range sends {
+			if e.Cycle < promise {
 				t.Fatalf("node 0 injected at cycle %d, but the certificate bound promised >= %d",
 					e.Cycle, promise)
 			}
 		}
-		seen = len(ev)
+		sends = sends[:0]
 		if m.FatalErr() != nil {
 			// No rt fault policy is attached, so a serviced fault without
 			// a handler is a legal terminal state (as in fuzzDiff): the

@@ -174,10 +174,6 @@ func KVKeyWord(k int32) word.Word {
 	return word.New(word.TagPtr, KVKeyBase|k)
 }
 
-// KVOwner returns the node owning key k on an n-node machine (n must be
-// a power of two).
-func KVOwner(k int32, n int) int { return int(k) & (n - 1) }
-
 // SetupKVNode initializes node id for the KV service: the node-local
 // constants, the router-address table, a zeroed mailbox ring, and —
 // for every key this node owns — a published global name mapping the

@@ -238,9 +238,6 @@ func (r Reg) String() string {
 // IsAddr reports whether the register is one of the address registers.
 func (r Reg) IsAddr() bool { return r >= A0 && r <= A3 }
 
-// IsSpecial reports whether the register is a shared special register.
-func (r Reg) IsSpecial() bool { return r >= NNR }
-
 // Mode describes how operand B names its value.
 type Mode uint8
 

@@ -313,29 +313,3 @@ func hasGoFiles(dir string) bool {
 	}
 	return false
 }
-
-// Package returns the loaded package with the given import path, or nil.
-func (p *Program) Package(path string) *Package { return p.byPath[path] }
-
-// SinglePackageProgram wraps one externally type-checked package as a
-// Program, for drivers (the go vet unit protocol) that analyze one
-// package at a time. Cross-package reachability degrades to the
-// package at hand; the standalone multi-package load is authoritative.
-func SinglePackageProgram(fset *token.FileSet, path, dir string, pkg *types.Package, info *types.Info, files []*ast.File) *Program {
-	tp := &Package{
-		Path:  path,
-		Dir:   dir,
-		Pkg:   pkg,
-		Info:  info,
-		Files: files,
-		Notes: make(map[*ast.File]Annotations),
-	}
-	for _, f := range files {
-		tp.Notes[f] = parseAnnotations(fset, f)
-	}
-	return &Program{
-		Fset:   fset,
-		Pkgs:   []*Package{tp},
-		byPath: map[string]*Package{path: tp},
-	}
-}

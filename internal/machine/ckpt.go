@@ -81,8 +81,8 @@ func (m *Machine) SaveState(e *wire.Encoder) {
 	e.U64(m.WatchdogTrips)
 	e.Bool(m.sigValid)
 	e.I64(m.lastMove)
-	for _, v := range [...]uint64{m.lastSig.instrs, m.lastSig.threads, m.lastSig.faults,
-		m.lastSig.phitHops, m.lastSig.delivered, m.lastSig.returned} {
+	for _, v := range [...]uint64{m.lastSig.Instrs, m.lastSig.Threads, m.lastSig.Faults,
+		m.lastSig.PhitHops, m.lastSig.Delivered, m.lastSig.Returned} {
 		e.U64(v)
 	}
 	for i := range m.parked {
@@ -127,9 +127,9 @@ func (m *Machine) RestoreState(d *wire.Decoder) error {
 	m.WatchdogTrips = d.U64()
 	m.sigValid = d.Bool()
 	m.lastMove = d.I64()
-	m.lastSig = progressSig{
-		instrs: d.U64(), threads: d.U64(), faults: d.U64(),
-		phitHops: d.U64(), delivered: d.U64(), returned: d.U64(),
+	m.lastSig = ProgressCounters{
+		Instrs: d.U64(), Threads: d.U64(), Faults: d.U64(),
+		PhitHops: d.U64(), Delivered: d.U64(), Returned: d.U64(),
 	}
 	nParked := int64(0)
 	for i := range m.parked {

@@ -33,7 +33,6 @@ type NodeDiag struct {
 	QUsed    [2]int // hardware queue fill, words
 	QMsgs    [2]int // complete messages buffered
 	SoftQLen int    // messages relocated to the software overflow queue
-	Events   string // last few trace events, when tracing is attached
 }
 
 // ParkDiag describes one node parked by the event-horizon stepper.
@@ -134,11 +133,6 @@ func nodeDiag(n *mdp.Node) NodeDiag {
 		nd.QUsed[pri] = n.Queues[pri].Used()
 		nd.QMsgs[pri] = n.Queues[pri].Messages()
 	}
-	var evs []string
-	for _, e := range n.Trace.Tail(5) {
-		evs = append(evs, e.String())
-	}
-	nd.Events = strings.Join(evs, "\n")
 	return nd
 }
 
@@ -186,11 +180,6 @@ func (d *Diagnostic) String() string {
 		fmt.Fprintf(&sb, "  node n%03d: level=%d ip=%d [%s] q0=%dw/%dm q1=%dw/%dm softq=%d\n",
 			n.ID, n.Level, n.IP, strings.Join(flags, ","),
 			n.QUsed[0], n.QMsgs[0], n.QUsed[1], n.QMsgs[1], n.SoftQLen)
-		if n.Events != "" {
-			for _, line := range strings.Split(n.Events, "\n") {
-				fmt.Fprintf(&sb, "    %s\n", line)
-			}
-		}
 	}
 	if d.Truncated > 0 {
 		fmt.Fprintf(&sb, "  (%d more nodes omitted)\n", d.Truncated)

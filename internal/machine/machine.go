@@ -17,7 +17,6 @@ import (
 	"jmachine/internal/network"
 	"jmachine/internal/queue"
 	"jmachine/internal/stats"
-	"jmachine/internal/trace"
 	"jmachine/internal/word"
 	"jmachine/internal/xlate"
 )
@@ -103,7 +102,7 @@ type Machine struct {
 	cycleFns []func(cycle int64)
 	stepper  Stepper
 	watchdog int64
-	lastSig  progressSig
+	lastSig  ProgressCounters
 	lastMove int64 // cycle at which lastSig was taken
 	sigValid bool
 
@@ -252,17 +251,6 @@ func (m *Machine) SetFaultFn(fn mdp.FaultFn) {
 	for _, n := range m.Nodes {
 		n.SetFaultFn(fn)
 	}
-}
-
-// EnableTrace attaches an event ring of capEvents to every node and
-// returns the buffers by node id.
-func (m *Machine) EnableTrace(capEvents int) []*trace.Buffer {
-	out := make([]*trace.Buffer, len(m.Nodes))
-	for i, n := range m.Nodes {
-		out[i] = trace.New(capEvents)
-		n.Trace = out[i]
-	}
-	return out
 }
 
 // AddCycleHook registers a hook called at the start of every stepped
@@ -741,22 +729,11 @@ func (e ErrNoProgress) Error() string {
 	return s
 }
 
-// progressSig summarizes everything the watchdog counts as forward
-// progress. Faults are included so fault-service storms (which retire
-// no instructions) do not read as a wedge.
-type progressSig struct {
-	instrs    uint64
-	threads   uint64
-	faults    uint64
-	phitHops  uint64
-	delivered uint64
-	returned  uint64
-}
-
-// ProgressCounters is the watchdog's forward-progress signature in
-// exported form: everything the machine counts as evidence of life.
-// Observability snapshots report it so a live tail shows the same
-// signal the watchdog trips on.
+// ProgressCounters is the watchdog's forward-progress signature:
+// everything the machine counts as evidence of life. Faults are
+// included so fault-service storms (which retire no instructions) do
+// not read as a wedge. Observability snapshots report it so a live
+// tail shows the same signal the watchdog trips on.
 type ProgressCounters struct {
 	Instrs    uint64 `json:"instrs"`
 	Threads   uint64 `json:"threads"`
@@ -769,28 +746,16 @@ type ProgressCounters struct {
 // Progress returns the machine-wide forward-progress counters the
 // watchdog compares between windows. The scan is O(nodes).
 func (m *Machine) Progress() ProgressCounters {
-	s := m.progress()
-	return ProgressCounters{
-		Instrs:    s.instrs,
-		Threads:   s.threads,
-		Faults:    s.faults,
-		PhitHops:  s.phitHops,
-		Delivered: s.delivered,
-		Returned:  s.returned,
-	}
-}
-
-func (m *Machine) progress() progressSig {
-	var s progressSig
+	var s ProgressCounters
 	for _, n := range m.Stats.Nodes {
-		s.instrs += n.Instrs
-		s.threads += n.Threads
-		s.faults += n.SendFaults + n.XlateFaults + n.CfutFaults + n.OverflowFaults
+		s.Instrs += n.Instrs
+		s.Threads += n.Threads
+		s.Faults += n.SendFaults + n.XlateFaults + n.CfutFaults + n.OverflowFaults
 	}
 	ns := m.Net.Stats()
-	s.phitHops = ns.PhitHops
-	s.delivered = ns.DeliveredWords[0] + ns.DeliveredWords[1]
-	s.returned = ns.ReturnedMsgs + ns.Retransmits + ns.DroppedMsgs + ns.CorruptDrops + ns.DupDrops
+	s.PhitHops = ns.PhitHops
+	s.Delivered = ns.DeliveredWords[0] + ns.DeliveredWords[1]
+	s.Returned = ns.ReturnedMsgs + ns.Retransmits + ns.DroppedMsgs + ns.CorruptDrops + ns.DupDrops
 	return s
 }
 
@@ -802,13 +767,13 @@ func (m *Machine) checkWatchdog() error {
 		return nil
 	}
 	if !m.sigValid {
-		m.lastSig, m.lastMove, m.sigValid = m.progress(), m.cycle, true
+		m.lastSig, m.lastMove, m.sigValid = m.Progress(), m.cycle, true
 		return nil
 	}
 	if m.cycle-m.lastMove < m.watchdog {
 		return nil
 	}
-	sig := m.progress()
+	sig := m.Progress()
 	if sig != m.lastSig {
 		m.lastSig, m.lastMove = sig, m.cycle
 		return nil

@@ -122,7 +122,20 @@ func TestTraceRecordsMachineEvents(t *testing.T) {
 	b2.Label("sink").I(isa.SUSPEND, 0, asm.Imm(0))
 	p := b2.MustAssemble()
 	m := MustNew(Grid(2, 1, 1), p)
-	bufs := m.EnableTrace(64)
+	events := make([][]trace.Event, len(m.Nodes))
+	for i, n := range m.Nodes {
+		evs := &events[i]
+		n.Watch = func(e trace.Event) { *evs = append(*evs, e) }
+	}
+	filter := func(node int, k trace.Kind) []trace.Event {
+		var out []trace.Event
+		for _, e := range events[node] {
+			if e.Kind == k {
+				out = append(out, e)
+			}
+		}
+		return out
+	}
 	m.Nodes[0].Mem.Write(64, m.Net.NodeWord(1))
 	m.Nodes[0].StartBackground(p.Entry("main"))
 	if err := m.RunUntilHalt(0, 1000); err != nil {
@@ -131,15 +144,15 @@ func TestTraceRecordsMachineEvents(t *testing.T) {
 	if err := m.RunQuiescent(1000); err != nil {
 		t.Fatal(err)
 	}
-	sends := bufs[0].Filter(trace.Send)
+	sends := filter(0, trace.Send)
 	if len(sends) != 1 || sends[0].A != 1 {
 		t.Errorf("sends = %v", sends)
 	}
-	disp := bufs[1].Filter(trace.Dispatch)
+	disp := filter(1, trace.Dispatch)
 	if len(disp) != 1 || disp[0].A != p.Entry("sink") {
 		t.Errorf("dispatches = %v", disp)
 	}
-	if len(bufs[1].Filter(trace.Suspend)) != 1 {
+	if len(filter(1, trace.Suspend)) != 1 {
 		t.Error("suspend not traced")
 	}
 }

@@ -11,7 +11,7 @@ import (
 
 // SaveState serializes the node's complete architectural state — the
 // same field set StateDigest folds — plus its memory, translation
-// table, delivery queues, statistics, and trace ring. Configuration
+// table, delivery queues and statistics. Configuration
 // (Cfg, Prog, coordinates) is rebuilt by the restoring process and
 // only cross-checked here.
 func (n *Node) SaveState(e *wire.Encoder) {
@@ -62,7 +62,9 @@ func (n *Node) SaveState(e *wire.Encoder) {
 	n.Queues[0].SaveState(e)
 	n.Queues[1].SaveState(e)
 	n.Stats.SaveState(e)
-	n.Trace.SaveState(e)
+	// The absent-marker a node without an event ring wrote; kept so the
+	// pinned checkpoint bytes still match.
+	e.Bool(false)
 }
 
 // RestoreState rebuilds the node in place. A fatal error is restored
@@ -139,8 +141,10 @@ func (n *Node) RestoreState(d *wire.Decoder) error {
 	if err := n.Stats.RestoreState(d); err != nil {
 		return fmt.Errorf("node %d: %w", n.ID, err)
 	}
-	if err := n.Trace.RestoreState(d); err != nil {
-		return fmt.Errorf("node %d: %w", n.ID, err)
+	// The trace marker, kept so the pinned checkpoint bytes still
+	// match. Nodes keep no event ring, so a checkpoint with one is refused.
+	if d.Bool() {
+		return fmt.Errorf("node %d: checkpoint carries a trace ring; nodes keep none", n.ID)
 	}
 	return d.Err()
 }

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"jmachine/internal/asm"
+	"jmachine/internal/ckpt/wire"
 	"jmachine/internal/isa"
 	"jmachine/internal/machine"
 	"jmachine/internal/mdp"
@@ -577,5 +578,28 @@ func TestSoftQueueRingWraparound(t *testing.T) {
 	}
 	if n.Busy() {
 		t.Error("node still busy after replay")
+	}
+}
+
+// TestRestoreRefusesTraceMarker pins the node checkpoint's last byte: a
+// node saves the absent-trace marker false, and a checkpoint whose
+// marker says true (one written with an event ring attached) is refused
+// with an error rather than decoded.
+func TestRestoreRefusesTraceMarker(t *testing.T) {
+	m := run1(t, func(b *asm.Builder) {
+		b.MoveI(isa.R0, 5).Halt()
+	})
+	var e wire.Encoder
+	m.Nodes[0].SaveState(&e)
+	data := e.Bytes()
+	if last := data[len(data)-1]; last != 0 {
+		t.Fatalf("trailing trace marker = %d, want 0 (false)", last)
+	}
+	if err := m.Nodes[0].RestoreState(wire.NewDecoder(data)); err != nil {
+		t.Fatalf("restoring the node's own checkpoint: %v", err)
+	}
+	data[len(data)-1] = 1
+	if err := m.Nodes[0].RestoreState(wire.NewDecoder(data)); err == nil {
+		t.Fatal("a checkpoint with a true trace marker restored without error")
 	}
 }

@@ -46,13 +46,11 @@ type Node struct {
 	Net     *network.Network
 	Prog    *asm.Program
 	Stats   *stats.Node
-	// Trace, when non-nil, records dispatches, suspends, sends, and
-	// faults for debugging (see package trace).
-	Trace *trace.Buffer
-	// Watch, when non-nil, receives a copy of every event the node
-	// emits, independently of Trace. Unlike Trace it is NOT part of
-	// StateDigest, so an attached observer (internal/obs) leaves the
-	// digest byte-identical to an unobserved run. The callback runs on
+	// Watch, when non-nil, receives every event the node emits
+	// (dispatches, suspends, sends, faults; see package trace). It is
+	// the node's only event tap and is NOT part of StateDigest or the
+	// checkpoint, so an attached observer (internal/obs, jm-jc -trace)
+	// leaves both byte-identical to an unobserved run. The callback runs on
 	// the goroutine stepping this node — one per cycle under both
 	// engines — and must not touch other nodes' state.
 	//jm:digest-exempt observer tap; deliberately outside StateDigest
@@ -229,10 +227,9 @@ func (n *Node) SkipTo(target int64) {
 	}
 }
 
-// emit routes one trace event to the debug ring and the observer tap.
-// Both paths are nil-check cheap when disabled.
+// emit routes one trace event to the observer tap, a nil check when
+// none is attached.
 func (n *Node) emit(e trace.Event) {
-	n.Trace.Add(e)
 	//jm:digest-exempt-ok write-only tap: the callback observes the event stream and cannot return state into the node
 	if n.Watch != nil {
 		n.Watch(e) //jm:digest-exempt-ok same tap, call through the pointer just nil-checked

@@ -110,12 +110,6 @@ type Stats struct {
 	StallsInjected uint64    // phit moves blocked by an injected link stall
 }
 
-// BisectionBits returns the bisection traffic in bits, per direction
-// (18 bits per phit; BisectionPhits counts both directions, while the
-// paper's 14.4 Gbits/sec capacity figure is per direction: 64 channels
-// at 0.5 words/cycle).
-func (s Stats) BisectionBits() float64 { return float64(s.BisectionPhits) * 18 / 2 }
-
 // MeanLatency returns the average message latency at priority pri.
 func (s Stats) MeanLatency(pri int) float64 {
 	if s.DeliveredMsgs[pri] == 0 {

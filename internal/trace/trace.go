@@ -1,7 +1,7 @@
-// Package trace records machine-level events — dispatches, suspends,
-// sends, faults — into per-node ring buffers for debugging simulated
-// MDP programs. Tracing is off unless a buffer is attached, and the
-// hot paths pay only a nil check.
+// Package trace defines the machine-level events — dispatches,
+// suspends, sends, faults — that each node hands to its mdp.Node.Watch
+// tap. Nothing records them unless a tap is attached (internal/obs,
+// jm-jc -trace), and the hot paths pay only a nil check.
 //
 // The real J-Machine had no such facility; the paper's critique wishes
 // it had ("including statistics collection hardware in the machine
@@ -9,10 +9,7 @@
 // process").
 package trace
 
-import (
-	"fmt"
-	"strings"
-)
+import "fmt"
 
 // Kind classifies an event.
 type Kind uint8
@@ -58,137 +55,4 @@ type Event struct {
 // String renders the event on one line.
 func (e Event) String() string {
 	return fmt.Sprintf("[%8d] n%03d %-8s a=%d b=%d", e.Cycle, e.Node, e.Kind, e.A, e.B)
-}
-
-// Buffer is a fixed-capacity event ring. A nil *Buffer is a valid,
-// disabled sink: all methods are nil-safe.
-//
-// The ring is tracked with explicit indices — next is the slot of the
-// oldest retained event once the ring is full, count the number
-// retained — rather than len/cap tricks: a slice allocated with a
-// requested capacity can receive more from the allocator's size-class
-// rounding, which would silently move the wrap boundary and make the
-// retention window (and Dropped accounting) depend on the runtime
-// instead of the requested capacity.
-//
-// Concurrency: each Buffer is single-writer — events are added only by
-// the owning node's Step, which runs on one goroutine per cycle under
-// both the sequential loop and the parallel engine's node phase.
-// Readers (dumps, digests) run on the coordinator between cycles.
-type Buffer struct {
-	events    []Event // ring storage; nil until the first event lands
-	capEvents int     // exact ring capacity
-	next      int     // oldest retained slot once full; 0 while filling
-	count     int     // retained events
-	dropped   uint64
-}
-
-// New returns a buffer holding the most recent cap events. The ring
-// storage is allocated on the first Add: on large meshes most nodes in
-// a traced run never log anything, and an untouched ring costs nothing.
-func New(capEvents int) *Buffer {
-	if capEvents <= 0 {
-		capEvents = 4096
-	}
-	return &Buffer{capEvents: capEvents}
-}
-
-// Add records an event (nil-safe no-op when the buffer is nil). Once
-// the ring is full each new event overwrites the oldest.
-func (b *Buffer) Add(e Event) {
-	if b == nil {
-		return
-	}
-	if b.events == nil {
-		b.events = make([]Event, b.capEvents)
-	}
-	if b.count < b.capEvents {
-		// Filling: next stays 0, so slot count is the write position.
-		b.events[(b.next+b.count)%b.capEvents] = e
-		b.count++
-		return
-	}
-	b.events[b.next] = e
-	b.next = (b.next + 1) % b.capEvents
-	b.dropped++
-}
-
-// Len returns the number of retained events.
-func (b *Buffer) Len() int {
-	if b == nil {
-		return 0
-	}
-	return b.count
-}
-
-// Cap returns the ring capacity in events.
-func (b *Buffer) Cap() int {
-	if b == nil {
-		return 0
-	}
-	return b.capEvents
-}
-
-// At returns retained event i, where 0 is the oldest. It must only be
-// called with 0 <= i < Len().
-func (b *Buffer) At(i int) Event {
-	return b.events[(b.next+i)%b.capEvents]
-}
-
-// Dropped returns how many older events the ring overwrote.
-func (b *Buffer) Dropped() uint64 {
-	if b == nil {
-		return 0
-	}
-	return b.dropped
-}
-
-// Events returns the retained events, oldest first.
-func (b *Buffer) Events() []Event {
-	if b == nil || b.count == 0 {
-		return nil
-	}
-	out := make([]Event, 0, b.count)
-	out = append(out, b.events[b.next:b.next+min(b.count, b.capEvents-b.next)]...)
-	if rest := b.count - (b.capEvents - b.next); rest > 0 {
-		out = append(out, b.events[:rest]...)
-	}
-	return out
-}
-
-// Tail returns the most recent k retained events, oldest first (all of
-// them when fewer than k are retained). Nil-safe.
-func (b *Buffer) Tail(k int) []Event {
-	evs := b.Events()
-	if k < 0 {
-		k = 0
-	}
-	if len(evs) > k {
-		evs = evs[len(evs)-k:]
-	}
-	return evs
-}
-
-// Filter returns the retained events of one kind, oldest first.
-func (b *Buffer) Filter(k Kind) []Event {
-	var out []Event
-	for _, e := range b.Events() {
-		if e.Kind == k {
-			out = append(out, e)
-		}
-	}
-	return out
-}
-
-// Dump renders every retained event, one per line.
-func (b *Buffer) Dump() string {
-	var sb strings.Builder
-	for _, e := range b.Events() {
-		sb.WriteString(e.String())
-		sb.WriteByte('\n')
-	}
-	if d := b.Dropped(); d > 0 {
-		fmt.Fprintf(&sb, "(%d earlier events dropped)\n", d)
-	}
-	return sb.String()
 }

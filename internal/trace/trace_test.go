@@ -1,129 +1,6 @@
 package trace
 
-import (
-	"strings"
-	"testing"
-)
-
-func TestNilBufferIsSafe(t *testing.T) {
-	var b *Buffer
-	b.Add(Event{Cycle: 1})
-	if b.Len() != 0 || b.Dropped() != 0 || b.Events() != nil {
-		t.Error("nil buffer misbehaved")
-	}
-}
-
-func TestRingRetainsNewest(t *testing.T) {
-	b := New(4)
-	for i := 0; i < 10; i++ {
-		b.Add(Event{Cycle: int64(i), Kind: Send})
-	}
-	ev := b.Events()
-	if len(ev) != 4 {
-		t.Fatalf("retained %d", len(ev))
-	}
-	for i, e := range ev {
-		if e.Cycle != int64(6+i) {
-			t.Errorf("event %d cycle = %d", i, e.Cycle)
-		}
-	}
-	if b.Dropped() != 6 {
-		t.Errorf("dropped = %d", b.Dropped())
-	}
-}
-
-// TestWrapBoundaryCycleOrder covers the overwrite boundary explicitly:
-// at exactly capacity, one past it, and after the write index has
-// lapped the ring multiple times, the events read back out must be the
-// newest window in strict cycle order with no seam at the wrap point.
-func TestWrapBoundaryCycleOrder(t *testing.T) {
-	const capEvents = 5
-	for _, total := range []int{capEvents - 1, capEvents, capEvents + 1, capEvents + 2, 3*capEvents + 2} {
-		b := New(capEvents)
-		for i := 0; i < total; i++ {
-			b.Add(Event{Cycle: int64(i), Kind: Mark, A: int32(i)})
-		}
-		want := total
-		if want > capEvents {
-			want = capEvents
-		}
-		ev := b.Events()
-		if len(ev) != want || b.Len() != want {
-			t.Fatalf("total=%d: retained %d events (Len %d), want %d", total, len(ev), b.Len(), want)
-		}
-		first := int64(total - want)
-		for i, e := range ev {
-			if e.Cycle != first+int64(i) {
-				t.Errorf("total=%d: event %d cycle = %d, want %d (wrap seam out of order)",
-					total, i, e.Cycle, first+int64(i))
-			}
-			if i > 0 && e.Cycle <= ev[i-1].Cycle {
-				t.Errorf("total=%d: cycle order broken at %d: %d after %d",
-					total, i, e.Cycle, ev[i-1].Cycle)
-			}
-		}
-		wantDropped := uint64(0)
-		if total > capEvents {
-			wantDropped = uint64(total - capEvents)
-		}
-		if b.Dropped() != wantDropped {
-			t.Errorf("total=%d: dropped = %d, want %d", total, b.Dropped(), wantDropped)
-		}
-	}
-}
-
-// TestExactCapacity pins the retention window to the requested
-// capacity: the ring must wrap at exactly capEvents, not at whatever
-// larger capacity the allocator's size-class rounding hands back.
-func TestExactCapacity(t *testing.T) {
-	for _, capEvents := range []int{1, 3, 5, 100} {
-		b := New(capEvents)
-		if b.Cap() != capEvents {
-			t.Fatalf("New(%d).Cap() = %d", capEvents, b.Cap())
-		}
-		for i := 0; i < capEvents; i++ {
-			b.Add(Event{Cycle: int64(i)})
-		}
-		if b.Dropped() != 0 {
-			t.Errorf("cap=%d: dropped %d before the ring was full", capEvents, b.Dropped())
-		}
-		b.Add(Event{Cycle: int64(capEvents)})
-		if b.Dropped() != 1 {
-			t.Errorf("cap=%d: event %d did not overwrite (dropped=%d)",
-				capEvents, capEvents, b.Dropped())
-		}
-		if ev := b.Events(); ev[0].Cycle != 1 || ev[len(ev)-1].Cycle != int64(capEvents) {
-			t.Errorf("cap=%d: window [%d..%d], want [1..%d]",
-				capEvents, ev[0].Cycle, ev[len(ev)-1].Cycle, capEvents)
-		}
-	}
-}
-
-// TestTailAcrossWrap reads a tail that straddles the overwrite boundary.
-func TestTailAcrossWrap(t *testing.T) {
-	b := New(4)
-	for i := 0; i < 6; i++ {
-		b.Add(Event{Cycle: int64(i)})
-	}
-	tail := b.Tail(3)
-	if len(tail) != 3 || tail[0].Cycle != 3 || tail[2].Cycle != 5 {
-		t.Errorf("tail = %v", tail)
-	}
-}
-
-func TestFilterAndDump(t *testing.T) {
-	b := New(16)
-	b.Add(Event{Cycle: 1, Kind: Dispatch, A: 7})
-	b.Add(Event{Cycle: 2, Kind: Send, A: 3, B: 2})
-	b.Add(Event{Cycle: 3, Kind: Dispatch, A: 9})
-	if got := b.Filter(Dispatch); len(got) != 2 || got[1].A != 9 {
-		t.Errorf("filter = %v", got)
-	}
-	d := b.Dump()
-	if !strings.Contains(d, "dispatch") || !strings.Contains(d, "send") {
-		t.Errorf("dump = %q", d)
-	}
-}
+import "testing"
 
 func TestKindNames(t *testing.T) {
 	if Dispatch.String() != "dispatch" || Fault.String() != "fault" {

@@ -85,11 +85,6 @@ func New(t Tag, data int32) Word {
 	return Word(uint64(t&tagMask)<<tagShift | uint64(uint32(data)))
 }
 
-// FromUint packs a tag and raw unsigned data into a Word.
-func FromUint(t Tag, data uint32) Word {
-	return Word(uint64(t&tagMask)<<tagShift | uint64(data))
-}
-
 // Int returns an integer-tagged word.
 func Int(v int32) Word { return New(TagInt, v) }
 
