@@ -298,6 +298,24 @@ func (c *countingStepper) StepCycle(m *machine.Machine) {
 	c.nodePhases++
 }
 
+// newSeededRing builds a 4-token ring of nodes linked in seeded random
+// order, so the tokens' hops cross the mesh at seeded distances.
+func newSeededRing(t *testing.T, nodes int) (*machine.Machine, *sim.Run) {
+	t.Helper()
+	m, run, err := newIdleRing(sim.Config{}, nodes, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	order := rand.New(rand.NewSource(11)).Perm(nodes)
+	for i, id := range order {
+		if err := m.Nodes[id].Mem.Write(rt.AppBase+idleOffNext, m.Net.NodeWord(order[(i+1)%nodes])); err != nil {
+			stopRun(run)
+			t.Fatal(err)
+		}
+	}
+	return m, run
+}
+
 // ringVisits runs a 4-token ring linked in seeded random order, so the
 // tokens' hops cross the mesh at seeded distances, for 20,000 measured
 // cycles stepped as slices calls of StepN, and returns the router visits
@@ -305,17 +323,8 @@ func (c *countingStepper) StepCycle(m *machine.Machine) {
 // The bookkeeping is checked after every slice.
 func ringVisits(t *testing.T, nodes, slices int) (perNetStep, perNodePhase float64, digest uint64) {
 	t.Helper()
-	m, run, err := newIdleRing(sim.Config{}, nodes, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
+	m, run := newSeededRing(t, nodes)
 	defer stopRun(run)
-	order := rand.New(rand.NewSource(11)).Perm(nodes)
-	for i, id := range order {
-		if err := m.Nodes[id].Mem.Write(rt.AppBase+idleOffNext, m.Net.NodeWord(order[(i+1)%nodes])); err != nil {
-			t.Fatal(err)
-		}
-	}
 	m.StepN(2000)
 	c := &countingStepper{}
 	m.SetStepper(c)

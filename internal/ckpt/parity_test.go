@@ -84,16 +84,17 @@ var paritySpecs = map[string]paritySpec{
 		derived: []string{
 			"cfg",                                                                 // construction input
 			"nbr",                                                                 // topology, rebuilt by New
-			"midX",                                                                // topology
 			"wakeFn", "injectFns", "deliverFns", "dropFns", "stallFn", "filterFn", // attached hooks
 			"act",          // active-router set, a function of occ and the outboxes; rebuilt on restore
+			"act1",         // priority-1 set, a function of busy[1] and the priority-1 outboxes; rebuilt on restore
 			"routerVisits", // host-work counter, outside StateDigest
+			"portVisits",   // host-work counter, outside StateDigest
 		},
 	},
 	"jmachine/internal/network.router": {
 		serialized: []string{"in", "outOwner", "inRoute", "linkStamp", "occ"},
 		derived: []string{
-			"x", "y", "z", // topology
+			"x", "y", "z", "cross", // topology
 			"pushStamp", "pushedNew", // within-cycle scratch, dead between cycles
 			"busy", // occupied-port masks, a function of the buffers' n; rebuilt on restore
 		},
@@ -106,6 +107,10 @@ var paritySpecs = map[string]paritySpec{
 	},
 	"jmachine/internal/network.phitRef": {
 		serialized: []string{"m", "idx", "arrived"},
+		derived: []string{
+			"tail",           // idx == m.WirePhits()-1; recomputed on restore
+			"dx", "dy", "dz", // m.DestX/Y/Z, constant while the phit is buffered; recomputed on restore
+		},
 	},
 	"jmachine/internal/network.outbox": {
 		serialized: []string{"msgs", "phitIdx", "words"},

@@ -115,7 +115,8 @@ func (n *Network) collectMessages() (table []*Message, index map[*Message]int) {
 // incremental in-flight counters, and the accumulated stats.
 // Within-cycle scratch (pushStamp/pushedNew) is dead between
 // cycles and deliberately excluded, matching StateDigest; so are the
-// active set and the occupied-port masks, which RestoreState rebuilds.
+// active sets, the occupied-port masks and the phits' tail flags and
+// destination copies, which RestoreState rebuilds.
 func (n *Network) SaveState(e *wire.Encoder) {
 	e.Int(len(n.routers))
 	e.I64(n.cycle)
@@ -243,7 +244,8 @@ func (n *Network) RestoreState(d *wire.Decoder) error {
 					if err != nil {
 						return err
 					}
-					b.slots[i] = phitRef{m: m, idx: d.I32(), arrived: d.I64()}
+					idx := d.I32()
+					b.slots[i] = newPhit(m, idx, d.I64())
 				}
 				for i := cnt; i < bufCap; i++ {
 					b.slots[i] = phitRef{}
@@ -271,6 +273,7 @@ func (n *Network) RestoreState(d *wire.Decoder) error {
 			ob.words = d.Int()
 		}
 		n.act.Put(ri, !n.idle(ri))
+		n.act1.Put(ri, r.busy[1] != 0 || len(n.out[ri][1].msgs) != 0)
 	}
 	n.actPhits = d.I64()
 	n.actMsgs.Store(d.I64())

@@ -4,12 +4,15 @@ import "fmt"
 
 // CheckInvariants recomputes the network's derived bookkeeping from a
 // full scan and returns an error naming the first disagreement: every
-// occupied-port mask against its buffers, every router's occ against
-// their sum, the active set against exactly the routers holding a phit
-// or a queued message, the O(1) Pending counters against the totals,
-// and the active set's summary level (bitset.Set.Check). Call it
-// between cycles (mid-cycle the active set is only a superset). For
-// tests and equivalence harnesses; O(routers × ports).
+// occupied-port mask against its buffers, every buffered phit's tail
+// flag and destination copy against its message, every router's occ
+// against their sum, the active set against exactly the routers
+// holding a phit or a queued message, the priority-1 set against
+// exactly those holding a priority-1 phit or message, the O(1) Pending
+// counters against the totals, and both sets' summary levels
+// (bitset.Set.Check). Call it between cycles (mid-cycle the sets are
+// only supersets). For tests and equivalence harnesses; O(routers ×
+// ports).
 func (n *Network) CheckInvariants() error {
 	var phits, msgs int64
 	for ri := range n.routers {
@@ -22,6 +25,14 @@ func (n *Network) CheckInvariants() error {
 					return fmt.Errorf("network: router %d busy[%d]=%07b but input %d holds %d phits", ri, v, r.busy[v], q, cnt)
 				}
 				occ += int32(cnt)
+				b := &r.in[v][q]
+				for i := int8(0); i < cnt; i++ {
+					p := &b.slots[ringAt[b.head+i]]
+					if want := newPhit(p.m, p.idx, p.arrived); *p != want {
+						return fmt.Errorf("network: router %d input %d/%d phit %d of %d has tail=%v dest=(%d,%d,%d), want %v (%d,%d,%d)",
+							ri, v, q, p.idx, p.m.WirePhits(), p.tail, p.dx, p.dy, p.dz, want.tail, want.dx, want.dy, want.dz)
+					}
+				}
 			}
 		}
 		if occ != r.occ {
@@ -30,6 +41,10 @@ func (n *Network) CheckInvariants() error {
 		queued := len(n.out[ri][0].msgs) + len(n.out[ri][1].msgs)
 		if n.act.Has(ri) == n.idle(ri) {
 			return fmt.Errorf("network: router %d active=%v with %d phits and %d queued messages", ri, n.act.Has(ri), occ, queued)
+		}
+		if has1 := r.busy[1] != 0 || len(n.out[ri][1].msgs) != 0; n.act1.Has(ri) != has1 {
+			return fmt.Errorf("network: router %d in the priority-1 set=%v with priority-1 ports %07b and %d queued priority-1 messages",
+				ri, n.act1.Has(ri), r.busy[1], len(n.out[ri][1].msgs))
 		}
 		phits += int64(occ)
 		msgs += int64(queued)
@@ -40,6 +55,9 @@ func (n *Network) CheckInvariants() error {
 	}
 	if err := n.act.Check(); err != nil {
 		return fmt.Errorf("network: active set: %w", err)
+	}
+	if err := n.act1.Check(); err != nil {
+		return fmt.Errorf("network: priority-1 set: %w", err)
 	}
 	return nil
 }

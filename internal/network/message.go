@@ -162,15 +162,27 @@ func (m *Message) CheckOK() bool {
 	return !m.HasCheck || checksum(m, m.WireWord) == m.Check
 }
 
-// phitRef locates one phit of an in-flight message.
+// phitRef locates one phit of an in-flight message. Besides the
+// message and the phit's index it carries two derived facts, so that a
+// hop never loads the Message: whether it is the tail, and the
+// destination the head phit routes by. Both sit in idx's padding, so a
+// phitRef stays 24 bytes; newPhit sets them where a phit enters the
+// mesh (feedInjection), and RestoreState recomputes them. The
+// destination cannot go stale: it changes only when a refused or
+// homecoming message is requeued, after its tail has left the mesh.
 type phitRef struct {
-	m       *Message
-	idx     int32 // 0,1 = destination word; 2,3 = framing; then payload (see payloadBase)
-	arrived int64 // cycle the phit entered its current buffer
+	m          *Message
+	idx        int32 // 0,1 = destination word; 2,3 = framing; then payload (see payloadBase)
+	tail       bool  // idx == m.WirePhits()-1
+	dx, dy, dz int8  // m.DestX, m.DestY, m.DestZ
+	arrived    int64 // cycle the phit entered its current buffer
 }
 
-// isTail reports whether the phit is the message's last.
-func (p phitRef) isTail() bool { return p.idx == p.m.WirePhits()-1 }
+// newPhit returns phit idx of m, entering a buffer at cycle arrived.
+func newPhit(m *Message, idx int32, arrived int64) phitRef {
+	return phitRef{m: m, idx: idx, tail: idx == m.WirePhits()-1,
+		dx: m.DestX, dy: m.DestY, dz: m.DestZ, arrived: arrived}
+}
 
 // payloadWord returns (word, true) when the phit completes a payload
 // word at the delivery port; destination, framing, and checksum phits

@@ -128,7 +128,6 @@ type Network struct {
 	out     [][2]outbox
 	rr      []uint8 // round-robin scan offsets
 	cycle   int64
-	midX    int8
 	stats   Stats
 
 	// In-flight accounting for O(1) quiescence checks. actPhits counts
@@ -148,9 +147,17 @@ type Network struct {
 	// Derived state: outside the digest and the checkpoint, rebuilt by
 	// RestoreState.
 	act bitset.Set
-	// routerVisits counts the routers whose skip predicate stepPass
-	// evaluated — host work, not simulated state.
-	routerVisits int64
+	// act1 is the priority-1 set: router i is a member whenever it may
+	// hold a priority-1 phit or a queued priority-1 message, so the
+	// priority-1 pass walks only those. Inject at priority 1 and a
+	// priority-1 push add it; the priority-1 pass removes it once it
+	// holds neither, so between cycles this set is exact too. Derived
+	// state, like act.
+	act1 bitset.Set
+	// routerVisits counts the routers a pass visited, and portVisits
+	// the occupied input buffers stepRouter examined — host work, not
+	// simulated state.
+	routerVisits, portVisits int64
 
 	// wakeFn, when non-nil, is told that a completed word entered node
 	// id's delivery queue this cycle, so an active-set scheduler can
@@ -181,14 +188,14 @@ func New(cfg Config, queues [][2]*queue.Queue) (*Network, error) {
 		queues:  queues,
 		out:     make([][2]outbox, nodes),
 		rr:      make([]uint8, nodes),
-		midX:    int8(cfg.DimX / 2),
 		act:     bitset.New(nodes),
+		act1:    bitset.New(nodes),
 	}
 	for z := 0; z < cfg.DimZ; z++ {
 		for y := 0; y < cfg.DimY; y++ {
 			for x := 0; x < cfg.DimX; x++ {
 				id := n.NodeID(x, y, z)
-				n.routers[id].init(x, y, z)
+				n.routers[id].init(x, y, z, cfg.DimX/2)
 				nb := &n.nbr[id]
 				for d := 0; d < 6; d++ {
 					nb[d] = -1
@@ -275,6 +282,9 @@ func (n *Network) Inject(node int, m *Message, delay int32) {
 	ob.words += len(m.Words)
 	n.actMsgs.Add(1)
 	n.act.Add(node)
+	if m.Pri == 1 {
+		n.act1.Add(node)
+	}
 }
 
 // AddInjectFn registers an observer called for every message handed to
@@ -338,8 +348,8 @@ func (n *Network) RouterOcc(id int) int { return int(n.routers[id].occ) }
 // buffer for port (both priorities): the occupancy of the channel
 // arriving from the neighbour in direction port, or of the injection
 // path for PortLocal. Observability samples these as per-link counter
-// tracks; reads must happen between cycles (on the coordinator), where
-// both engines leave the buffers quiescent.
+// tracks; reads must happen between cycles, when no pass is moving
+// phits.
 func (n *Network) LinkOcc(id, port int) int {
 	r := &n.routers[id]
 	return int(r.in[0][port].n) + int(r.in[1][port].n)
@@ -407,10 +417,15 @@ func (n *Network) Stats() Stats {
 	return s
 }
 
-// RouterVisits returns how many routers the step loop has examined
+// RouterVisits returns how many routers the step loop has visited
 // since construction: proportional to traffic, not to mesh size. A
 // host-work counter — exact at a seed, digest-exempt, not checkpointed.
 func (n *Network) RouterVisits() int64 { return n.routerVisits }
+
+// PortVisits returns how many occupied input buffers the step loop has
+// examined since construction — each one a candidate phit move. A
+// host-work counter like RouterVisits.
+func (n *Network) PortVisits() int64 { return n.portVisits }
 
 // Step advances the network one cycle: injection feeds, phit movement,
 // and delivery, honouring priority-1 channel preference. It is the one
@@ -418,32 +433,56 @@ func (n *Network) RouterVisits() int64 { return n.routerVisits }
 // router order.
 func (n *Network) Step() {
 	n.cycle++
-	for v := 1; v >= 0; v-- {
-		n.stepPass(v, n.cycle)
-	}
+	n.stepPass(1, n.cycle)
+	n.stepPass(0, n.cycle)
 }
 
-// stepPass steps the active routers at priority v, in ascending
-// order, a word of the set at a time (bitset.Set.Next shows the loop;
-// the per-router step inlines). Both levels re-read the set, so a
-// router activated ahead of the cursor during the pass (a neighbour's
-// push, a deliver hook's Inject) is reached in this pass, exactly where
-// a sweep over every router would have reached it. The skip fast-path
-// uses effOcc — start-of-cycle occupancy minus this cycle's pops — so
-// that same-cycle pushes from neighbours, whose visibility depends on
-// visit order, never affect which routers run.
+// stepPass steps priority v at the routers of that priority's set (act1
+// for priority 1, act for priority 0), in ascending order, a word of
+// the set at a time (bitset.Set.Next shows the loop). Both levels
+// re-read the set, so a router added ahead of the cursor during the
+// pass (a neighbour's push, a deliver hook's Inject) is reached in this
+// pass, exactly where a sweep over every router would have reached it.
+//
+// A visit does only the work it has: stepRouter runs when an input
+// holds a priority-v phit and feedInjection when the priority-v outbox
+// holds a message, evaluated in that order so that a message a deliver
+// hook queues at this router is fed at once. Under RoundRobin the
+// priority-0 visit also advances the router's rr cursor, on the
+// trigger the sweep used: effOcc — start-of-cycle occupancy minus this
+// cycle's pops, blind to same-cycle pushes whose visibility depends on
+// visit order — or a queued priority-0 message. A visit whose set
+// membership has lapsed removes the router.
 func (n *Network) stepPass(v int, cyc int64) {
+	set := n.act
+	if v == 1 {
+		set = n.act1
+	}
+	roundRobin := n.cfg.Arbitration == RoundRobin
 	hi := len(n.routers)
-	for ri := n.act.Next(0, hi); ri < hi; ri = n.act.Next(ri, hi) {
-		for end := min(ri|63+1, hi); ri < end; ri = n.act.NextInWord(ri+1, end) {
+	for ri := set.Next(0, hi); ri < hi; ri = set.Next(ri, hi) {
+		for end := min(ri|63+1, hi); ri < end; ri = set.NextInWord(ri+1, end) {
 			n.routerVisits++
 			r := &n.routers[ri]
 			ob := &n.out[ri][v]
-			if r.effOcc(cyc) != 0 || len(ob.msgs) != 0 {
-				n.stepRouter(ri, r, v, cyc)
+			start := 0
+			if roundRobin {
+				start = int(n.rr[ri]) % NumPorts
+				if v == 0 && (r.effOcc(cyc) != 0 || len(ob.msgs) != 0) {
+					n.rr[ri]++ // once per cycle, after both priority passes
+				}
+			}
+			if r.busy[v] != 0 {
+				n.stepRouter(ri, r, v, start, cyc)
+			}
+			if len(ob.msgs) != 0 {
 				n.feedInjection(ri, r, ob, v, cyc)
 			}
-			if v == 0 && n.idle(ri) {
+			if v == 1 {
+				if r.busy[1] == 0 && len(ob.msgs) == 0 {
+					n.act1.Remove(ri)
+				}
+			} else if n.idle(ri) {
 				n.act.Remove(ri) // last pass of the cycle and nothing left here
 			}
 		}
@@ -457,41 +496,48 @@ func (n *Network) idle(ri int) bool {
 	return n.routers[ri].occ == 0 && len(n.out[ri][0].msgs) == 0 && len(n.out[ri][1].msgs) == 0
 }
 
+// portAt maps an arbitration rank start+k (k < NumPorts) to its input
+// port, start+k mod NumPorts.
+var portAt = [2 * NumPorts]int8{0, 1, 2, 3, 4, 5, 6, 0, 1, 2, 3, 4, 5, 6}
+
 // stepRouter attempts to advance the head phit of each occupied input
-// buffer at priority v. The occupied-port mask is read once: while a
+// buffer at priority v, in arbitration order from input start (always
+// 0 under FixedPriority). The occupied-port mask is read once: while a
 // router steps, its own buffers only lose phits, and only at the port
-// being visited.
-func (n *Network) stepRouter(ri int, r *router, v int, cyc int64) {
-	start := 0
-	if n.cfg.Arbitration == RoundRobin {
-		start = int(n.rr[ri]) % NumPorts
-		if v == 0 { // advance once per cycle, after both priority passes
-			n.rr[ri]++
-		}
-	}
-	// Rotate the mask so that bit k stands for port start+k: ascending
-	// bits are then the arbitration order.
+// being visited. A phit that entered its buffer this cycle moves next
+// cycle at the earliest. pop and push inline, and the hop's accounting
+// is branch-free.
+func (n *Network) stepRouter(ri int, r *router, v, start int, cyc int64) {
 	ports := uint(r.busy[v])
-	for ports = (ports>>start | ports<<(NumPorts-start)) & (1<<NumPorts - 1); ports != 0; ports &= ports - 1 {
-		q := (start + bits.TrailingZeros(ports)) % NumPorts
-		b := &r.in[v][q]
-		head := b.peek()
+	n.portVisits += int64(bits.OnesCount(ports))
+	if start != 0 {
+		// Rotate the mask so that bit k stands for port start+k:
+		// ascending bits are then the arbitration order.
+		ports = (ports>>start | ports<<(NumPorts-start)) & (1<<NumPorts - 1)
+	}
+	in, owner, route := &r.in[v], &r.outOwner[v], &r.inRoute[v]
+	stall := n.stallFn
+	var hops, cross uint64
+	for ; ports != 0; ports &= ports - 1 {
+		q := int(portAt[start+bits.TrailingZeros(ports)])
+		b := &in[q]
+		head := &b.slots[b.head]
 		if head.arrived >= cyc {
 			continue // entered this cycle; moves next cycle at the earliest
 		}
-		out := r.inRoute[v][q]
+		out := route[q]
 		if out == noPort {
-			out = r.route(head.m)
-			if r.outOwner[v][out] != noPort {
+			out = r.route(head)
+			if owner[out] != noPort {
 				continue // output channel held by another worm
 			}
-			r.outOwner[v][out] = int8(q)
-			r.inRoute[v][q] = out
+			owner[out] = int8(q)
+			route[q] = out
 		}
 		if r.linkStamp[out] == cyc {
 			continue // physical channel already used this cycle
 		}
-		if n.stallFn != nil && n.stallFn(ri, int(out), cyc) {
+		if stall != nil && stall(ri, int(out), cyc) {
 			n.stats.StallsInjected++
 			continue // injected link fault holds the channel
 		}
@@ -506,28 +552,32 @@ func (n *Network) stepRouter(ri int, r *router, v int, cyc int64) {
 			panic(fmt.Sprintf("network: route off mesh edge at node %d port %d", ri, out))
 		}
 		nr := &n.routers[nb]
-		nbuf := &nr.in[v][opposite[out]]
-		occStart := int(nbuf.n)
-		if nbuf.popStamp == cyc {
-			occStart++
-		}
-		if occStart >= bufCap {
+		nq := opposite[out]
+		nbuf := &nr.in[v][nq]
+		if nbuf.startOcc(cyc) >= bufCap {
 			continue // downstream buffer full at cycle start
+		}
+		// A router holding a phit is in act, and one holding a
+		// priority-1 phit in act1: only a push into an empty one adds.
+		if nr.occ == 0 {
+			n.act.Add(int(nb))
+		}
+		if v == 1 && nr.busy[1] == 0 {
+			n.act1.Add(int(nb))
 		}
 		p := r.pop(v, q, cyc)
 		r.linkStamp[out] = cyc
 		p.arrived = cyc
-		nr.push(v, opposite[out], p, cyc)
-		n.act.Add(int(nb))
-		n.stats.PhitHops++
-		if (out == PortXP && r.x == n.midX-1) || (out == PortXM && r.x == n.midX) {
-			n.stats.BisectionPhits++
-		}
-		if p.isTail() {
-			r.outOwner[v][out] = noPort
-			r.inRoute[v][q] = noPort
-		}
+		nr.push(v, nq, p, cyc)
+		hops++
+		cross += uint64(r.cross >> out & 1)
+		// A tail frees the output and the input: noPort is all ones.
+		free := -int8(b2i(p.tail))
+		owner[out] |= free
+		route[q] |= free
 	}
+	n.stats.PhitHops += hops
+	n.stats.BisectionPhits += cross
 }
 
 // deliverPhit retires the head phit of input q into the local delivery
@@ -586,7 +636,7 @@ func (n *Network) deliverPhit(ri int, r *router, v, q int, b *buf, cyc int64) {
 	if complete {
 		n.stats.DeliveredWords[v]++
 	}
-	if p.isTail() {
+	if p.tail {
 		p.m.DeliverCycle = cyc
 		n.stats.DeliveredMsgs[v]++
 		n.stats.LatencySum[v] += uint64(cyc - p.m.EnqueueCycle)
@@ -608,7 +658,7 @@ func (n *Network) absorbPhit(ri int, r *router, v, q int, cyc int64) {
 	p := r.pop(v, q, cyc)
 	r.linkStamp[PortLocal] = cyc
 	n.actPhits--
-	if !p.isTail() {
+	if !p.tail {
 		return
 	}
 	m := p.m
@@ -650,28 +700,21 @@ func (n *Network) absorbPhit(ri int, r *router, v, q int, cyc int64) {
 }
 
 // feedInjection streams the node's next outgoing phit at priority v into
-// the router's local input buffer, one phit per cycle.
+// the router's local input buffer, one phit per cycle. The caller has
+// seen ob hold a message.
 func (n *Network) feedInjection(ri int, r *router, ob *outbox, v int, cyc int64) {
-	if len(ob.msgs) == 0 {
-		return
-	}
 	if n.stallFn != nil && n.stallFn(ri, PortLocal, cyc) {
 		n.stats.StallsInjected++
 		return // injected NI fault: nothing enters the router
 	}
-	b := &r.in[v][PortLocal]
-	occStart := int(b.n)
-	if b.popStamp == cyc {
-		occStart++
-	}
-	if occStart >= bufCap {
+	if r.in[v][PortLocal].startOcc(cyc) >= bufCap {
 		return
 	}
 	m := ob.msgs[0]
 	if ob.phitIdx == 0 && cyc < m.EnqueueCycle+int64(n.cfg.LaunchCycles) {
 		return // network-interface launch latency
 	}
-	r.push(v, PortLocal, phitRef{m: m, idx: ob.phitIdx, arrived: cyc}, cyc)
+	r.push(v, PortLocal, newPhit(m, ob.phitIdx, cyc), cyc)
 	n.actPhits++
 	ob.phitIdx++
 	if ob.phitIdx == m.WirePhits() {

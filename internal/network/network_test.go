@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"jmachine/internal/queue"
 	"jmachine/internal/word"
@@ -384,5 +385,47 @@ func TestReturnToSenderRandomTrafficDeliversAll(t *testing.T) {
 	if got != sent {
 		t.Fatalf("delivered %d of %d (returns=%d retransmits=%d)",
 			got, sent, n.Stats().ReturnedMsgs, n.Stats().Retransmits)
+	}
+}
+
+// TestPhitRefSize keeps the derived tail flag and destination copy in
+// idx's padding: a buffer slot stays 24 bytes.
+func TestPhitRefSize(t *testing.T) {
+	if got := unsafe.Sizeof(phitRef{}); got != 24 {
+		t.Errorf("phitRef is %d bytes, want 24", got)
+	}
+}
+
+// TestRouteIsECube checks the table-driven route against e-cube order
+// written out: X first, then Y, then Z, then the delivery port.
+func TestRouteIsECube(t *testing.T) {
+	want := func(d, at [3]int8) int8 {
+		for i := 0; i < 3; i++ {
+			switch {
+			case d[i] > at[i]:
+				return int8(2 * i) // PortXP, PortYP, PortZP
+			case d[i] < at[i]:
+				return int8(2*i + 1) // PortXM, PortYM, PortZM
+			}
+		}
+		return PortLocal
+	}
+	vals := []int8{0, 1, 2, 7, 31}
+	for _, x := range vals {
+		for _, y := range vals {
+			for _, z := range vals {
+				r := router{x: x, y: y, z: z}
+				for _, dx := range vals {
+					for _, dy := range vals {
+						for _, dz := range vals {
+							p := phitRef{dx: dx, dy: dy, dz: dz}
+							if got, w := r.route(&p), want([3]int8{dx, dy, dz}, [3]int8{x, y, z}); got != w {
+								t.Fatalf("router (%d,%d,%d) to (%d,%d,%d): port %d, want %d", x, y, z, dx, dy, dz, got, w)
+							}
+						}
+					}
+				}
+			}
+		}
 	}
 }

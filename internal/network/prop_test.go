@@ -2,7 +2,7 @@ package network
 
 // Property tests and the fuzz target for the phit-level mesh. One
 // generator drives both: seeded random traffic over a mesh of any
-// shape, under either arbitration and one of five delivery regimes,
+// shape, under either arbitration and one of seven delivery regimes,
 // with consumers that drain the queues at a seeded uneven rate so the
 // mesh sees back-pressure. Every cycle the run checks the network's
 // own bookkeeping (CheckInvariants); at the receivers it checks
@@ -32,10 +32,12 @@ const (
 	modeChecksum             // Checksum with corruption armed on some messages
 	modeStall                // a stallFn freezing seeded links in 8-cycle windows
 	modeHookAck              // a deliver hook injecting an ack at the delivering node, as rt.Reliable does
+	modeP0                   // priority-0 traffic only: the priority-1 set stays empty
+	modeP0Hook               // priority-0 traffic whose deliveries inject priority-1 acks mid-pass
 	numModes
 )
 
-var modeNames = [numModes]string{"plain", "rts", "checksum", "stall", "hookack"}
+var modeNames = [numModes]string{"plain", "rts", "checksum", "stall", "hookack", "p0", "p0hook"}
 
 // scenario is one generated run.
 type scenario struct {
@@ -121,7 +123,7 @@ func newPropRun(t testing.TB, sc scenario, slabs int) *propRun {
 			return cyc < int64(sc.cycles) &&
 				mix64(uint64(sc.seed), uint64(node), uint64(port), uint64(cyc>>3))%4 == 0
 		})
-	case modeHookAck:
+	case modeHookAck, modeP0Hook:
 		n.AddDeliverFn(func(node int, m *Message, _ int64) {
 			if !m.Ctl {
 				// Privileged NI traffic: bypasses the outbox capacity check.
@@ -170,6 +172,9 @@ func (p *propRun) generate() {
 		}
 		if hot == 0 {
 			dst = p.hotspot()
+		}
+		if p.sc.mode == modeP0 || p.sc.mode == modeP0Hook {
+			pri = 0
 		}
 		key := [2]int{src, pri}
 		if _, ok := room[key]; !ok {

@@ -35,8 +35,12 @@ type buf struct {
 	popStamp int64 // cycle of the most recent pop
 }
 
+// ringAt maps a ring offset head+i (head < bufCap, i <= bufCap) to its
+// slot, (head+i) mod bufCap, without a division.
+var ringAt = [2 * bufCap]int8{0, 1, 2, 0, 1, 2}
+
 func (b *buf) push(p phitRef) {
-	b.slots[(int(b.head)+int(b.n))%bufCap] = p
+	b.slots[ringAt[b.head+b.n]] = p
 	b.n++
 }
 
@@ -44,9 +48,24 @@ func (b *buf) peek() *phitRef { return &b.slots[b.head] }
 
 func (b *buf) pop() phitRef {
 	p := b.slots[b.head]
-	b.head = (b.head + 1) % bufCap
+	b.head = ringAt[b.head+1]
 	b.n--
 	return p
+}
+
+// startOcc is the buffer's occupancy at the start of cycle cyc: its one
+// consumer pops at most one phit a cycle, and a producer admits a phit
+// only while this is below bufCap.
+func (b *buf) startOcc(cyc int64) int { return int(b.n) + b2i(b.popStamp == cyc) }
+
+// b2i is 1 for true and 0 for false; the compiler emits a SETcc, not a
+// branch.
+func b2i(b bool) int {
+	var i int
+	if b {
+		i = 1
+	}
+	return i
 }
 
 const noPort = int8(-1)
@@ -56,6 +75,9 @@ const noPort = int8(-1)
 // assigned to the worm currently flowing through each input.
 type router struct {
 	x, y, z int8
+	// cross has bit o set iff output o's link crosses the mid-X plane,
+	// so a hop adds cross>>o&1 to Stats.BisectionPhits. Topology.
+	cross uint8
 
 	// busy[v] has bit q set iff in[v][q] holds a phit, so stepping visits
 	// occupied inputs without touching the empty buffers. Maintained by
@@ -70,30 +92,25 @@ type router struct {
 	// already carried a phit this cycle (shared across priorities).
 	linkStamp [NumPorts]int64
 
-	// occ counts phits buffered here plus pending local work; zero means
-	// the router can be skipped entirely this cycle.
+	// occ counts the phits buffered here; a router with occ == 0 and
+	// empty outboxes leaves the active set.
 	occ int32
 
-	// pushStamp/pushedNew track phits pushed into this router during the
-	// current cycle (by neighbours or the local outbox). The stepping
-	// skip check subtracts them from occ so that whether a same-cycle
-	// push has already landed — which depends on sweep order — never
-	// changes which routers are stepped. The resulting effective
-	// occupancy is start-of-cycle phits minus this cycle's pops.
+	// pushStamp/pushedNew count the phits pushed into this router during
+	// the current cycle (by neighbours or the local outbox), so that
+	// effOcc can leave out same-cycle pushes, whose visibility depends
+	// on visit order, when RoundRobin decides whether rr advances.
 	pushStamp int64
 	pushedNew int32
 }
 
 // push appends p to input q at priority v during cycle cyc. The phit
-// cannot move until the next cycle, so the skip check must not count
-// it (effOcc).
+// cannot move until the next cycle, so effOcc does not count it.
 func (r *router) push(v, q int, p phitRef, cyc int64) {
 	r.in[v][q].push(p)
 	r.busy[v] |= 1 << q
-	if r.pushStamp != cyc {
-		r.pushStamp, r.pushedNew = cyc, 0
-	}
-	r.pushedNew++
+	r.pushedNew = r.pushedNew*int32(b2i(r.pushStamp == cyc)) + 1
+	r.pushStamp = cyc
 	r.occ++
 }
 
@@ -102,25 +119,27 @@ func (r *router) pop(v, q int, cyc int64) phitRef {
 	b := &r.in[v][q]
 	p := b.pop()
 	b.popStamp = cyc
-	if b.n == 0 {
-		r.busy[v] &^= 1 << q
-	}
+	r.busy[v] &^= uint8(b2i(b.n == 0)) << q
 	r.occ--
 	return p
 }
 
 // effOcc returns the router's phit occupancy excluding phits that
 // arrived this cycle: start-of-cycle occupancy minus this cycle's pops.
+// Only RoundRobin reads it, to decide whether a router's rr cursor
+// advances.
 func (r *router) effOcc(cyc int64) int32 {
-	o := r.occ
-	if r.pushStamp == cyc {
-		o -= r.pushedNew
-	}
-	return o
+	return r.occ - r.pushedNew*int32(b2i(r.pushStamp == cyc))
 }
 
-func (r *router) init(x, y, z int) {
+func (r *router) init(x, y, z, midX int) {
 	r.x, r.y, r.z = int8(x), int8(y), int8(z)
+	if x == midX-1 {
+		r.cross |= 1 << PortXP
+	}
+	if x == midX {
+		r.cross |= 1 << PortXM
+	}
 	for v := 0; v < 2; v++ {
 		for p := 0; p < NumPorts; p++ {
 			r.outOwner[v][p] = noPort
@@ -129,23 +148,37 @@ func (r *router) init(x, y, z int) {
 	}
 }
 
-// route computes the e-cube output port for m at this router: correct X,
-// then Y, then Z, then deliver.
-func (r *router) route(m *Message) int8 {
-	switch {
-	case m.DestX > r.x:
-		return PortXP
-	case m.DestX < r.x:
-		return PortXM
-	case m.DestY > r.y:
-		return PortYP
-	case m.DestY < r.y:
-		return PortYM
-	case m.DestZ > r.z:
-		return PortZP
-	case m.DestZ < r.z:
-		return PortZM
-	default:
-		return PortLocal
-	}
+// route computes the e-cube output port for the worm whose head phit is
+// p at this router: correct X, then Y, then Z, then deliver. The three
+// comparisons index a table instead of branching.
+func (r *router) route(p *phitRef) int8 {
+	return ecube[13+sign(int(p.dx)-int(r.x))+3*sign(int(p.dy)-int(r.y))+9*sign(int(p.dz)-int(r.z))]
 }
+
+// sign is the sign of d: -1, 0 or 1.
+func sign(d int) int { return d>>63 | int(uint(-d)>>63) }
+
+// ecube maps 13 + sx + 3·sy + 9·sz, for the signs of the offsets still to
+// travel in X, Y and Z, to the e-cube output port.
+var ecube = func() (t [27]int8) {
+	for k := range t {
+		sx, sy, sz := k%3-1, k/3%3-1, k/9-1
+		switch {
+		case sx > 0:
+			t[k] = PortXP
+		case sx < 0:
+			t[k] = PortXM
+		case sy > 0:
+			t[k] = PortYP
+		case sy < 0:
+			t[k] = PortYM
+		case sz > 0:
+			t[k] = PortZP
+		case sz < 0:
+			t[k] = PortZM
+		default:
+			t[k] = PortLocal
+		}
+	}
+	return t
+}()

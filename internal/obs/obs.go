@@ -56,9 +56,10 @@ type flowEvent struct {
 //
 // Determinism: the recorder never mutates machine state. Per-node
 // events are staged by the digest-exempt mdp.Node.Watch tap into a slot
-// owned by that node's stepping goroutine (exactly one writer per cycle
-// under both engines); network flows arrive via the deliver/drop hooks,
-// which fire from the network phase on the coordinator in router order.
+// owned by the goroutine that steps that node (exactly one writer per
+// cycle, however the node phase is split); network flows arrive via the
+// deliver/drop hooks, which fire from the network phase on the
+// coordinator in router order.
 // The cycle hook then drains everything on the coordinating goroutine
 // at the start of the next stepped cycle, in an order — samples, then
 // ascending node id, then flows in firing order — that depends only on

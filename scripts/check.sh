@@ -42,6 +42,10 @@ echo "== network properties under the race detector, and a fuzz run"
 # FuzzNetwork is the same generator under the fuzzer, time-boxed.
 go test -race -short -count=3 -run 'TestNetworkProperties' ./internal/network/
 go test -run '^$' -fuzz FuzzNetwork -fuzztime 15s ./internal/network/
+# BenchmarkNetworkStep (the stepping loop alone, docs/PERF.md "Network
+# step cost") runs one iteration per case so that it keeps compiling
+# and running.
+go test -run '^$' -bench NetworkStep -benchtime 1x ./internal/network/
 # FuzzJournal: the serve journal's decoder on damaged files — never a
 # panic, a stable valid prefix (docs/SERVE.md, "Persistence").
 go test -run '^$' -fuzz FuzzJournal -fuzztime 10s ./internal/serve/
