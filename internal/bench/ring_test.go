@@ -107,9 +107,10 @@ type ringRun struct {
 	stepped int64
 	visits  int64 // token forwards, summed over the ring
 	// heap is the host heap building the machine took (GC-settled
-	// before and after) and image its simulated-memory footprint
-	// (mem.Memory.HeapBytes), both per node.
-	heap, image int64
+	// before and after), runHeap the host heap it holds after the run,
+	// when every node has suspended on its slot, and image its
+	// simulated-memory footprint (mem.Memory.HeapBytes), all per node.
+	heap, runHeap, image int64
 }
 
 // stepRing builds a ring under sc, on the engine when shards > 1, steps
@@ -153,6 +154,10 @@ func stepRing(t *testing.T, sc sim.Config, shards, nodes, tokens int, cycles int
 		w, _ := n.Mem.Read(rt.AppBase + idleOffCount)
 		r.visits += int64(w.Data())
 	}
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	r.runHeap = (int64(after.HeapAlloc) - int64(before.HeapAlloc)) / int64(nodes)
+	runtime.KeepAlive(m)
 	return r
 }
 
@@ -247,9 +252,9 @@ func TestRendezvousPerSteppedCycle(t *testing.T) {
 // TestLargeMeshRing steps the ring at 4,096 nodes and, without -short,
 // at 16,384: at 4 shards and then sequentially, to the same digest and
 // the same stepped-cycle count, with the simulated-memory image per
-// node and the host heap per node pinned. One machine is alive at a
-// time: a 16K-node machine is about 86 MiB of heap, which the race
-// pass (-short) would multiply.
+// node and the host heap per node, built and after the run, pinned.
+// One machine is alive at a time: a 16K-node machine is about 82 MiB
+// of heap, which the race pass (-short) would multiply.
 func TestLargeMeshRing(t *testing.T) {
 	const (
 		shards, tokens, cycles = 4, 4, 1500
@@ -258,6 +263,11 @@ func TestLargeMeshRing(t *testing.T) {
 		// (8 B an entry) and the one 2 KiB page the ring's words sit in.
 		memImage = 2176
 		maxHeap  = 8 << 10
+		// maxRunHeap bounds the heap after the run, when every node
+		// holds a suspension record and a handler table: 5,369 B/node
+		// at 4,096 nodes with both as ordered slices, 6,431 B/node when
+		// they were maps.
+		maxRunHeap = 5632
 	)
 	sizes := []int{4096, 16384}
 	if testing.Short() {
@@ -265,8 +275,8 @@ func TestLargeMeshRing(t *testing.T) {
 	}
 	for _, nodes := range sizes {
 		sharded := stepRing(t, sim.Config{}, shards, nodes, tokens, cycles)
-		t.Logf("%d nodes: %d B/node host heap, %d B/node memory image, %d rendezvous, digest %#x",
-			nodes, sharded.heap, sharded.image, sharded.stepped, sharded.digest)
+		t.Logf("%d nodes: %d B/node host heap built, %d B/node after the run, %d B/node memory image, %d rendezvous, digest %#x",
+			nodes, sharded.heap, sharded.runHeap, sharded.image, sharded.stepped, sharded.digest)
 		if sharded.image != memImage {
 			t.Errorf("%d nodes: memory image %d B/node, want %d", nodes, sharded.image, memImage)
 		}
@@ -274,6 +284,11 @@ func TestLargeMeshRing(t *testing.T) {
 			t.Errorf("%d nodes: building the machine took %d B/node of host heap, want < %d", nodes, sharded.heap, maxHeap)
 		}
 		seq := stepRing(t, sim.Config{}, 1, nodes, tokens, cycles)
+		for _, r := range []ringRun{sharded, seq} {
+			if r.runHeap >= maxRunHeap {
+				t.Errorf("%d nodes: the machine held %d B/node of host heap after the run, want < %d", nodes, r.runHeap, maxRunHeap)
+			}
+		}
 		if seq.digest != sharded.digest || seq.stepped != sharded.stepped {
 			t.Errorf("%d nodes: %d shards end in digest %#x after %d rendezvous, sequential in %#x after %d stepped cycles",
 				nodes, shards, sharded.digest, sharded.stepped, seq.digest, seq.stepped)

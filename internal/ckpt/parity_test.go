@@ -170,7 +170,10 @@ var paritySpecs = map[string]paritySpec{
 	"jmachine/internal/stats.Node": {
 		serialized: []string{"Cycles", "Instrs", "Threads", "SendFaultCycles",
 			"SendFaults", "MsgsSent", "WordsSent", "XlateFaults", "CfutFaults",
-			"OverflowFaults", "byHandler", "cur"},
+			"OverflowFaults", "classes", "cur"},
+	},
+	"jmachine/internal/stats.class": {
+		serialized: []string{"ip", "HandlerStats"},
 	},
 	"jmachine/internal/stats.HandlerStats": {
 		serialized: []string{"Invocations", "Instrs", "MsgWords"},
@@ -186,12 +189,12 @@ var paritySpecs = map[string]paritySpec{
 	},
 	"jmachine/internal/rt.NodeState": {
 		serialized: []string{"saved", "nextWaiter", "names"},
-		derived: []string{
-			"User", // language-runtime extension point; unused by checkpointed workloads (documented limitation)
-		},
 	},
-	"jmachine/internal/rt.savedThread": {
-		serialized: []string{"ctx", "level"},
+	"jmachine/internal/rt.waiter": {
+		serialized: []string{"id", "level", "ctx"},
+	},
+	"jmachine/internal/rt.binding": {
+		serialized: []string{"key", "val"},
 	},
 	"jmachine/internal/rt.Reliable": {
 		serialized: []string{"nodes", "stats", "seen", "err"},

@@ -3,6 +3,7 @@ package network
 import (
 	"fmt"
 	"math/bits"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -718,7 +719,10 @@ func (n *Network) feedInjection(ri int, r *router, ob *outbox, v int, cyc int64)
 	n.actPhits++
 	ob.phitIdx++
 	if ob.phitIdx == m.WirePhits() {
-		ob.msgs = ob.msgs[1:]
+		// Shift down in place so the outbox keeps its backing array:
+		// re-slicing past the head would leak capacity and make later
+		// appends reallocate.
+		ob.msgs = slices.Delete(ob.msgs, 0, 1)
 		ob.words -= len(m.Words)
 		ob.phitIdx = 0
 		n.actMsgs.Add(-1)

@@ -14,8 +14,10 @@ import (
 // Checkpoint sections for the system software. The runtime and the
 // reliable-delivery layer satisfy internal/ckpt's Saver interface
 // structurally — this package imports only the wire codec, never the
-// orchestrator. Maps are encoded in sorted-key order so identical
-// state always produces identical bytes.
+// orchestrator. Every table is encoded in ascending key order so
+// identical state always produces identical bytes: the runtime's
+// per-node tables are kept in that order, and the reliable layer's
+// maps are sorted before encoding. Decoders require that order.
 
 const (
 	rtFormat  = 1
@@ -27,40 +29,28 @@ func (r *Runtime) CkptName() string { return "rt" }
 
 // CkptSave serializes the per-node runtime state: suspended threads
 // awaiting presence-tag values, the waiter-id counter, and the
-// memory-resident name tables. NodeState.User (language-runtime state)
-// is not serialized; no current workload populates it, and a runtime
-// that does must carry its own section.
+// memory-resident name tables.
 func (r *Runtime) CkptSave(e *wire.Encoder) {
 	e.U32(rtFormat)
 	e.Int(len(r.nodes))
-	for _, ns := range r.nodes {
+	for i := range r.nodes {
+		ns := &r.nodes[i]
 		e.I32(ns.nextWaiter)
-		ids := make([]int32, 0, len(ns.saved))
-		for id := range ns.saved { //jm:maporder keys are collected then sorted before encoding; order cannot leak
-			ids = append(ids, id)
-		}
-		sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-		e.Int(len(ids))
-		for _, id := range ids {
-			st := ns.saved[id]
-			e.I32(id)
-			e.Int(st.level)
-			for _, reg := range st.ctx.Regs {
+		e.Int(len(ns.saved))
+		for _, w := range ns.saved {
+			e.I32(w.id)
+			e.Int(w.level)
+			for _, reg := range w.ctx.Regs {
 				e.U64(uint64(reg))
 			}
-			e.I32(st.ctx.IP)
-			e.Bool(st.ctx.Running)
-			e.I32(st.ctx.HandlerIP)
+			e.I32(w.ctx.IP)
+			e.Bool(w.ctx.Running)
+			e.I32(w.ctx.HandlerIP)
 		}
-		keys := make([]word.Word, 0, len(ns.names))
-		for k := range ns.names { //jm:maporder keys are collected then sorted before encoding; order cannot leak
-			keys = append(keys, k)
-		}
-		sort.Slice(keys, func(i, j int) bool { return uint64(keys[i]) < uint64(keys[j]) })
-		e.Int(len(keys))
-		for _, k := range keys {
-			e.U64(uint64(k))
-			e.U64(uint64(ns.names[k]))
+		e.Int(len(ns.names))
+		for _, b := range ns.names {
+			e.U64(uint64(b.key))
+			e.U64(uint64(b.val))
 		}
 	}
 }
@@ -73,36 +63,35 @@ func (r *Runtime) CkptRestore(d *wire.Decoder) error {
 	if n := d.Int(); n != len(r.nodes) {
 		return fmt.Errorf("rt: checkpoint has %d nodes, runtime has %d", n, len(r.nodes))
 	}
-	for _, ns := range r.nodes {
+	for i := range r.nodes {
+		ns := &r.nodes[i]
 		ns.nextWaiter = d.I32()
-		nSaved := d.Count(1 + 8*8)
-		ns.saved = make(map[int32]savedThread, nSaved)
-		for i := 0; i < nSaved; i++ {
-			id := d.I32()
-			st := savedThread{level: d.Int()}
-			for reg := range st.ctx.Regs {
-				st.ctx.Regs[reg] = word.Word(d.U64())
+		ns.saved = make([]waiter, d.Count(1+8*8))
+		for j := range ns.saved {
+			w := &ns.saved[j]
+			w.id = d.I32()
+			w.level = d.Int()
+			for reg := range w.ctx.Regs {
+				w.ctx.Regs[reg] = word.Word(d.U64())
 			}
-			st.ctx.IP = d.I32()
-			st.ctx.Running = d.Bool()
-			st.ctx.HandlerIP = d.I32()
-			if st.level < 0 || st.level >= mdp.NumLevels {
-				return fmt.Errorf("rt: saved thread %d has level %d out of range", id, st.level)
+			w.ctx.IP = d.I32()
+			w.ctx.Running = d.Bool()
+			w.ctx.HandlerIP = d.I32()
+			if w.level < 0 || w.level >= mdp.NumLevels {
+				return fmt.Errorf("rt: saved thread %d has level %d out of range", w.id, w.level)
 			}
-			if _, dup := ns.saved[id]; dup {
-				return fmt.Errorf("rt: duplicate saved thread id %d in checkpoint", id)
+			if j > 0 && w.id <= ns.saved[j-1].id {
+				return fmt.Errorf("rt: saved thread id %d follows %d in checkpoint; want strictly ascending", w.id, ns.saved[j-1].id)
 			}
-			ns.saved[id] = st
 		}
-		nNames := d.Count(16)
-		ns.names = make(map[word.Word]word.Word, nNames)
-		for i := 0; i < nNames; i++ {
-			k := word.Word(d.U64())
-			v := word.Word(d.U64())
-			if _, dup := ns.names[k]; dup {
-				return fmt.Errorf("rt: duplicate name %x in checkpoint", uint64(k))
+		ns.names = make([]binding, d.Count(16))
+		for j := range ns.names {
+			b := &ns.names[j]
+			b.key = word.Word(d.U64())
+			b.val = word.Word(d.U64())
+			if j > 0 && uint64(b.key) <= uint64(ns.names[j-1].key) {
+				return fmt.Errorf("rt: name %x follows %x in checkpoint; want strictly ascending", uint64(b.key), uint64(ns.names[j-1].key))
 			}
-			ns.names[k] = v
 		}
 	}
 	return d.Err()

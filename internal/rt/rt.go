@@ -1,7 +1,9 @@
 package rt
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 
 	"jmachine/internal/machine"
 	"jmachine/internal/mdp"
@@ -13,29 +15,47 @@ import (
 // plus how the processor resumes.
 type Service func(n *mdp.Node, ns *NodeState, f mdp.Fault) (int32, mdp.FaultAction)
 
-// savedThread is a suspended context awaiting a value.
-type savedThread struct {
-	ctx   mdp.Context
+// waiter is a thread suspended on an empty presence-tagged slot,
+// awaiting the slot's value; the slot holds its id.
+type waiter struct {
+	id    int32
 	level int
+	ctx   mdp.Context
 }
 
-// NodeState is the runtime's per-node private memory.
+// binding is one entry of a node's name table.
+type binding struct {
+	key, val word.Word
+}
+
+// NodeState is the runtime's per-node private memory. Both tables are
+// slices kept in ascending key order and sized by use: a node that
+// never suspends or names anything holds neither, and checkpoints and
+// lookups walk or bisect them in that order.
 type NodeState struct {
-	saved      map[int32]savedThread
+	// saved holds the suspended threads by ascending id. Ids come from
+	// nextWaiter and only grow, so a suspend appends.
+	saved      []waiter
 	nextWaiter int32
 	// names is the memory-resident name table backing the hardware
-	// translation cache; xlate misses re-enter from here.
-	names map[word.Word]word.Word
-	// User hangs language-runtime state (the CST runtime's object
-	// tables) off the node.
-	User any
+	// translation cache, by ascending key; xlate misses re-enter from
+	// here.
+	names []binding
+}
+
+// findName returns the index of key in ns.names, or where it would be
+// inserted.
+func (ns *NodeState) findName(key word.Word) (int, bool) {
+	return slices.BinarySearchFunc(ns.names, key, func(b binding, key word.Word) int {
+		return cmp.Compare(uint64(b.key), uint64(key))
+	})
 }
 
 // Runtime is one machine's system software instance.
 type Runtime struct {
 	M        *machine.Machine
 	Policy   Policy
-	nodes    []*NodeState
+	nodes    []NodeState
 	services map[int32]Service
 	restore  int32 // code address of the rt.restore handler
 	dack     int32 // code address of the rt.dack handler (-1 if absent)
@@ -48,16 +68,10 @@ func Attach(m *machine.Machine, prog ProgramInfo, pol Policy) *Runtime {
 	r := &Runtime{
 		M:        m,
 		Policy:   pol,
-		nodes:    make([]*NodeState, m.NumNodes()),
+		nodes:    make([]NodeState, m.NumNodes()),
 		services: make(map[int32]Service),
 		restore:  prog.RestoreEntry,
 		dack:     prog.DackEntry,
-	}
-	for i := range r.nodes {
-		r.nodes[i] = &NodeState{
-			saved: make(map[int32]savedThread),
-			names: make(map[word.Word]word.Word),
-		}
 	}
 	x, y, z := m.Net.Dims()
 	for _, n := range m.Nodes {
@@ -78,7 +92,7 @@ func must(err error) {
 }
 
 // Node returns the runtime state of node id.
-func (r *Runtime) Node(id int) *NodeState { return r.nodes[id] }
+func (r *Runtime) Node(id int) *NodeState { return &r.nodes[id] }
 
 // RegisterService adds a trap service (numbers ≥ SvcUserBase are
 // reserved for language runtimes).
@@ -93,7 +107,12 @@ func (r *Runtime) RegisterService(num int32, s Service) {
 // translation into both the memory-resident table and the hardware
 // cache (host-side operation used when constructing object worlds).
 func (r *Runtime) DefineName(node int, key, val word.Word) {
-	r.nodes[node].names[key] = val
+	ns := &r.nodes[node]
+	if i, ok := ns.findName(key); ok {
+		ns.names[i].val = val
+	} else {
+		ns.names = slices.Insert(ns.names, i, binding{key, val})
+	}
 	r.M.Nodes[node].Xl.Enter(key, val)
 }
 
@@ -102,13 +121,13 @@ func (r *Runtime) NameCount(id int) int { return len(r.nodes[id].names) }
 
 // fault is the machine-wide trap entry.
 func (r *Runtime) fault(n *mdp.Node, f mdp.Fault) (int32, mdp.FaultAction) {
-	ns := r.nodes[n.ID]
+	ns := &r.nodes[n.ID]
 	switch f.Kind {
 	case mdp.FaultCfut:
 		return r.suspendOnCfut(n, ns, f)
 	case mdp.FaultXlateMiss:
-		if val, ok := ns.names[f.Val]; ok {
-			n.Xl.Enter(f.Val, val)
+		if i, ok := ns.findName(f.Val); ok {
+			n.Xl.Enter(f.Val, ns.names[i].val)
 			return r.Policy.XlateMissCycles, mdp.ActRetry
 		}
 		return 0, mdp.ActHalt
@@ -151,7 +170,7 @@ func (r *Runtime) suspendOnCfut(n *mdp.Node, ns *NodeState, f mdp.Fault) (int32,
 	}
 	ns.nextWaiter++
 	id := ns.nextWaiter
-	ns.saved[id] = savedThread{ctx: *n.Ctx(f.Level), level: f.Level}
+	ns.saved = append(ns.saved, waiter{id: id, level: f.Level, ctx: *n.Ctx(f.Level)})
 	must(n.Mem.Write(f.Addr, word.Cfut(id)))
 	return r.Policy.SaveCycles, mdp.ActSuspend
 }
@@ -200,11 +219,14 @@ func pushLocal(n *mdp.Node, hdr, arg word.Word) bool {
 func (r *Runtime) restoreThread(n *mdp.Node, ns *NodeState, f mdp.Fault) (int32, mdp.FaultAction) {
 	q := n.Queues[0]
 	id := q.WordAt(1).Data()
-	st, ok := ns.saved[id]
+	i, ok := slices.BinarySearchFunc(ns.saved, id, func(w waiter, id int32) int {
+		return cmp.Compare(w.id, id)
+	})
 	if !ok {
 		return 0, mdp.ActHalt
 	}
-	delete(ns.saved, id)
+	st := ns.saved[i]
+	ns.saved = slices.Delete(ns.saved, i, i+1)
 	if st.level == f.Level {
 		// Replace the restore handler's own context: consume its
 		// message first, then resume the saved thread in place.

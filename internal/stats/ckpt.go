@@ -2,18 +2,17 @@ package stats
 
 import (
 	"fmt"
-	"sort"
 
 	"jmachine/internal/ckpt/wire"
 )
 
-// curSentinel encodes "no thread class executing" for the cur pointer
-// (-1 is a real handler key: background threads use ip = -1).
+// curSentinel encodes "no thread class executing" for cur (-1 is a real
+// handler key: background threads use ip = -1).
 const curSentinel = int32(-0x80000000)
 
 // SaveState serializes the node's counters and per-thread-class table.
-// The handler map is written in ascending ip order so the encoding is
-// byte-stable; cur is stored as its ip key and re-linked on restore.
+// The table is written in its own ascending ip order; cur is stored as
+// its class's ip and re-indexed on restore.
 func (n *Node) SaveState(e *wire.Encoder) {
 	for _, c := range n.Cycles {
 		e.I64(c)
@@ -30,22 +29,16 @@ func (n *Node) SaveState(e *wire.Encoder) {
 	e.U64(n.CfutFaults)
 	e.U64(n.OverflowFaults)
 
-	ips := make([]int32, 0, len(n.byHandler))
-	for ip := range n.byHandler { //jm:maporder keys are collected then sorted before encoding; order cannot leak
-		ips = append(ips, ip)
+	e.Int(len(n.classes))
+	for _, c := range n.classes {
+		e.I32(c.ip)
+		e.U64(c.Invocations)
+		e.U64(c.Instrs)
+		e.U64(c.MsgWords)
 	}
-	sort.Slice(ips, func(i, j int) bool { return ips[i] < ips[j] })
-	e.Int(len(ips))
 	cur := curSentinel
-	for _, ip := range ips {
-		h := n.byHandler[ip]
-		e.I32(ip)
-		e.U64(h.Invocations)
-		e.U64(h.Instrs)
-		e.U64(h.MsgWords)
-		if n.cur == h {
-			cur = ip
-		}
+	if n.cur >= 0 {
+		cur = n.classes[n.cur].ip
 	}
 	e.I32(cur)
 }
@@ -67,28 +60,25 @@ func (n *Node) RestoreState(d *wire.Decoder) error {
 	n.CfutFaults = d.U64()
 	n.OverflowFaults = d.U64()
 
-	cnt := d.Count(4 + 24)
-	n.byHandler = make(map[int32]*HandlerStats, cnt)
-	for i := 0; i < cnt; i++ {
-		ip := d.I32()
-		h := &HandlerStats{
-			Invocations: d.U64(),
-			Instrs:      d.U64(),
-			MsgWords:    d.U64(),
+	n.classes = make([]class, d.Count(4+24))
+	for i := range n.classes {
+		c := &n.classes[i]
+		c.ip = d.I32()
+		c.Invocations = d.U64()
+		c.Instrs = d.U64()
+		c.MsgWords = d.U64()
+		if i > 0 && c.ip <= n.classes[i-1].ip {
+			return fmt.Errorf("stats: handler ip %d follows %d in checkpoint; want strictly ascending", c.ip, n.classes[i-1].ip)
 		}
-		if _, dup := n.byHandler[ip]; dup {
-			return fmt.Errorf("stats: duplicate handler ip %d in checkpoint", ip)
-		}
-		n.byHandler[ip] = h
 	}
 	curIP := d.I32()
-	n.cur = nil
+	n.cur = -1
 	if curIP != curSentinel {
-		h, ok := n.byHandler[curIP]
+		i, ok := n.find(curIP)
 		if !ok {
 			return fmt.Errorf("stats: current handler ip %d missing from checkpoint table", curIP)
 		}
-		n.cur = h
+		n.cur = i
 	}
 	return d.Err()
 }

@@ -1,7 +1,5 @@
 package stats
 
-import "sort"
-
 func mix(h, v uint64) uint64 {
 	h ^= v
 	h *= 0x100000001b3
@@ -10,8 +8,8 @@ func mix(h, v uint64) uint64 {
 }
 
 // StateDigest folds the node's counters — including the per-handler
-// map, iterated in sorted key order for determinism — into a running
-// 64-bit digest, for the engine equivalence suite.
+// table, in its ascending ip order — into a running 64-bit digest, for
+// the engine equivalence suite.
 func (n *Node) StateDigest(h uint64) uint64 {
 	for _, c := range n.Cycles {
 		h = mix(h, uint64(c))
@@ -27,17 +25,11 @@ func (n *Node) StateDigest(h uint64) uint64 {
 	h = mix(h, n.XlateFaults)
 	h = mix(h, n.CfutFaults)
 	h = mix(h, n.OverflowFaults)
-	ips := make([]int32, 0, len(n.byHandler))
-	for ip := range n.byHandler { //jm:maporder keys are collected then sorted before mixing; order cannot leak
-		ips = append(ips, ip)
-	}
-	sort.Slice(ips, func(i, j int) bool { return ips[i] < ips[j] })
-	for _, ip := range ips {
-		hs := n.byHandler[ip]
-		h = mix(h, uint64(uint32(ip)))
-		h = mix(h, hs.Invocations)
-		h = mix(h, hs.Instrs)
-		h = mix(h, hs.MsgWords)
+	for _, c := range n.classes {
+		h = mix(h, uint64(uint32(c.ip)))
+		h = mix(h, c.Invocations)
+		h = mix(h, c.Instrs)
+		h = mix(h, c.MsgWords)
 	}
 	return h
 }

@@ -9,7 +9,11 @@
 // attributed to exactly one category.
 package stats
 
-import "sort"
+import (
+	"cmp"
+	"slices"
+	"sort"
+)
 
 // Cat is a cycle category, matching Figure 6's breakdown.
 type Cat uint8
@@ -54,6 +58,12 @@ type HandlerStats struct {
 
 // Node accumulates one node's counters.
 //
+// The per-thread-class table is a slice ordered by handler ip: a node
+// runs a handful of classes, so a binary search is as cheap as a hash
+// and the table costs its entries rather than a map's buckets.
+// Checkpoints and digests walk it in order. cur indexes the class now
+// executing (an index, not a pointer: the slice moves when it grows).
+//
 // Concurrency: Node is single-writer by construction — it is mutated
 // only by its owning mdp.Node's Step, which the parallel engine runs
 // on exactly one shard goroutine per cycle (and the sequential loop on
@@ -73,13 +83,19 @@ type Node struct {
 	CfutFaults      uint64
 	OverflowFaults  uint64
 
-	byHandler map[int32]*HandlerStats
-	cur       *HandlerStats // stats of the thread class now executing
+	classes []class // ascending ip
+	cur     int     // index into classes of the class now executing, or -1
+}
+
+// class is one thread class's row of a node's table.
+type class struct {
+	ip int32
+	HandlerStats
 }
 
 // NewNode returns an empty per-node accumulator.
 func NewNode() *Node {
-	return &Node{byHandler: make(map[int32]*HandlerStats)}
+	return &Node{cur: -1}
 }
 
 // Add attributes one cycle to category c.
@@ -93,32 +109,38 @@ func (n *Node) AddN(c Cat, k int64) { n.Cycles[c] += k }
 // instruction counts to that class. Background threads use ip = -1.
 func (n *Node) BeginThread(ip int32, msgWords int) {
 	n.Threads++
-	h := n.byHandler[ip]
-	if h == nil {
-		h = &HandlerStats{}
-		n.byHandler[ip] = h
-	}
+	n.SetCurrent(ip)
+	h := &n.classes[n.cur].HandlerStats
 	h.Invocations++
 	h.MsgWords += uint64(msgWords)
-	n.cur = h
 }
 
 // SetCurrent redirects instruction accounting to the class at ip without
 // counting an invocation (used when resuming a suspended thread).
 func (n *Node) SetCurrent(ip int32) {
-	h := n.byHandler[ip]
-	if h == nil {
-		h = &HandlerStats{}
-		n.byHandler[ip] = h
+	if n.cur >= 0 && n.classes[n.cur].ip == ip {
+		return
 	}
-	n.cur = h
+	i, ok := n.find(ip)
+	if !ok {
+		// The new class becomes current, so no index needs re-basing.
+		n.classes = slices.Insert(n.classes, i, class{ip: ip})
+	}
+	n.cur = i
+}
+
+// find returns the index of ip's class, or where it would be inserted.
+func (n *Node) find(ip int32) (int, bool) {
+	return slices.BinarySearchFunc(n.classes, ip, func(c class, ip int32) int {
+		return cmp.Compare(c.ip, ip)
+	})
 }
 
 // CountInstr attributes one retired instruction.
 func (n *Node) CountInstr() {
 	n.Instrs++
-	if n.cur != nil {
-		n.cur.Instrs++
+	if n.cur >= 0 {
+		n.classes[n.cur].Instrs++
 	}
 }
 
@@ -127,13 +149,19 @@ func (n *Node) CountInstr() {
 // tier's fusion loop: dispatch and suspend both end a window).
 func (n *Node) CountInstrN(k uint64) {
 	n.Instrs += k
-	if n.cur != nil {
-		n.cur.Instrs += k
+	if n.cur >= 0 {
+		n.classes[n.cur].Instrs += k
 	}
 }
 
 // Handler returns the accumulated stats for a thread class, or nil.
-func (n *Node) Handler(ip int32) *HandlerStats { return n.byHandler[ip] }
+// The pointer is valid until the node next meets a new class.
+func (n *Node) Handler(ip int32) *HandlerStats {
+	if i, ok := n.find(ip); ok {
+		return &n.classes[i].HandlerStats
+	}
+	return nil
+}
 
 // TotalCycles returns the node's attributed cycle count.
 func (n *Node) TotalCycles() int64 {
@@ -265,8 +293,8 @@ func (m *Machine) IdleFraction() float64 {
 func (m *Machine) TopHandlers(k int) []int32 {
 	agg := make(map[int32]uint64)
 	for _, n := range m.Nodes {
-		for ip, h := range n.byHandler {
-			agg[ip] += h.Invocations
+		for _, c := range n.classes {
+			agg[c.ip] += c.Invocations
 		}
 	}
 	ips := make([]int32, 0, len(agg))

@@ -54,6 +54,11 @@ go test -run '^$' -fuzz FuzzJournal -fuzztime 10s ./internal/serve/
 # every push, pop, squeeze and save/restore (docs/PERF.md, "Compact
 # node state").
 go test -run '^$' -fuzz '^FuzzQueue$' -fuzztime 10s ./internal/queue/
+# FuzzHandlerTable: a node's ip-ordered handler-statistics table against
+# a map model — every class, the busiest-class order, digest and
+# checkpoint bytes after every dispatch, resume, instruction count and
+# save/restore (docs/PERF.md, "Compact node state").
+go test -run '^$' -fuzz '^FuzzHandlerTable$' -fuzztime 10s ./internal/stats/
 # The other four targets, 10 s each beyond their seed corpus, which the
 # plain test passes replay: checkpoint decode + restore on mutated
 # bytes (FuzzRestore: each execution builds and restores a machine, so
