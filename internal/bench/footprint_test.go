@@ -65,13 +65,13 @@ func TestNodeFootprint(t *testing.T) {
 		build func() *machine.Machine
 		want  footprint
 	}{
-		// One page and the 16-entry table per node; 56 nodes have
+		// One page and the 32-entry table per node; 56 nodes have
 		// received a token, each into one 16-word ring.
-		{"ring", ring, footprint{pages: 4096, tableEntries: 65536, ringWords: 896}},
-		// Three pages (the runtime and loop words at the bottom of
-		// SRAM, and the two the 256-word destination table at 3000
+		{"ring", ring, footprint{pages: 4096, tableEntries: 131072, ringWords: 896}},
+		// Four pages (the runtime and loop words at the bottom of
+		// SRAM, and the three the 256-word destination table at 3000
 		// straddles) and a 16-word ring per priority on every node.
-		{"fig3-exchange", exchange, footprint{pages: 1536, tableEntries: 8192, ringWords: 16384}},
+		{"fig3-exchange", exchange, footprint{pages: 2048, tableEntries: 16384, ringWords: 16384}},
 	} {
 		m := c.build()
 		if err := m.FatalErr(); err != nil {

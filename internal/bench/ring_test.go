@@ -253,21 +253,23 @@ func TestRendezvousPerSteppedCycle(t *testing.T) {
 // at 16,384: at 4 shards and then sequentially, to the same digest and
 // the same stepped-cycle count, with the simulated-memory image per
 // node and the host heap per node, built and after the run, pinned.
-// One machine is alive at a time: a 16K-node machine is about 82 MiB
+// One machine is alive at a time: a 16K-node machine is about 70 MiB
 // of heap, which the race pass (-short) would multiply.
 func TestLargeMeshRing(t *testing.T) {
 	const (
 		shards, tokens, cycles = 4, 4, 1500
 		// memImage is the page table plus materialized pages per node,
-		// fully deterministic: a 16-entry table over internal memory
-		// (8 B an entry) and the one 2 KiB page the ring's words sit in.
-		memImage = 2176
-		maxHeap  = 8 << 10
+		// fully deterministic: a 32-entry table over internal memory
+		// (8 B an entry) and the one 1 KiB page the ring's words sit in.
+		memImage = 1280
+		// maxHeap bounds the heap of the built machine: 4,373 B/node
+		// at 4,096 nodes with 1 KiB pages, 5,236 B/node with 2 KiB ones.
+		maxHeap = 4864
 		// maxRunHeap bounds the heap after the run, when every node
-		// holds a suspension record and a handler table: 5,369 B/node
-		// at 4,096 nodes with both as ordered slices, 6,431 B/node when
-		// they were maps.
-		maxRunHeap = 5632
+		// holds a suspension record and a handler table: 4,505 B/node
+		// at 4,096 nodes with 1 KiB pages, 5,369 B/node with 2 KiB ones
+		// and 6,431 B/node when both tables were maps.
+		maxRunHeap = 4736
 	)
 	sizes := []int{4096, 16384}
 	if testing.Short() {
@@ -419,7 +421,7 @@ func TestObservedRingVisits(t *testing.T) {
 	if digest != want {
 		t.Errorf("observed ring ends in digest %#x, unobserved in %#x", digest, want)
 	}
-	if wantWork := (work{16528, 1727}); got != wantWork {
+	if wantWork := (work{16388, 1727}); got != wantWork {
 		t.Errorf("observed ring: %d node visits over %d node phases, want %d over %d",
 			got.visits, got.nodePhases, wantWork.visits, wantWork.nodePhases)
 	}
@@ -427,9 +429,10 @@ func TestObservedRingVisits(t *testing.T) {
 
 // TestSlicedSteppingDoesNoExtraWork pins the bulk-step boundary: the
 // same 20,000 cycles stepped as ten StepN calls examine exactly the
-// nodes and routers one call does, and end in the same state. Entry to
-// StepN re-derives parked nodes' wakes instead of re-stepping them all,
-// so a slice boundary costs the active set nothing.
+// nodes and routers one call does, and end in the same state. Every
+// wake reaches a parked node through its queue or its sync hook, so
+// StepN's entry has nothing to re-check and a slice boundary costs the
+// active set nothing.
 func TestSlicedSteppingDoesNoExtraWork(t *testing.T) {
 	const nodes = 4096
 	r1, n1, d1 := ringVisits(t, nodes, 1)
@@ -446,8 +449,8 @@ func TestSlicedSteppingDoesNoExtraWork(t *testing.T) {
 
 // TestExternalPushBetweenSlices pins the contract the boundary relies
 // on: a message pushed straight into a parked node's queue between two
-// StepN calls, with no wake signal, is noticed at the next call's entry
-// exactly as the reference loop notices it.
+// StepN calls, by no machine call, is noticed by the next call exactly
+// as the reference loop notices it: the queue wakes its owner.
 func TestExternalPushBetweenSlices(t *testing.T) {
 	const nodes = 512
 	p := buildIdleRingProgram()

@@ -82,9 +82,9 @@ var paritySpecs = map[string]paritySpec{
 	"jmachine/internal/network.Network": {
 		serialized: []string{"routers", "queues", "out", "rr", "cycle", "stats", "actPhits", "actMsgs"},
 		derived: []string{
-			"cfg",                                                                 // construction input
-			"nbr",                                                                 // topology, rebuilt by New
-			"wakeFn", "injectFns", "deliverFns", "dropFns", "stallFn", "filterFn", // attached hooks
+			"cfg",                                                       // construction input
+			"nbr",                                                       // topology, rebuilt by New
+			"injectFns", "deliverFns", "dropFns", "stallFn", "filterFn", // attached hooks
 			"act",          // active-router set, a function of occ and the outboxes; rebuilt on restore
 			"act1",         // priority-1 set, a function of busy[1] and the priority-1 outboxes; rebuilt on restore
 			"routerVisits", // host-work counter, outside StateDigest
@@ -157,7 +157,8 @@ var paritySpecs = map[string]paritySpec{
 		serialized: []string{"buf", "capWords", "limit", "used", "arriving", "expecting",
 			"msgs", "maxUsed", "delivered", "rejected"},
 		derived: []string{
-			"head", // ring rotation is unobservable; restore rebases to 0
+			"head",    // ring rotation is unobservable; restore rebases to 0
+			"readyFn", // attached hook (the machine's wake); re-attached by New
 		},
 	},
 	"jmachine/internal/mem.Memory": {

@@ -52,7 +52,7 @@ var hookRegistrars = map[string]bool{
 	"AddInjectFn":     true,
 	"SetFilterFn":     true,
 	"SetStallFn":      true,
-	"SetWakeFn":       true,
+	"SetReadyFn":      true,
 	"SetSyncHook":     true,
 	"SetFaultFn":      true,
 	"RegisterService": true,

@@ -141,6 +141,52 @@ func TestExternalQueuePushWakesParkedNode(t *testing.T) {
 	}
 }
 
+// TestPartialMessageLeavesNodeParked pushes a 3-word message into a
+// node parked on NoEvent one word per StepN(1): the queue wakes its
+// owner only when the message completes, so the node is not visited
+// while the first two words sit in its queue, is visited on the cycle
+// after the last one, and every step ends in the reference digest.
+func TestPartialMessageLeavesNodeParked(t *testing.T) {
+	b := asm.NewBuilder()
+	b.Label("sum").
+		MoveI(isa.A0, 64).
+		Move(isa.R0, asm.Mem(isa.A3, 1)).
+		Add(isa.R0, asm.Mem(isa.A3, 2)).
+		St(isa.R0, asm.Mem(isa.A0, 0)).
+		Suspend()
+	p := b.MustAssemble()
+	ref, fast := refPair(t, 8, p)
+	ref.StepN(100)
+	fast.StepN(100)
+	const target = 5
+	if !fast.parked[target] || fast.wakeAt[target] != NoEvent || fast.hot.Has(target) {
+		t.Fatalf("node %d: parked=%v wakeAt=%d hot=%v; want parked on NoEvent",
+			target, fast.parked[target], fast.wakeAt[target], fast.hot.Has(target))
+	}
+	msg := []word.Word{word.MsgHeader(p.Entry("sum"), 3), word.Int(20), word.Int(22)}
+	for i, w := range msg {
+		visits := fast.NodeVisits()
+		for _, m := range []*Machine{ref, fast} {
+			m.Nodes[target].Queues[0].Push(w)
+			m.StepN(1)
+		}
+		compareState(t, "after a pushed word", ref, fast)
+		if err := fast.CheckInvariants(); err != nil {
+			t.Fatal(err)
+		}
+		got := fast.NodeVisits() - visits
+		if last := i == len(msg)-1; last != (got > 0) {
+			t.Errorf("word %d of %d: %d node visits", i+1, len(msg), got)
+		}
+	}
+	ref.StepN(100)
+	fast.StepN(100)
+	compareState(t, "after the handler", ref, fast)
+	if w, _ := fast.Nodes[target].Mem.Read(64); w.Data() != 42 {
+		t.Errorf("handler stored %v, want 42", w)
+	}
+}
+
 func TestSetFastPathOffKeepsEveryNodeLive(t *testing.T) {
 	m, err := New(GridForNodes(4), busyIdleProg(1))
 	if err != nil {

@@ -127,10 +127,10 @@ type Machine struct {
 	// sweeping parked[] (docs/PERF.md, "Active sets"): node i is absent
 	// iff it is parked with no scheduled wake and no pending external
 	// one — exactly the nodes those loops would pass over untouched.
-	// The net wake callback, Inject, the sync hook, unparkAll and restore
-	// add; parking on NoEvent removes; rederiveWakes does either. Derived
-	// state: outside the digest and the checkpoint. nodeVisits counts the
-	// nodes StepNodeRangeInfo examined — host work, not simulated state.
+	// The queues' completion hook (wake), the sync hook, unparkAll and
+	// restore add; parking on NoEvent removes. Derived state: outside the
+	// digest and the checkpoint. nodeVisits counts the nodes
+	// StepNodeRangeInfo examined — host work, not simulated state.
 	hot        bitset.Set
 	nodeVisits atomic.Int64
 
@@ -202,6 +202,13 @@ func New(cfg Config, prog *asm.Program) (*Machine, error) {
 			mem.New(cfg.Mem), xlate.New(cfg.XlateSets, cfg.XlateWays),
 			queues[i], net, prog, m.Stats.Nodes[i])
 		i := i
+		// A message completing in a queue is the one external event that
+		// can make an idle node runnable without any hook firing, whoever
+		// pushed it: the mesh's delivery port, Inject, or a raw push
+		// between run calls. One closure serves both priorities.
+		wake := func() { m.wake(i) }
+		queues[i][0].SetReadyFn(wake)
+		queues[i][1].SetReadyFn(wake)
 		// Catch a parked node up under its pre-mutation flags before an
 		// external actor (chaos freeze/kill, reliable-delivery failure,
 		// a background start) changes them; runs on the coordinator.
@@ -215,14 +222,11 @@ func New(cfg Config, prog *asm.Program) (*Machine, error) {
 			}
 		})
 	}
-	// A word completing in a delivery queue is the one external event
-	// that can make an idle node runnable without any hook firing.
-	net.SetWakeFn(m.wake)
 	return m, nil
 }
 
-// wake flags external work for node i (a mesh delivery, a host
-// injection): if parked, it steps on the next node phase.
+// wake flags external work for node i (a message completed in one of
+// its queues): if parked, it steps on the next node phase.
 func (m *Machine) wake(i int) {
 	m.needWake[i] = true
 	m.hot.Add(i)
@@ -393,12 +397,11 @@ func (m *Machine) Inject(node, pri int, msg []word.Word) bool {
 	if q.Free() < len(msg) {
 		return false
 	}
+	// The queue's completion hook wakes a parked node exactly as it does
+	// for a mesh delivery.
 	for _, w := range msg {
 		q.Push(w)
 	}
-	// A parked node must notice host-delivered work exactly as it
-	// notices a mesh delivery.
-	m.wake(node)
 	return true
 }
 
@@ -463,7 +466,7 @@ func (m *Machine) StepNodeRangeInfo(lo, hi int) (live int, minWake int64) {
 	minWake = NoEvent
 	// Park/unpark deltas batch into one atomic update per call — the
 	// shared counter is only read between processor phases (advance,
-	// CatchUp, unparkAll, rederiveWakes), never while a slab is mid-step.
+	// CatchUp, unparkAll), never while a slab is mid-step.
 	// The set is walked a word at a time so the per-node step makes no
 	// call into the set (bitset.Set.Next).
 	parkDelta, visits := int64(0), int64(0)
@@ -632,44 +635,6 @@ func (m *Machine) unparkAll() {
 	m.nParked.Store(0)
 }
 
-// rederiveWakes re-decides, at bulk-step entry, each parked node's place
-// in the schedule from its current state, instead of unparking and
-// re-stepping every one. Between run calls an external caller may have
-// mutated a node without any wake signal — pushed a queue word, started
-// a background thread — so the wake calendar cannot be trusted as left.
-// NextEvent is a pure function of the node state such mutations touch
-// (halted, frozen, stall, running contexts, queue heads, soft queue) and
-// is the predicate StepNodeRangeInfo parks on, so a node is unparked
-// exactly when that predicate says it must step on the next cycle (or a
-// wake is pending), and otherwise stays parked with its wake re-read.
-// Cost: a flag test per node and a NextEvent per parked node; hot is
-// written only for a node whose membership changes.
-func (m *Machine) rederiveWakes() {
-	if m.nParked.Load() == 0 {
-		return
-	}
-	unparked := int64(0)
-	for i, n := range m.Nodes {
-		if !m.parked[i] {
-			continue
-		}
-		n.SkipTo(m.caughtUpTo) // a no-op after the previous exit's CatchUp
-		ne := n.NextEvent()
-		if m.needWake[i] || ne <= m.cycle+1 {
-			m.parked[i] = false
-			m.needWake[i] = false
-			m.hot.Add(i)
-			unparked++
-			continue
-		}
-		if (ne == NoEvent) != (m.wakeAt[i] == NoEvent) {
-			m.hot.Put(i, ne != NoEvent)
-		}
-		m.wakeAt[i] = ne
-	}
-	m.nParked.Add(-unparked)
-}
-
 // StateDigest folds the machine's complete dynamic state — cycle
 // counter, network (routers, in-flight worms, outboxes, stats), and
 // every node's architectural state, memory, queues, and statistics —
@@ -692,7 +657,6 @@ func (m *Machine) StateDigest() uint64 {
 // in bulk; the machine is fully re-synchronized before returning, so
 // the final state is reference-exact.
 func (m *Machine) StepN(n int64) {
-	m.rederiveWakes()
 	target := m.cycle + n
 	for m.cycle < target {
 		m.advance(target, target)
@@ -802,7 +766,6 @@ func (m *Machine) checkWatchdog() error {
 func (m *Machine) RunWhile(cond func(*Machine) bool, max int64) error {
 	start := m.cycle
 	m.sigValid = false
-	m.rederiveWakes()
 	defer m.CatchUp()
 	for cond(m) {
 		if m.cycle-start >= max {
@@ -843,7 +806,6 @@ func (m *Machine) RunQuiescent(max int64) error {
 	const probe = 8
 	start := m.cycle
 	m.sigValid = false
-	m.rederiveWakes()
 	defer m.CatchUp()
 	for {
 		if m.Quiescent() {

@@ -18,7 +18,7 @@
 // The page table itself starts over internal memory alone and is extended
 // over external memory on the first non-zero write there. Programs execute
 // from the assembled image held machine-wide, so a node that only touches
-// a few hundred data words costs a page or two and a 16-entry table rather
+// a few dozen data words costs one 1 KiB page and a 32-entry table rather
 // than the full 70K-word image — the difference between a 16K-node mesh
 // fitting in memory or not.
 package mem
@@ -38,11 +38,15 @@ const (
 	DefaultEmemWords = 65536
 )
 
-// Page geometry. 256 words (2 KiB) per page: the words rt.Attach and a
-// boot write sit in one page, the default SRAM needs a 16-entry table,
-// and a node that writes DRAM extends it to 272 entries.
+// Page geometry. 128 words (1 KiB) per page: the runtime's boot words
+// (0–4) and an application's words at rt.AppBase (64) sit in one page,
+// the default SRAM needs a 32-entry table, and a node that writes DRAM
+// extends it to 544 entries. Halving the page again would split those
+// words over two pages and double the table: on a large idle mesh that
+// costs more than the smaller pages save (docs/PERF.md, "Compact node
+// state").
 const (
-	pageShift = 8
+	pageShift = 7
 	pageWords = 1 << pageShift
 	pageMask  = pageWords - 1
 )

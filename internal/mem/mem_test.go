@@ -184,3 +184,31 @@ func TestPageTableGrowsOnFirstExternalWrite(t *testing.T) {
 		t.Error("the short image restored to a different digest")
 	}
 }
+
+// TestPageGeometry pins the page size in literal numbers: 128-word
+// pages, so words 127 and 128 land on two pages, a 32-entry table over
+// the default 4K-word SRAM, and 544 entries once DRAM is written.
+func TestPageGeometry(t *testing.T) {
+	m := New(Config{})
+	check := func(what string, entries, pages int, heap int64) {
+		t.Helper()
+		e, p := m.Footprint()
+		if e != entries || p != pages || m.HeapBytes() != heap {
+			t.Errorf("%s: %d table entries, %d pages, %d heap bytes; want %d, %d, %d",
+				what, e, p, m.HeapBytes(), entries, pages, heap)
+		}
+	}
+	check("new", 32, 0, 32*8)
+	if err := m.Write(127, word.Int(1)); err != nil {
+		t.Fatal(err)
+	}
+	check("word 127", 32, 1, 32*8+1024)
+	if err := m.Write(128, word.Int(1)); err != nil {
+		t.Fatal(err)
+	}
+	check("word 128", 32, 2, 32*8+2*1024)
+	if err := m.Write(DefaultImemWords, word.Int(1)); err != nil {
+		t.Fatal(err)
+	}
+	check("first DRAM word", 544, 3, 544*8+3*1024)
+}

@@ -23,7 +23,8 @@ import (
 
 // benchTraffic drives one mesh: offers messages at seeded random
 // (src, dst, pri) — one in eight at priority 1 — and empties every
-// delivery queue a word completed in.
+// delivery queue a message completed in, as the queues' completion
+// hooks report them.
 type benchTraffic struct {
 	n      *Network
 	qs     [][2]*queue.Queue
@@ -39,24 +40,27 @@ const benchWords = 8
 func newBenchTraffic(x, y, z, offers int) *benchTraffic {
 	nodes := x * y * z
 	qs := make([][2]*queue.Queue, nodes)
+	t := &benchTraffic{qs: qs, offers: offers, draw: make([]uint32, 1<<16)}
 	for i := range qs {
 		qs[i] = [2]*queue.Queue{queue.New(0), queue.New(0)}
+		woken := func() { t.woken = append(t.woken, i) }
+		qs[i][0].SetReadyFn(woken)
+		qs[i][1].SetReadyFn(woken)
 	}
 	n, err := New(Config{DimX: x, DimY: y, DimZ: z}, qs)
 	if err != nil {
 		panic(err)
 	}
-	t := &benchTraffic{n: n, qs: qs, offers: offers, draw: make([]uint32, 1<<16)}
+	t.n = n
 	rng := rand.New(rand.NewSource(11))
 	for i := range t.draw {
 		t.draw[i] = rng.Uint32()
 	}
-	n.SetWakeFn(func(node int) { t.woken = append(t.woken, node) })
 	return t
 }
 
 // cycle offers this cycle's messages, steps the network once and
-// drains the queues that received a word.
+// drains the queues a message completed in.
 func (t *benchTraffic) cycle() {
 	nodes := uint32(t.n.Nodes())
 	for i := 0; i < t.offers; i++ {

@@ -160,11 +160,6 @@ type Network struct {
 	// simulated state.
 	routerVisits, portVisits int64
 
-	// wakeFn, when non-nil, is told that a completed word entered node
-	// id's delivery queue this cycle, so an active-set scheduler can
-	// wake a parked node. Called from Step, between node phases.
-	wakeFn func(node int)
-
 	// Fault-injection and delivery hooks (see Add*/Set* below). All are
 	// optional; the hot paths pay only a nil/len check.
 	injectFns  []func(node int, m *Message, cycle int64)
@@ -379,9 +374,6 @@ func (n *Network) Quiet() bool { return !n.Pending() }
 // an empty mesh touches nothing but the cycle counter, so the jump is
 // byte-identical to k empty Step calls.
 func (n *Network) SkipCycles(k int64) { n.cycle += k }
-
-// SetWakeFn installs the delivery wake callback (see wakeFn).
-func (n *Network) SetWakeFn(fn func(node int)) { n.wakeFn = fn }
 
 // msgPool recycles Message objects (and their payload buffers)
 // acquired via NewMessage, so the steady-state send path allocates
@@ -626,9 +618,6 @@ func (n *Network) deliverPhit(ri int, r *router, v, q int, b *buf, cyc int64) {
 		if !n.queues[ri][v].Push(w) {
 			n.stats.DeliveryStalls++
 			return // queue full; back-pressure into the network
-		}
-		if n.wakeFn != nil {
-			n.wakeFn(ri)
 		}
 	}
 	p := r.pop(v, q, cyc)

@@ -101,7 +101,9 @@ var fuzzCaps = [...]int{1, 7, 100, DefaultCapWords}
 // sequence of operations, two bytes each, and after every step compares
 // everything the queue reports: occupancy, the head message word by word,
 // counters, digest and checkpoint bytes. The ring must stay a power of
-// two that holds what is buffered and no more than the capacity needs.
+// two that holds what is buffered and no more than the capacity needs,
+// and the completion hook must have fired once per message the model
+// completed, each time after the queue counted it.
 func FuzzQueue(f *testing.F) {
 	f.Add(uint8(0), []byte{0, 1, 1, 5, 4, 0})
 	f.Add(uint8(1), []byte{2, 3, 2, 2, 1, 9, 0, 4, 4, 0, 7, 1, 2, 6})
@@ -118,6 +120,14 @@ const maxQueueOps = 2048
 func runQueueOps(t *testing.T, capSel uint8, ops []byte) {
 	capWords := fuzzCaps[int(capSel)%len(fuzzCaps)]
 	q, m := New(capWords), &fifo{capWords: capWords}
+	var fired uint64
+	ready := func() {
+		fired++
+		if d := q.Stats().Delivered; d != fired {
+			t.Fatalf("completion hook call %d fired with %d messages counted", fired, d)
+		}
+	}
+	q.SetReadyFn(ready)
 	maxRing := minRing
 	for maxRing < capWords {
 		maxRing *= 2
@@ -178,6 +188,7 @@ func runQueueOps(t *testing.T, capSel uint8, ops []byte) {
 			q.SaveState(e)
 			if arg&1 == 1 {
 				q = New(capWords)
+				q.SetReadyFn(ready)
 			}
 			if err := q.RestoreState(wire.NewDecoder(e.Bytes())); err != nil {
 				t.Fatalf("step %d: restore: %v", step, err)
@@ -187,6 +198,9 @@ func runQueueOps(t *testing.T, capSel uint8, ops []byte) {
 			}
 		}
 		compareFIFO(t, step, q, m, maxRing)
+		if fired != m.delivered {
+			t.Fatalf("step %d: completion hook fired %d times, model completed %d messages", step, fired, m.delivered)
+		}
 	}
 }
 

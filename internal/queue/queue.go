@@ -47,6 +47,12 @@ type Queue struct {
 	maxUsed   int
 	delivered uint64 // complete messages received
 	rejected  uint64 // words refused because the queue was full
+
+	// readyFn, when non-nil, is called once each time a message
+	// completes, after it is counted, whoever pushed its words: the
+	// mesh's delivery port, a host injection or system software. It is
+	// how a scheduler that parks an idle node learns the node has work.
+	readyFn func()
 }
 
 // New returns a queue of the given capacity in words (0 selects the
@@ -57,6 +63,10 @@ func New(capWords int) *Queue {
 	}
 	return &Queue{capWords: capWords}
 }
+
+// SetReadyFn installs the message-completion hook (see readyFn); nil
+// removes it.
+func (q *Queue) SetReadyFn(fn func()) { q.readyFn = fn }
 
 // Cap returns the effective capacity in words: the hardware size, or
 // the squeezed limit while a capacity fault is injected.
@@ -129,6 +139,9 @@ func (q *Queue) Push(w word.Word) bool {
 		q.delivered++
 		q.expecting = 0
 		q.arriving = 0
+		if q.readyFn != nil {
+			q.readyFn()
+		}
 	}
 	return true
 }
