@@ -21,6 +21,10 @@ import (
 //   - Machine.StateDigest on the 4,096-node ring, where every node
 //     holds a suspended thread and a handler table: the digest walks
 //     state in place.
+//   - 2,000 cycles of the same ring, once every node has forwarded all
+//     four tokens: its handlers raise presence faults and traps, which
+//     are values, and the network's slot-block pool is at its
+//     high-water mark.
 //
 // The race detector disables message pooling, so it skips there.
 func TestSteadyStateAllocs(t *testing.T) {
@@ -59,5 +63,24 @@ func TestSteadyStateAllocs(t *testing.T) {
 	}
 	if allocs := testing.AllocsPerRun(5, func() { m.StateDigest() }); allocs != 0 {
 		t.Errorf("4096-node ring: %.1f allocations per StateDigest, want 0", allocs)
+	}
+	// Every token laps the ring (each node forwards all four) within
+	// about 525,000 cycles at this seed; a node's first visit sets up
+	// its handler table and suspension record.
+	for lapped := false; !lapped; {
+		if m.Cycle() > 2_000_000 {
+			t.Fatal("4096-node ring: the tokens have not lapped the ring in 2,000,000 cycles")
+		}
+		m.StepN(25_000)
+		lapped = true
+		for _, nd := range m.Nodes {
+			lapped = lapped && nd.Stats.MsgsSent[0] >= 4
+		}
+	}
+	if err := m.FatalErr(); err != nil {
+		t.Fatal(err)
+	}
+	if allocs := testing.AllocsPerRun(5, func() { m.StepN(2000) }); allocs != 0 {
+		t.Errorf("4096-node ring: %.1f allocations per 2,000 cycles, want 0", allocs)
 	}
 }

@@ -9,9 +9,10 @@ import (
 )
 
 // netWork is the host work of the network steps in a window: steps
-// taken, routers the passes visited and occupied input buffers
-// stepRouter examined.
-type netWork struct{ steps, routers, ports int64 }
+// taken, routers the passes visited, occupied input buffers stepRouter
+// examined, and the slot blocks allocated since construction, which is
+// the most routers that have held phits at once.
+type netWork struct{ steps, routers, ports, blocks int64 }
 
 // countNetWork steps m cycles cycles through the counting stepper and
 // returns the network work they cost.
@@ -28,14 +29,17 @@ func countNetWork(t *testing.T, m *machine.Machine, cycles int64) netWork {
 	if err := m.CheckInvariants(); err != nil {
 		t.Fatal(err)
 	}
-	return netWork{c.netSteps, m.Net.RouterVisits() - routers, m.Net.PortVisits() - ports}
+	return netWork{c.netSteps, m.Net.RouterVisits() - routers, m.Net.PortVisits() - ports, m.Net.SlotBlocks()}
 }
 
 // TestNetStepWorkPinned pins, exactly, the routers and ports a network
-// step visits on two benchmark-shaped programs at a fixed seed. A
-// visit does work only where a priority or a port has some: the
-// priority-1 pass walks the routers holding priority-1 traffic, and
-// stepRouter examines only occupied inputs.
+// step visits on two benchmark-shaped programs at a fixed seed, and the
+// slot blocks the network allocated. A visit does work only where a
+// priority or a port has some: the priority-1 pass walks the routers
+// holding priority-1 traffic, and stepRouter examines only occupied
+// inputs. Only routers that hold phits hold a slot block, and a
+// released block is reused, so the block count is the high-water mark
+// of busy routers, not the mesh size.
 //
 //   - The 512-node 4-token ring of TestVisitsFollowTokensNotMeshSize
 //     sends at priority 0 only, so the priority-1 pass visits no
@@ -64,8 +68,8 @@ func TestNetStepWorkPinned(t *testing.T) {
 		want  netWork
 		pri1  bool // delivers priority-1 messages
 	}{
-		{"ring-512", ring, netWork{steps: 1943, routers: 10710, ports: 10314}, false},
-		{"exchange-64", exchange, netWork{steps: 4000, routers: 295051, ports: 299747}, true},
+		{"ring-512", ring, netWork{steps: 1943, routers: 10710, ports: 10314, blocks: 33}, false},
+		{"exchange-64", exchange, netWork{steps: 4000, routers: 295051, ports: 299747, blocks: 62}, true},
 	} {
 		m, stop := c.build()
 		m.StepN(2000)

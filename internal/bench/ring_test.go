@@ -253,7 +253,7 @@ func TestRendezvousPerSteppedCycle(t *testing.T) {
 // at 16,384: at 4 shards and then sequentially, to the same digest and
 // the same stepped-cycle count, with the simulated-memory image per
 // node and the host heap per node, built and after the run, pinned.
-// One machine is alive at a time: a 16K-node machine is about 70 MiB
+// One machine is alive at a time: a 16K-node machine is about 55 MiB
 // of heap, which the race pass (-short) would multiply.
 func TestLargeMeshRing(t *testing.T) {
 	const (
@@ -262,14 +262,17 @@ func TestLargeMeshRing(t *testing.T) {
 		// fully deterministic: a 32-entry table over internal memory
 		// (8 B an entry) and the one 1 KiB page the ring's words sit in.
 		memImage = 1280
-		// maxHeap bounds the heap of the built machine: 4,373 B/node
-		// at 4,096 nodes with 1 KiB pages, 5,236 B/node with 2 KiB ones.
-		maxHeap = 4864
+		// maxHeap bounds the heap of the built machine: 3,356 B/node
+		// at 4,096 nodes with routers that hold phit slots only while
+		// active, 4,365 B/node when every router held its 1,008 B of
+		// slots inline, 5,236 B/node with 2 KiB pages.
+		maxHeap = 3840
 		// maxRunHeap bounds the heap after the run, when every node
-		// holds a suspension record and a handler table: 4,505 B/node
-		// at 4,096 nodes with 1 KiB pages, 5,369 B/node with 2 KiB ones
-		// and 6,431 B/node when both tables were maps.
-		maxRunHeap = 4736
+		// holds a suspension record and a handler table: 3,491 B/node
+		// at 4,096 nodes with pooled slot blocks, 4,497 B/node with
+		// inline slots, 5,369 B/node with 2 KiB pages and 6,431 B/node
+		// when both tables were maps.
+		maxRunHeap = 3712
 	)
 	sizes := []int{4096, 16384}
 	if testing.Short() {

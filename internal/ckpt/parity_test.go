@@ -89,6 +89,8 @@ var paritySpecs = map[string]paritySpec{
 			"act1",         // priority-1 set, a function of busy[1] and the priority-1 outboxes; rebuilt on restore
 			"routerVisits", // host-work counter, outside StateDigest
 			"portVisits",   // host-work counter, outside StateDigest
+			"free",         // slot-block pool: blocks no router holds, all zero; RestoreState rebuilds which routers hold one
+			"blocks",       // slot blocks allocated, a host-work counter outside StateDigest
 		},
 	},
 	"jmachine/internal/network.router": {
@@ -97,13 +99,11 @@ var paritySpecs = map[string]paritySpec{
 			"x", "y", "z", "cross", // topology
 			"pushStamp", "pushedNew", // within-cycle scratch, dead between cycles
 			"busy", // occupied-port masks, a function of the buffers' n; rebuilt on restore
+			"blk",  // slot-block pool state: the live slots are serialized per buffer, and RestoreState takes or returns the block
 		},
 	},
 	"jmachine/internal/network.buf": {
-		serialized: []string{"slots", "n", "popStamp"},
-		derived: []string{
-			"head", // ring rotation is unobservable; restore rebases to 0
-		},
+		serialized: []string{"n", "popStamp"},
 	},
 	"jmachine/internal/network.phitRef": {
 		serialized: []string{"m", "idx", "arrived"},

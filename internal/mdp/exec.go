@@ -15,7 +15,7 @@ type execResult struct {
 	cost   int32
 	cat    stats.Cat
 	nextIP int32
-	fault  *Fault
+	fault  raised
 }
 
 func (n *Node) res(cost int32, cat stats.Cat, next int32) execResult {
@@ -23,7 +23,25 @@ func (n *Node) res(cost int32, cat stats.Cat, next int32) execResult {
 }
 
 func faultRes(k FaultKind, addr int32, v word.Word) execResult {
-	return execResult{cost: 0, fault: &Fault{Kind: k, Addr: addr, Val: v}}
+	return execResult{cost: 0, fault: raise(k, addr, v)}
+}
+
+// raised is a fault as the instruction that raises it sees it: its
+// kind, address and offending word. It is a value, so that raising a
+// fault — a presence fault on every touch of an unresolved future, a
+// TRAP on every system call — allocates nothing; execOne completes it
+// into the Fault handed to system software. The zero value, with set
+// false, is no fault.
+type raised struct {
+	kind FaultKind
+	set  bool
+	addr int32
+	val  word.Word
+}
+
+// raise returns a fault of kind k at address addr on word v.
+func raise(k FaultKind, addr int32, v word.Word) raised {
+	return raised{kind: k, set: true, addr: addr, val: v}
 }
 
 // readReg reads a register code, including the shared specials.
@@ -73,16 +91,16 @@ func (n *Node) writeReg(ctx *Context, r isa.Reg, w word.Word) {
 // presence checks a word against the presence tags. Consuming uses fault
 // on both cfut and fut; copying uses (MOVE, SEND, ENTER values) fault
 // only on cfut — futures are first-class and may be copied freely.
-func presence(w word.Word, consuming bool) *Fault {
+func presence(w word.Word, consuming bool) raised {
 	switch w.Tag() {
 	case word.TagCfut:
-		return &Fault{Kind: FaultCfut, Addr: -1, Val: w}
+		return raise(FaultCfut, -1, w)
 	case word.TagFut:
 		if consuming {
-			return &Fault{Kind: FaultFut, Addr: -1, Val: w}
+			return raise(FaultFut, -1, w)
 		}
 	}
-	return nil
+	return raised{}
 }
 
 // memRef is a resolved memory operand.
@@ -96,12 +114,12 @@ type memRef struct {
 // resolveMem resolves a ModeMem/ModeMemReg operand through its address
 // register: raw integer addresses, segment descriptors (bounds-checked),
 // or message-relative references (TagMsg in an address register).
-func (n *Node) resolveMem(ctx *Context, op isa.Operand) (memRef, *Fault) {
+func (n *Node) resolveMem(ctx *Context, op isa.Operand) (memRef, raised) {
 	base := ctx.Regs[op.Reg]
 	off := op.Imm
 	if op.Mode == isa.ModeMemReg {
 		idx := ctx.Regs[op.Idx]
-		if f := presence(idx, true); f != nil {
+		if f := presence(idx, true); f.set {
 			return memRef{}, f
 		}
 		off = idx.Data()
@@ -111,27 +129,27 @@ func (n *Node) resolveMem(ctx *Context, op isa.Operand) (memRef, *Fault) {
 		pri := int(base.Data() & 1)
 		q := n.Queues[pri]
 		if !q.HeadReady() || off < 0 || int(off) >= q.HeadLen() {
-			return memRef{}, &Fault{Kind: FaultBounds, Addr: off, Val: base}
+			return memRef{}, raise(FaultBounds, off, base)
 		}
-		return memRef{queue: true, pri: pri, addr: off}, nil
+		return memRef{queue: true, pri: pri, addr: off}, raised{}
 	case word.TagAddr:
 		addr, err := mem.SegAddr(base, off)
 		if err != nil {
-			return memRef{}, &Fault{Kind: FaultBounds, Addr: off, Val: base}
+			return memRef{}, raise(FaultBounds, off, base)
 		}
-		return memRef{addr: addr, internal: n.Mem.IsInternal(addr)}, nil
+		return memRef{addr: addr, internal: n.Mem.IsInternal(addr)}, raised{}
 	case word.TagInt, word.TagIP:
 		addr := base.Data() + off
 		if addr < 0 || int(addr) >= n.Mem.Size() {
-			return memRef{}, &Fault{Kind: FaultBounds, Addr: addr, Val: base}
+			return memRef{}, raise(FaultBounds, addr, base)
 		}
-		return memRef{addr: addr, internal: n.Mem.IsInternal(addr)}, nil
+		return memRef{addr: addr, internal: n.Mem.IsInternal(addr)}, raised{}
 	case word.TagCfut:
-		return memRef{}, &Fault{Kind: FaultCfut, Addr: -1, Val: base}
+		return memRef{}, raise(FaultCfut, -1, base)
 	case word.TagFut:
-		return memRef{}, &Fault{Kind: FaultFut, Addr: -1, Val: base}
+		return memRef{}, raise(FaultFut, -1, base)
 	default:
-		return memRef{}, &Fault{Kind: FaultBadTag, Addr: -1, Val: base}
+		return memRef{}, raise(FaultBadTag, -1, base)
 	}
 }
 
@@ -150,21 +168,21 @@ func (n *Node) loadCost(ref memRef) int32 {
 
 // readOperand evaluates operand op. raw suppresses presence faults (tag
 // inspection); consuming selects the stricter presence rule.
-func (n *Node) readOperand(ctx *Context, op isa.Operand, consuming, raw bool) (word.Word, int32, *Fault) {
+func (n *Node) readOperand(ctx *Context, op isa.Operand, consuming, raw bool) (word.Word, int32, raised) {
 	switch op.Mode {
 	case isa.ModeReg:
 		w := n.readReg(ctx, op.Reg)
 		if !raw {
-			if f := presence(w, consuming); f != nil {
+			if f := presence(w, consuming); f.set {
 				return 0, 0, f
 			}
 		}
-		return w, 0, nil
+		return w, 0, raised{}
 	case isa.ModeImm:
-		return word.Int(op.Imm), 0, nil
+		return word.Int(op.Imm), 0, raised{}
 	default:
 		ref, f := n.resolveMem(ctx, op)
-		if f != nil {
+		if f.set {
 			return 0, 0, f
 		}
 		var w word.Word
@@ -174,12 +192,12 @@ func (n *Node) readOperand(ctx *Context, op isa.Operand, consuming, raw bool) (w
 			w, _ = n.Mem.Read(ref.addr) // bounds already checked
 		}
 		if !raw {
-			if f := presence(w, consuming); f != nil {
-				f.Addr = ref.addr
+			if f := presence(w, consuming); f.set {
+				f.addr = ref.addr
 				return 0, 0, f
 			}
 		}
-		return w, n.loadCost(ref), nil
+		return w, n.loadCost(ref), raised{}
 	}
 }
 
@@ -195,7 +213,7 @@ func (n *Node) exec(ctx *Context, in isa.Instr) execResult {
 
 	case isa.MOVE:
 		w, extra, f := n.readOperand(ctx, in.B, false, false)
-		if f != nil {
+		if f.set {
 			return execResult{fault: f}
 		}
 		n.writeReg(ctx, in.A, w)
@@ -206,7 +224,7 @@ func (n *Node) exec(ctx *Context, in isa.Instr) execResult {
 			return faultRes(FaultBadInstr, -1, 0)
 		}
 		ref, f := n.resolveMem(ctx, in.B)
-		if f != nil {
+		if f.set {
 			return execResult{fault: f}
 		}
 		if ref.queue {
@@ -227,11 +245,11 @@ func (n *Node) exec(ctx *Context, in isa.Instr) execResult {
 	case isa.ADD, isa.SUB, isa.MUL, isa.DIV, isa.MOD,
 		isa.AND, isa.OR, isa.XOR, isa.LSH, isa.ASH:
 		a := n.readReg(ctx, in.A)
-		if f := presence(a, true); f != nil {
+		if f := presence(a, true); f.set {
 			return execResult{fault: f}
 		}
 		b, extra, f := n.readOperand(ctx, in.B, true, false)
-		if f != nil {
+		if f.set {
 			return execResult{fault: f}
 		}
 		var v int32
@@ -272,7 +290,7 @@ func (n *Node) exec(ctx *Context, in isa.Instr) execResult {
 
 	case isa.NOT, isa.NEG:
 		a := n.readReg(ctx, in.A)
-		if f := presence(a, true); f != nil {
+		if f := presence(a, true); f.set {
 			return execResult{fault: f}
 		}
 		v := a.Data()
@@ -286,11 +304,11 @@ func (n *Node) exec(ctx *Context, in isa.Instr) execResult {
 
 	case isa.EQ, isa.NE, isa.LT, isa.LE, isa.GT, isa.GE:
 		a := n.readReg(ctx, in.A)
-		if f := presence(a, true); f != nil {
+		if f := presence(a, true); f.set {
 			return execResult{fault: f}
 		}
 		b, extra, f := n.readOperand(ctx, in.B, true, false)
-		if f != nil {
+		if f.set {
 			return execResult{fault: f}
 		}
 		var r bool
@@ -317,7 +335,7 @@ func (n *Node) exec(ctx *Context, in isa.Instr) execResult {
 
 	case isa.BT, isa.BF:
 		a := n.readReg(ctx, in.A)
-		if f := presence(a, true); f != nil {
+		if f := presence(a, true); f.set {
 			return execResult{fault: f}
 		}
 		taken := a.Truthy() == (in.Op == isa.BT)
@@ -332,7 +350,7 @@ func (n *Node) exec(ctx *Context, in isa.Instr) execResult {
 
 	case isa.JMP:
 		b, extra, f := n.readOperand(ctx, in.B, true, false)
-		if f != nil {
+		if f.set {
 			return execResult{fault: f}
 		}
 		return n.res(1+t.BranchTaken+extra, cat, b.Data())
@@ -353,11 +371,11 @@ func (n *Node) exec(ctx *Context, in isa.Instr) execResult {
 
 	case isa.ENTER:
 		key := n.readReg(ctx, in.A)
-		if f := presence(key, true); f != nil {
+		if f := presence(key, true); f.set {
 			return execResult{fault: f}
 		}
 		val, extra, f := n.readOperand(ctx, in.B, false, false)
-		if f != nil {
+		if f.set {
 			return execResult{fault: f}
 		}
 		n.Xl.Enter(key, val)
@@ -365,19 +383,19 @@ func (n *Node) exec(ctx *Context, in isa.Instr) execResult {
 
 	case isa.XLATE:
 		key, extra, f := n.readOperand(ctx, in.B, true, false)
-		if f != nil {
+		if f.set {
 			return execResult{fault: f}
 		}
 		v, ok := n.Xl.Lookup(key)
 		if !ok {
-			return execResult{cost: t.Xlate + extra, fault: &Fault{Kind: FaultXlateMiss, Addr: -1, Val: key}}
+			return execResult{cost: t.Xlate + extra, fault: raise(FaultXlateMiss, -1, key)}
 		}
 		n.writeReg(ctx, in.A, v)
 		return n.res(t.Xlate+extra, stats.CatXlate, next)
 
 	case isa.PROBE:
 		key, extra, f := n.readOperand(ctx, in.B, false, false)
-		if f != nil {
+		if f.set {
 			return execResult{fault: f}
 		}
 		_, ok := n.Xl.Probe(key)
@@ -386,7 +404,7 @@ func (n *Node) exec(ctx *Context, in isa.Instr) execResult {
 
 	case isa.RTAG:
 		w, extra, f := n.readOperand(ctx, in.B, false, true)
-		if f != nil {
+		if f.set {
 			return execResult{fault: f}
 		}
 		n.writeReg(ctx, in.A, word.Int(int32(w.Tag())))
@@ -394,7 +412,7 @@ func (n *Node) exec(ctx *Context, in isa.Instr) execResult {
 
 	case isa.ISCF:
 		w, extra, f := n.readOperand(ctx, in.B, false, true)
-		if f != nil {
+		if f.set {
 			return execResult{fault: f}
 		}
 		n.writeReg(ctx, in.A, word.Bool(w.IsCfut()))
@@ -402,14 +420,14 @@ func (n *Node) exec(ctx *Context, in isa.Instr) execResult {
 
 	case isa.TRAP:
 		svc, extra, f := n.readOperand(ctx, in.B, true, false)
-		if f != nil {
+		if f.set {
 			return execResult{fault: f}
 		}
-		return execResult{cost: extra, fault: &Fault{Kind: FaultTrap, Addr: -1, Val: svc}}
+		return execResult{cost: extra, fault: raise(FaultTrap, -1, svc)}
 
 	case isa.WTAG:
 		b, extra, f := n.readOperand(ctx, in.B, true, false)
-		if f != nil {
+		if f.set {
 			return execResult{fault: f}
 		}
 		old := n.readReg(ctx, in.A) // raw: retagging never faults
@@ -440,26 +458,26 @@ func (n *Node) execSend(ctx *Context, in isa.Instr) execResult {
 		}
 		if in.Op.SendWords() == 2 {
 			a := n.readReg(ctx, in.A)
-			if f := presence(a, false); f != nil {
+			if f := presence(a, false); f.set {
 				return execResult{fault: f}
 			}
 			b = append(b, a)
 		}
 		w, ex, f := n.readOperand(ctx, in.B, false, false)
-		if f != nil {
+		if f.set {
 			return execResult{fault: f}
 		}
 		extra = ex
 		b = append(b, w)
 		n.building[n.cur][pri] = b
 		if in.Op.SendEnds() {
-			if f := validateMessage(b); f != nil {
+			if f := validateMessage(b); f.set {
 				n.building[n.cur][pri] = b[:0]
 				return execResult{fault: f}
 			}
 			if n.Net.NodeFromWord(b[0]) < 0 {
 				n.building[n.cur][pri] = b[:0]
-				return execResult{fault: &Fault{Kind: FaultBadTag, Addr: -1, Val: b[0]}}
+				return execResult{fault: raise(FaultBadTag, -1, b[0])}
 			}
 			n.pendingLen[n.cur][pri] = len(b) - 1
 		}
@@ -496,19 +514,19 @@ func (n *Node) execSend(ctx *Context, in isa.Instr) execResult {
 
 // validateMessage checks a complete building buffer: destination word,
 // then a header whose length covers the payload.
-func validateMessage(b []word.Word) *Fault {
+func validateMessage(b []word.Word) raised {
 	if len(b) < 2 {
-		return &Fault{Kind: FaultBadTag, Addr: -1, Val: word.Int(int32(len(b)))}
+		return raise(FaultBadTag, -1, word.Int(int32(len(b))))
 	}
 	dest := b[0]
 	if dest.Tag() != word.TagNode {
-		return &Fault{Kind: FaultBadTag, Addr: -1, Val: dest}
+		return raise(FaultBadTag, -1, dest)
 	}
 	hdr := b[1]
 	if hdr.Tag() != word.TagMsg || hdr.HeaderLen() != len(b)-1 {
-		return &Fault{Kind: FaultBadTag, Addr: -1, Val: hdr}
+		return raise(FaultBadTag, -1, hdr)
 	}
-	return nil
+	return raised{}
 }
 
 func shiftL(x, by int32) int32 {

@@ -518,11 +518,9 @@ func (n *Node) execOne() {
 		return
 	}
 	cost, cat := res.cost, res.cat
-	if res.fault != nil {
-		f := *res.fault
-		f.IP = ctx.IP
-		f.Level = n.cur
-		f.Instr = in
+	if res.fault.set {
+		f := Fault{Kind: res.fault.kind, Addr: res.fault.addr, Val: res.fault.val,
+			IP: ctx.IP, Level: n.cur, Instr: in}
 		cost += n.Cfg.Timing.FaultVector
 		switch f.Kind {
 		case FaultCfut, FaultFut:

@@ -92,9 +92,8 @@ func (n *Network) collectMessages() (table []*Message, index map[*Message]int) {
 		r := &n.routers[ri]
 		for v := 0; v < 2; v++ {
 			for q := 0; q < NumPorts; q++ {
-				b := &r.in[v][q]
-				for i := 0; i < int(b.n); i++ {
-					add(b.slots[(int(b.head)+i)%bufCap].m)
+				for i := 0; i < int(r.in[v][q].n); i++ {
+					add(r.blk[v][q][i].m)
 				}
 			}
 		}
@@ -136,7 +135,7 @@ func (n *Network) SaveState(e *wire.Encoder) {
 				e.U8(uint8(b.n))
 				e.I64(b.popStamp)
 				for i := 0; i < int(b.n); i++ {
-					p := &b.slots[(int(b.head)+i)%bufCap]
+					p := &r.blk[v][q][i]
 					e.U32(uint32(index[p.m]))
 					e.I32(p.idx)
 					e.I64(p.arrived)
@@ -199,8 +198,9 @@ func (n *Network) restoreStats(d *wire.Decoder) {
 }
 
 // RestoreState rebuilds the network in place: router and outbox arrays
-// are mutated, never reallocated. Buffers land rebased to ring offset zero,
-// which is unobservable (all access is logical from head).
+// are mutated, never reallocated. A router the
+// checkpoint leaves without phits returns its slot block to the free
+// list, and one that holds phits takes a block if it has none.
 func (n *Network) RestoreState(d *wire.Decoder) error {
 	if r := d.Int(); r != len(n.routers) {
 		return fmt.Errorf("network: checkpoint has %d routers, machine has %d", r, len(n.routers))
@@ -224,6 +224,9 @@ func (n *Network) RestoreState(d *wire.Decoder) error {
 		r := &n.routers[ri]
 		r.occ = d.I32()
 		r.busy = [2]uint8{}
+		if r.blk != nil {
+			*r.blk = slotBlock{}
+		}
 		for v := 0; v < 2; v++ {
 			for q := 0; q < NumPorts; q++ {
 				r.outOwner[v][q] = int8(d.U8())
@@ -233,24 +236,26 @@ func (n *Network) RestoreState(d *wire.Decoder) error {
 				if cnt < 0 || cnt > bufCap {
 					return fmt.Errorf("network: buffer occupancy %d out of range", cnt)
 				}
-				b.head = 0
 				b.n = int8(cnt)
 				if cnt > 0 {
 					r.busy[v] |= 1 << q
 				}
 				b.popStamp = d.I64()
+				if cnt > 0 && r.blk == nil {
+					n.takeBlock(r)
+				}
 				for i := 0; i < cnt; i++ {
 					m, err := msgAt(d.U32())
 					if err != nil {
 						return err
 					}
 					idx := d.I32()
-					b.slots[i] = newPhit(m, idx, d.I64())
-				}
-				for i := cnt; i < bufCap; i++ {
-					b.slots[i] = phitRef{}
+					r.blk[v][q][i] = newPhit(m, idx, d.I64())
 				}
 			}
+		}
+		if r.busy == [2]uint8{} {
+			n.putBlock(r)
 		}
 		for q := 0; q < NumPorts; q++ {
 			r.linkStamp[q] = d.I64()

@@ -51,13 +51,14 @@ func (m *Message) digest(h uint64) uint64 {
 	return h
 }
 
-// digest folds the buffer's logical contents (head-ordered, not raw
-// ring slots) and its pop stamp.
-func (b *buf) digest(h uint64) uint64 {
+// digestBuf folds input q's buffer at priority v: its phits, head
+// first, and its pop stamp.
+func (r *router) digestBuf(h uint64, v, q int) uint64 {
+	b := &r.in[v][q]
 	h = digestMix(h, uint64(b.n))
 	h = digestMix(h, uint64(b.popStamp))
 	for i := 0; i < int(b.n); i++ {
-		p := &b.slots[(int(b.head)+i)%bufCap]
+		p := &r.blk[v][q][i]
 		h = digestMix(h, uint64(uint32(p.idx)))
 		h = digestMix(h, uint64(p.arrived))
 		h = p.m.digest(h)
@@ -99,7 +100,7 @@ func (n *Network) StateDigest() uint64 {
 		for v := 0; v < 2; v++ {
 			for q := 0; q < NumPorts; q++ {
 				h = digestMix(h, uint64(uint8(r.outOwner[v][q]))|uint64(uint8(r.inRoute[v][q]))<<8)
-				h = r.in[v][q].digest(h)
+				h = r.digestBuf(h, v, q)
 			}
 		}
 		for q := 0; q < NumPorts; q++ {

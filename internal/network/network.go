@@ -144,7 +144,8 @@ type Network struct {
 	// sweeping the mesh (docs/PERF.md, "Active sets"): router i is a
 	// member whenever it may hold a phit or a queued outbox message.
 	// Inject and a neighbour's push add it; the priority-0 pass removes
-	// it once it holds nothing, so between cycles the set is exact.
+	// it, and takes back its slot block, once it holds nothing, so
+	// between cycles the set is exact.
 	// Derived state: outside the digest and the checkpoint, rebuilt by
 	// RestoreState.
 	act bitset.Set
@@ -159,6 +160,15 @@ type Network struct {
 	// the occupied input buffers stepRouter examined — host work, not
 	// simulated state.
 	routerVisits, portVisits int64
+
+	// free holds the slot blocks no router holds, all zero; blocks counts
+	// every block ever allocated, so that blocks minus len(free) are held
+	// by active routers. Blocks are taken and returned only in Step's
+	// sequential passes and in RestoreState, never in Inject (which runs
+	// on the engine's node-phase goroutines). Host memory, outside the
+	// digest and the checkpoint.
+	free   []*slotBlock
+	blocks int64
 
 	// Fault-injection and delivery hooks (see Add*/Set* below). All are
 	// optional; the hot paths pay only a nil/len check.
@@ -420,6 +430,34 @@ func (n *Network) RouterVisits() int64 { return n.routerVisits }
 // host-work counter like RouterVisits.
 func (n *Network) PortVisits() int64 { return n.portVisits }
 
+// SlotBlocks returns how many slot blocks the network has allocated
+// since construction: the high-water count of routers holding phits at
+// once, since a released block is reused before a new one is made. A
+// host-work counter like RouterVisits.
+func (n *Network) SlotBlocks() int64 { return n.blocks }
+
+// takeBlock gives r a slot block from the free list, allocating one only
+// when the list is empty.
+func (n *Network) takeBlock(r *router) {
+	if k := len(n.free); k > 0 {
+		r.blk = n.free[k-1]
+		n.free = n.free[:k-1]
+		return
+	}
+	r.blk = new(slotBlock)
+	n.blocks++
+}
+
+// putBlock returns r's slot block, if it holds one, to the free list.
+// The caller has seen r hold no phit, and slots past a buffer's n are
+// clear, so the block is all zero.
+func (n *Network) putBlock(r *router) {
+	if r.blk != nil {
+		n.free = append(n.free, r.blk)
+		r.blk = nil
+	}
+}
+
 // Step advances the network one cycle: injection feeds, phit movement,
 // and delivery, honouring priority-1 channel preference. It is the one
 // way the mesh is stepped; deliver and drop hooks run inline, in
@@ -477,6 +515,7 @@ func (n *Network) stepPass(v int, cyc int64) {
 				}
 			} else if n.idle(ri) {
 				n.act.Remove(ri) // last pass of the cycle and nothing left here
+				n.putBlock(r)
 			}
 		}
 	}
@@ -508,13 +547,13 @@ func (n *Network) stepRouter(ri int, r *router, v, start int, cyc int64) {
 		// ascending bits are then the arbitration order.
 		ports = (ports>>start | ports<<(NumPorts-start)) & (1<<NumPorts - 1)
 	}
-	in, owner, route := &r.in[v], &r.outOwner[v], &r.inRoute[v]
+	blk, owner, route := &r.blk[v], &r.outOwner[v], &r.inRoute[v]
 	stall := n.stallFn
 	var hops, cross uint64
 	for ; ports != 0; ports &= ports - 1 {
 		q := int(portAt[start+bits.TrailingZeros(ports)])
-		b := &in[q]
-		head := &b.slots[b.head]
+		s := &blk[q]
+		head := &s[0]
 		if head.arrived >= cyc {
 			continue // entered this cycle; moves next cycle at the earliest
 		}
@@ -535,7 +574,7 @@ func (n *Network) stepRouter(ri int, r *router, v, start int, cyc int64) {
 			continue // injected link fault holds the channel
 		}
 		if out == PortLocal {
-			n.deliverPhit(ri, r, v, q, b, cyc)
+			n.deliverPhit(ri, r, v, q, s, cyc)
 			continue
 		}
 		nb := n.nbr[ri][out]
@@ -550,15 +589,19 @@ func (n *Network) stepRouter(ri int, r *router, v, start int, cyc int64) {
 		if nbuf.startOcc(cyc) >= bufCap {
 			continue // downstream buffer full at cycle start
 		}
-		// A router holding a phit is in act, and one holding a
-		// priority-1 phit in act1: only a push into an empty one adds.
+		// A router holding a phit is in act and holds a slot block, and
+		// one holding a priority-1 phit is in act1: only a push into an
+		// empty one adds.
 		if nr.occ == 0 {
 			n.act.Add(int(nb))
+			if nr.blk == nil {
+				n.takeBlock(nr)
+			}
 		}
 		if v == 1 && nr.busy[1] == 0 {
 			n.act1.Add(int(nb))
 		}
-		p := r.pop(v, q, cyc)
+		p := r.pop(v, q, s, cyc)
 		r.linkStamp[out] = cyc
 		p.arrived = cyc
 		nr.push(v, nq, p, cyc)
@@ -573,9 +616,10 @@ func (n *Network) stepRouter(ri int, r *router, v, start int, cyc int64) {
 	n.stats.BisectionPhits += cross
 }
 
-// deliverPhit retires the head phit of input q into the local delivery
-// queue. Even phits (first half of a word) are absorbed freely; odd
-// phits complete a word, which must be accepted by the queue.
+// deliverPhit retires the head phit of input q, whose slots are s, into
+// the local delivery queue. Even phits (first half of a word) are absorbed
+// freely; odd phits complete a word, which must be accepted by the
+// queue.
 //
 // At the head phit the port decides the worm's fate: a homecoming
 // refused message is drained for retransmission; a corrupted message
@@ -583,8 +627,8 @@ func (n *Network) stepRouter(ri int, r *router, v, start int, cyc int64) {
 // drop duplicates; and with return-to-sender flow control a message that
 // would not fit in the destination queue is drained and turned around —
 // or dropped once it has been refused MaxReturns times.
-func (n *Network) deliverPhit(ri int, r *router, v, q int, b *buf, cyc int64) {
-	head := b.peek()
+func (n *Network) deliverPhit(ri int, r *router, v, q int, s *[bufCap]phitRef, cyc int64) {
+	head := &s[0]
 	m := head.m
 	if head.idx == 0 && !m.absorb {
 		switch {
@@ -610,7 +654,7 @@ func (n *Network) deliverPhit(ri int, r *router, v, q int, b *buf, cyc int64) {
 		}
 	}
 	if m.absorb {
-		n.absorbPhit(ri, r, v, q, cyc)
+		n.absorbPhit(ri, r, v, q, s, cyc)
 		return
 	}
 	w, complete := head.payloadWord()
@@ -620,7 +664,7 @@ func (n *Network) deliverPhit(ri int, r *router, v, q int, b *buf, cyc int64) {
 			return // queue full; back-pressure into the network
 		}
 	}
-	p := r.pop(v, q, cyc)
+	p := r.pop(v, q, s, cyc)
 	r.linkStamp[PortLocal] = cyc
 	n.actPhits--
 	if complete {
@@ -644,8 +688,8 @@ func (n *Network) deliverPhit(ri int, r *router, v, q int, b *buf, cyc int64) {
 // either discarded (drop set) or re-injected: back toward the source
 // (refusal) or toward its true destination after the backoff
 // (retransmission).
-func (n *Network) absorbPhit(ri int, r *router, v, q int, cyc int64) {
-	p := r.pop(v, q, cyc)
+func (n *Network) absorbPhit(ri int, r *router, v, q int, s *[bufCap]phitRef, cyc int64) {
+	p := r.pop(v, q, s, cyc)
 	r.linkStamp[PortLocal] = cyc
 	n.actPhits--
 	if !p.tail {
@@ -703,6 +747,9 @@ func (n *Network) feedInjection(ri int, r *router, ob *outbox, v int, cyc int64)
 	m := ob.msgs[0]
 	if ob.phitIdx == 0 && cyc < m.EnqueueCycle+int64(n.cfg.LaunchCycles) {
 		return // network-interface launch latency
+	}
+	if r.blk == nil {
+		n.takeBlock(r)
 	}
 	r.push(v, PortLocal, newPhit(m, ob.phitIdx, cyc), cyc)
 	n.actPhits++

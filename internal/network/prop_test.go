@@ -11,7 +11,9 @@ package network
 // message was delivered or counted as dropped and that the mesh drained
 // within a bound. A run whose traffic is injected from k node slabs on
 // k goroutines, as the engine's node phase reaches Inject, must show
-// the in-order run's state digest after every cycle.
+// the in-order run's state digest after every cycle, and so must a run
+// whose network and queues were restored, mid-traffic, from a
+// checkpoint of the in-order run taken some cycles behind it.
 
 import (
 	"fmt"
@@ -19,6 +21,7 @@ import (
 	"sync"
 	"testing"
 
+	"jmachine/internal/ckpt/wire"
 	"jmachine/internal/queue"
 	"jmachine/internal/word"
 )
@@ -336,7 +339,8 @@ func (p *propRun) run(each func(cycle int)) {
 }
 
 // checkScenario runs sc injecting in order, then from k slabs at each
-// k, requiring the in-order digest after every cycle.
+// k, then through a checkpoint round trip (checkRestore), requiring the
+// in-order digest after every cycle.
 func checkScenario(t testing.TB, sc scenario, ks ...int) {
 	var want []uint64
 	seq := newPropRun(t, sc, 1)
@@ -351,6 +355,83 @@ func checkScenario(t testing.TB, sc scenario, ks ...int) {
 		if sh.cyc != len(want) {
 			t.Fatalf("%v slabs=%d: drained at cycle %d, in order at %d", sc, k, sh.cyc, len(want))
 		}
+	}
+	checkRestore(t, sc, want)
+}
+
+// checkRestore round-trips a network checkpoint mid-traffic. One run of
+// sc stops at cycle at and saves its network and delivery queues. A
+// second run goes on further, so that other routers hold slot blocks,
+// then restores that checkpoint and takes over the first run's traffic
+// state. From there it must show the uninterrupted run's digest, want,
+// after every cycle, with its bookkeeping clean (run checks
+// CheckInvariants every cycle). It returns how many routers the restore
+// had to take a slot block from, and how many it had to give one.
+func checkRestore(t testing.TB, sc scenario, want []uint64) (released, taken int) {
+	at := sc.cycles / 2
+	ref, fwd := newPropRun(t, sc, 1), newPropRun(t, sc, 1)
+	for ref.cyc < at {
+		ref.advance()
+	}
+	for fwd.cyc < at+1+sc.cycles/4 {
+		fwd.advance()
+	}
+	var e wire.Encoder
+	ref.n.SaveState(&e)
+	for _, q := range ref.qs {
+		q[0].SaveState(&e)
+		q[1].SaveState(&e)
+	}
+	for ri := range fwd.n.routers {
+		had, has := fwd.n.routers[ri].blk != nil, ref.n.routers[ri].occ > 0
+		released += b2i(had && !has)
+		taken += b2i(has && !had)
+	}
+	d := wire.NewDecoder(e.Bytes())
+	err := fwd.n.RestoreState(d)
+	for _, q := range fwd.qs {
+		for pri := 0; pri < 2 && err == nil; pri++ {
+			err = q[pri].RestoreState(d)
+		}
+	}
+	if err != nil {
+		t.Fatalf("%v: restore at cycle %d: %v", sc, at, err)
+	}
+	// The hooks fwd's network holds read fwd's traffic state through
+	// fwd, so it takes ref's over in place.
+	n, qs := fwd.n, fwd.qs
+	*fwd = *ref
+	fwd.n, fwd.qs = n, qs
+	if err := fwd.n.CheckInvariants(); err != nil {
+		t.Fatalf("%v: restored at cycle %d: %v", sc, at, err)
+	}
+	if fwd.digest() != want[at-1] {
+		t.Fatalf("%v: restored state differs from the saved one at cycle %d", sc, at)
+	}
+	fwd.run(func(c int) {
+		if c > len(want) || fwd.digest() != want[c-1] {
+			t.Fatalf("%v: restored at cycle %d, diverged from the uninterrupted run at cycle %d", sc, at, c)
+		}
+	})
+	if fwd.cyc != len(want) {
+		t.Fatalf("%v: restored at cycle %d, drained at cycle %d, uninterrupted at %d", sc, at, fwd.cyc, len(want))
+	}
+	return released, taken
+}
+
+// TestRestoreMovesSlotBlocks checks that the round trip exercises both
+// directions of RestoreState's slot-block handling on a busy mesh: the
+// run restored into holds blocks at routers the checkpoint leaves
+// empty, and lacks them at routers the checkpoint fills.
+func TestRestoreMovesSlotBlocks(t *testing.T) {
+	sc := scenario{5, 5, 3, FixedPriority, modePlain, 31, 300}
+	var want []uint64
+	p := newPropRun(t, sc, 1)
+	p.run(func(int) { want = append(want, p.digest()) })
+	released, taken := checkRestore(t, sc, want)
+	t.Logf("%v: restore returned %d slot blocks and took %d", sc, released, taken)
+	if released == 0 || taken == 0 {
+		t.Errorf("%v: restore returned %d slot blocks and took %d; want both > 0", sc, released, taken)
 	}
 }
 

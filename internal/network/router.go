@@ -23,35 +23,27 @@ var opposite = [6]int{PortXM, PortXP, PortYM, PortYP, PortZM, PortZP}
 // network at under half the bisection capacity.
 const bufCap = 3
 
-// buf is a fixed-capacity ring of in-flight phits. Each buffer has
-// exactly one producer (the upstream link or the local outbox) and one
-// consumer, so a popStamp suffices to reconstruct the occupancy at the
-// start of the cycle: producers admit a phit only if space existed then,
-// keeping throughput independent of router sweep order.
+// buf is the bookkeeping of a fixed-capacity FIFO of in-flight phits
+// whose slots live in the router's slotBlock, head first: the head is
+// always slot 0, so finding it needs no load of the buffer. Each buffer
+// has exactly one producer (the upstream link or the local outbox) and
+// one consumer, so a popStamp suffices to reconstruct the occupancy at
+// the start of the cycle: producers admit a phit only if space existed
+// then, keeping throughput independent of router sweep order.
 type buf struct {
-	slots    [bufCap]phitRef
-	head     int8
 	n        int8
 	popStamp int64 // cycle of the most recent pop
 }
 
-// ringAt maps a ring offset head+i (head < bufCap, i <= bufCap) to its
-// slot, (head+i) mod bufCap, without a division.
-var ringAt = [2 * bufCap]int8{0, 1, 2, 0, 1, 2}
-
-func (b *buf) push(p phitRef) {
-	b.slots[ringAt[b.head+b.n]] = p
-	b.n++
-}
-
-func (b *buf) peek() *phitRef { return &b.slots[b.head] }
-
-func (b *buf) pop() phitRef {
-	p := b.slots[b.head]
-	b.head = ringAt[b.head+1]
-	b.n--
-	return p
-}
+// slotBlock holds the phit slots of a router's input buffers, per
+// priority and input port. A router holds one only while it is active
+// (docs/PERF.md, "Compact node state"): it takes a block from the
+// network's free list when its first phit arrives and hands it back
+// when the priority-0 pass removes it from the active set. Slots past a
+// buffer's n are clear (pop moves the phits behind the head toward slot
+// 0 and clears the last slot), so a block on the free list is all zero
+// and keeps no message alive.
+type slotBlock [2][NumPorts][bufCap]phitRef
 
 // startOcc is the buffer's occupancy at the start of cycle cyc: its one
 // consumer pops at most one phit a cycle, and a producer admits a phit
@@ -72,7 +64,9 @@ const noPort = int8(-1)
 
 // router is one node's wormhole router: per priority, an input buffer
 // per input port, ownership of each output port, and the output port
-// assigned to the worm currently flowing through each input.
+// assigned to the worm currently flowing through each input. Everything
+// a neighbour reads to admit a phit is inline; only the phit slots are
+// in blk.
 type router struct {
 	x, y, z int8
 	// cross has bit o set iff output o's link crosses the mid-X plane,
@@ -84,14 +78,6 @@ type router struct {
 	// push and pop; derived state, like Network.act.
 	busy [2]uint8
 
-	in       [2][NumPorts]buf
-	outOwner [2][NumPorts]int8 // input port owning the output, or noPort
-	inRoute  [2][NumPorts]int8 // output port assigned to this input's worm
-
-	// linkStamp[o] == current cycle when output o's physical channel has
-	// already carried a phit this cycle (shared across priorities).
-	linkStamp [NumPorts]int64
-
 	// occ counts the phits buffered here; a router with occ == 0 and
 	// empty outboxes leaves the active set.
 	occ int32
@@ -100,24 +86,45 @@ type router struct {
 	// the current cycle (by neighbours or the local outbox), so that
 	// effOcc can leave out same-cycle pushes, whose visibility depends
 	// on visit order, when RoundRobin decides whether rr advances.
-	pushStamp int64
 	pushedNew int32
+	pushStamp int64
+
+	// blk holds the buffers' phit slots: non-nil whenever occ > 0, nil
+	// whenever the router is outside the active set. It sits with the
+	// other fields a push writes, ahead of the buffers.
+	blk *slotBlock
+
+	in       [2][NumPorts]buf
+	outOwner [2][NumPorts]int8 // input port owning the output, or noPort
+	inRoute  [2][NumPorts]int8 // output port assigned to this input's worm
+
+	// linkStamp[o] == current cycle when output o's physical channel has
+	// already carried a phit this cycle (shared across priorities).
+	linkStamp [NumPorts]int64
 }
 
 // push appends p to input q at priority v during cycle cyc. The phit
-// cannot move until the next cycle, so effOcc does not count it.
+// cannot move until the next cycle, so effOcc does not count it. The
+// router holds a slot block.
 func (r *router) push(v, q int, p phitRef, cyc int64) {
-	r.in[v][q].push(p)
+	b := &r.in[v][q]
+	r.blk[v][q][b.n] = p
+	b.n++
 	r.busy[v] |= 1 << q
 	r.pushedNew = r.pushedNew*int32(b2i(r.pushStamp == cyc)) + 1
 	r.pushStamp = cyc
 	r.occ++
 }
 
-// pop removes the head phit of input q at priority v during cycle cyc.
-func (r *router) pop(v, q int, cyc int64) phitRef {
+// pop removes the head phit of input q at priority v, whose slots s the
+// caller has already indexed to look at the head, during cycle cyc: the
+// phits behind it move one slot toward slot 0 and the last slot
+// (bufCap is 3) is cleared.
+func (r *router) pop(v, q int, s *[bufCap]phitRef, cyc int64) phitRef {
+	p := s[0]
+	s[0], s[1], s[2] = s[1], s[2], phitRef{}
 	b := &r.in[v][q]
-	p := b.pop()
+	b.n--
 	b.popStamp = cyc
 	r.busy[v] &^= uint8(b2i(b.n == 0)) << q
 	r.occ--
