@@ -12,17 +12,19 @@ import (
 // footprint is the node state a machine has allocated, summed over its
 // nodes.
 type footprint struct {
-	pages, tableEntries int // materialized memory pages, page-table entries
-	ringWords           int // queue-ring words, both priorities
-	xlateTables         int // translation tables with allocated entries
+	tableEntries   int // memory page-directory entries
+	leaves, blocks int // materialized memory leaves and 16-word blocks
+	ringWords      int // queue-ring words, both priorities
+	xlateTables    int // translation tables with allocated entries
 }
 
 func machineFootprint(m *machine.Machine) footprint {
 	var f footprint
 	for _, n := range m.Nodes {
-		entries, pages := n.Mem.Footprint()
+		entries, leaves, blocks := n.Mem.Footprint()
 		f.tableEntries += entries
-		f.pages += pages
+		f.leaves += leaves
+		f.blocks += blocks
 		for _, q := range n.Queues {
 			f.ringWords += q.RingWords()
 		}
@@ -36,10 +38,10 @@ func machineFootprint(m *machine.Machine) footprint {
 // TestNodeFootprint pins, exactly, the node state two shapes allocate:
 // the token ring (4,096 nodes, 1,500 cycles) and the Figure 3 exchange
 // loop at the paper's idle-16 load point (512 nodes, 2,000 cycles). A
-// node pays for the pages it writes, for queue rings as long as the
-// most it has buffered, rounded up to a power of two of at least 16
-// words, and for a translation table once it ENTERs a name; neither
-// shape ENTERs one. Host heap per node follows from these counts, so
+// node pays for the 16-word memory blocks it writes and a leaf per page
+// they fall in, for queue rings as long as the most it has buffered,
+// rounded up to a power of two of at least 16 words, and for a
+// translation table once it ENTERs a name; neither shape ENTERs one. Host heap per node follows from these counts, so
 // the pins catch a regression the heap bounds would let through.
 func TestNodeFootprint(t *testing.T) {
 	ring := func() *machine.Machine {
@@ -65,21 +67,24 @@ func TestNodeFootprint(t *testing.T) {
 		build func() *machine.Machine
 		want  footprint
 	}{
-		// One page and the 32-entry table per node; 56 nodes have
-		// received a token, each into one 16-word ring.
-		{"ring", ring, footprint{pages: 4096, tableEntries: 131072, ringWords: 896}},
-		// Four pages (the runtime and loop words at the bottom of
-		// SRAM, and the three the 256-word destination table at 3000
-		// straddles) and a 16-word ring per priority on every node.
-		{"fig3-exchange", exchange, footprint{pages: 2048, tableEntries: 16384, ringWords: 16384}},
+		// Two blocks under one leaf and the 32-entry directory per
+		// node (the boot words 0–4 and the ring's words at 64–66); 56
+		// nodes have received a token, each into one 16-word ring.
+		{"ring", ring, footprint{tableEntries: 131072, leaves: 4096, blocks: 8192, ringWords: 896}},
+		// 19 blocks under four leaves per node: two blocks for the
+		// runtime and loop words at the bottom of SRAM, whose page
+		// holds one leaf, and the 17 blocks the 256-word destination
+		// table at 3000 straddles, under three leaves. A 16-word ring
+		// per priority on every node.
+		{"fig3-exchange", exchange, footprint{tableEntries: 16384, leaves: 2048, blocks: 9728, ringWords: 16384}},
 	} {
 		m := c.build()
 		if err := m.FatalErr(); err != nil {
 			t.Fatalf("%s: %v", c.name, err)
 		}
 		got, nodes := machineFootprint(m), float64(m.NumNodes())
-		t.Logf("%s: per node %.2f pages, %.2f page-table entries, %.2f queue-ring words, %.3f xlate tables",
-			c.name, float64(got.pages)/nodes, float64(got.tableEntries)/nodes,
+		t.Logf("%s: per node %.2f blocks under %.2f leaves, %.2f page-directory entries, %.2f queue-ring words, %.3f xlate tables",
+			c.name, float64(got.blocks)/nodes, float64(got.leaves)/nodes, float64(got.tableEntries)/nodes,
 			float64(got.ringWords)/nodes, float64(got.xlateTables)/nodes)
 		if got != c.want {
 			t.Errorf("%s: %d nodes allocated %+v, want %+v", c.name, m.NumNodes(), got, c.want)

@@ -258,21 +258,19 @@ func TestRendezvousPerSteppedCycle(t *testing.T) {
 func TestLargeMeshRing(t *testing.T) {
 	const (
 		shards, tokens, cycles = 4, 4, 1500
-		// memImage is the page table plus materialized pages per node,
-		// fully deterministic: a 32-entry table over internal memory
-		// (8 B an entry) and the one 1 KiB page the ring's words sit in.
-		memImage = 1280
-		// maxHeap bounds the heap of the built machine: 3,356 B/node
-		// at 4,096 nodes with routers that hold phit slots only while
-		// active, 4,365 B/node when every router held its 1,008 B of
-		// slots inline, 5,236 B/node with 2 KiB pages.
-		maxHeap = 3840
+		// memImage is the page directory plus materialized leaves and
+		// blocks per node, fully deterministic: a 32-entry directory
+		// over internal memory (8 B an entry), one 64 B leaf and the
+		// two 128 B blocks the ring's words sit in.
+		memImage = 576
+		// maxHeap bounds the heap of the built machine: 2,652 B/node
+		// at 4,096 nodes. A node memory of whole 1 KiB pages took
+		// 3,356, which the bound rejects.
+		maxHeap = 3072
 		// maxRunHeap bounds the heap after the run, when every node
-		// holds a suspension record and a handler table: 3,491 B/node
-		// at 4,096 nodes with pooled slot blocks, 4,497 B/node with
-		// inline slots, 5,369 B/node with 2 KiB pages and 6,431 B/node
-		// when both tables were maps.
-		maxRunHeap = 3712
+		// holds a suspension record and a handler table: 2,787 B/node
+		// at 4,096 nodes, 3,491 with whole 1 KiB pages.
+		maxRunHeap = 3072
 	)
 	sizes := []int{4096, 16384}
 	if testing.Short() {

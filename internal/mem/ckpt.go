@@ -8,8 +8,8 @@ import (
 )
 
 // runEnd returns the first address after at whose word differs from v,
-// fast-forwarding across whole unmaterialized pages when v is zero (and
-// straight to the end past the page table) so the encoder stays
+// fast-forwarding across whole unmaterialized pages and blocks when v is
+// zero (and straight to the end past the directory) so the encoder stays
 // O(materialized words) on sparse images.
 func (m *Memory) runEnd(at int, v word.Word) int {
 	j := at + 1
@@ -21,15 +21,23 @@ func (m *Memory) runEnd(at int, v word.Word) int {
 			}
 			return m.size
 		}
-		pg := m.pages[pi]
-		if pg == nil {
+		lf := m.pages[pi]
+		if lf == nil {
 			if v != 0 {
 				return j
 			}
 			j = (pi + 1) << pageShift
 			continue
 		}
-		if pg[j&pageMask] != v {
+		b := lf[j>>blockShift&leafMask]
+		if b == nil {
+			if v != 0 {
+				return j
+			}
+			j = (j>>blockShift + 1) << blockShift
+			continue
+		}
+		if b[j&blockMask] != v {
 			return j
 		}
 		j++
@@ -41,8 +49,8 @@ func (m *Memory) runEnd(at int, v word.Word) int {
 // memories are dominated by long runs of identical words (untouched
 // zeroed DRAM, cfut-filled frames), so a (count, word) stream is far
 // smaller than the raw image while staying byte-exact. Runs are maximal
-// over the logical image, so the encoding is independent of page
-// materialization — a lazily zero page and an explicit one serialize
+// over the logical image, so the encoding is independent of block
+// materialization — a lazily zero block and an explicit one serialize
 // identically.
 func (m *Memory) SaveState(e *wire.Encoder) {
 	e.Int(m.size)
@@ -58,8 +66,8 @@ func (m *Memory) SaveState(e *wire.Encoder) {
 }
 
 // RestoreState rebuilds the memory image from the checkpoint over a
-// fresh page table that covers internal memory only, so zero runs
-// restore to lazy pages. The configured geometry must match the
+// fresh directory that covers internal memory only, so zero runs
+// restore to lazy blocks. The configured geometry must match the
 // checkpoint exactly.
 func (m *Memory) RestoreState(d *wire.Decoder) error {
 	if n := d.Int(); n != m.size {
@@ -68,7 +76,7 @@ func (m *Memory) RestoreState(d *wire.Decoder) error {
 	if iw := d.Int(); iw != m.imemWords {
 		return fmt.Errorf("mem: checkpoint imem %d words != configured %d", iw, m.imemWords)
 	}
-	m.pages = make([]*page, pagesFor(m.imemWords))
+	m.pages = make([]*leaf, pagesFor(m.imemWords))
 	at := 0
 	for at < m.size {
 		run := int(d.U32())

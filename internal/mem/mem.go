@@ -13,14 +13,17 @@
 // addresses (unchecked), which is how the tuned assembly applications
 // address large arrays.
 //
-// The backing store is paged and lazily materialized: a nil page reads as
-// integer zero, and pages are only allocated on the first non-zero write.
-// The page table itself starts over internal memory alone and is extended
-// over external memory on the first non-zero write there. Programs execute
-// from the assembled image held machine-wide, so a node that only touches
-// a few dozen data words costs one 1 KiB page and a 32-entry table rather
-// than the full 70K-word image — the difference between a 16K-node mesh
-// fitting in memory or not.
+// The backing store is a two-level table, lazily materialized. A page
+// directory of 128-word pages points at leaves of eight pointers, and
+// each leaf entry at a 16-word block. A nil page or block reads as
+// integer zero, and a block (with its leaf) is only allocated on the
+// first non-zero write into it. The directory starts over internal
+// memory alone and is extended over external memory on the first
+// non-zero write there. Programs execute from the assembled image held
+// machine-wide, so a node that writes a few dozen data words costs those
+// words' blocks, a leaf per page they fall in and a 32-entry directory
+// rather than the full 70K-word image — the difference between a
+// 16K-node mesh fitting in memory or not.
 package mem
 
 import (
@@ -38,17 +41,23 @@ const (
 	DefaultEmemWords = 65536
 )
 
-// Page geometry. 128 words (1 KiB) per page: the runtime's boot words
-// (0–4) and an application's words at rt.AppBase (64) sit in one page,
-// the default SRAM needs a 32-entry table, and a node that writes DRAM
-// extends it to 544 entries. Halving the page again would split those
-// words over two pages and double the table: on a large idle mesh that
-// costs more than the smaller pages save (docs/PERF.md, "Compact node
-// state").
+// Geometry. A directory entry covers a 128-word page: the default SRAM
+// needs 32 entries, and a node that writes DRAM extends the directory to
+// 544. A page's leaf holds eight pointers (64 B) to 16-word blocks
+// (128 B), so a ring node's boot words (0–4) and application words at
+// rt.AppBase (64–66) cost two blocks under one leaf. Blocks are sized by
+// what nodes write (docs/PERF.md, "Compact node state"): 8-word blocks
+// save under 3% of heap for nearly twice the objects on a dense image
+// (34 blocks against 19 on an exchange node), and 32-word blocks hold
+// more zeros on every workload.
 const (
-	pageShift = 7
-	pageWords = 1 << pageShift
-	pageMask  = pageWords - 1
+	pageShift  = 7
+	pageWords  = 1 << pageShift
+	blockShift = 4
+	blockWords = 1 << blockShift
+	blockMask  = blockWords - 1
+	leafSize   = pageWords / blockWords
+	leafMask   = leafSize - 1
 )
 
 // Config sizes a node memory.
@@ -71,25 +80,30 @@ func (c Config) withDefaults() Config {
 // outside a segment descriptor's extent.
 var ErrBounds = errors.New("mem: address out of bounds")
 
-// page is one materialized page of the backing store.
-type page = [pageWords]word.Word
+// block is one materialized block of the backing store, and leaf the
+// blocks of one page.
+type (
+	block = [blockWords]word.Word
+	leaf  = [leafSize]*block
+)
 
 // Memory is one node's storage.
 type Memory struct {
-	// pages is the page table: it covers internal memory from New and
-	// the whole address space once a non-zero word is written past it.
-	// A nil page, or one past the table, reads as word.Int(0).
-	pages     []*page
+	// pages is the page directory: it covers internal memory from New
+	// and the whole address space once a non-zero word is written past
+	// it. A nil page or block, or a page past the directory, reads as
+	// word.Int(0).
+	pages     []*leaf
 	size      int // addressable words
 	imemWords int
 }
 
-// New allocates a node memory. All words start as integer zero; no page
+// New allocates a node memory. All words start as integer zero; no block
 // is materialized until written.
 func New(cfg Config) *Memory {
 	cfg = cfg.withDefaults()
 	return &Memory{
-		pages:     make([]*page, pagesFor(cfg.ImemWords)),
+		pages:     make([]*leaf, pagesFor(cfg.ImemWords)),
 		size:      cfg.ImemWords + cfg.EmemWords,
 		imemWords: cfg.ImemWords,
 	}
@@ -120,7 +134,7 @@ func (m *Memory) Read(addr int32) (word.Word, error) {
 }
 
 // Write stores w at addr, replacing both data and tag. Writing integer
-// zero to an unmaterialized page is a no-op — the page stays lazy.
+// zero to an unmaterialized block is a no-op — the block stays lazy.
 func (m *Memory) Write(addr int32, w word.Word) error {
 	if addr < 0 || int(addr) >= m.size {
 		return ErrBounds
@@ -129,8 +143,8 @@ func (m *Memory) Write(addr int32, w word.Word) error {
 	return nil
 }
 
-// set stores w at a bounds-checked word index, materializing the page
-// (and extending the page table over the whole address space) only for
+// set stores w at a bounds-checked word index, materializing the block
+// (its leaf, and the directory over the whole address space) only for
 // non-zero words.
 func (m *Memory) set(addr int, w word.Word) {
 	pi := addr >> pageShift
@@ -138,26 +152,36 @@ func (m *Memory) set(addr int, w word.Word) {
 		if w == 0 {
 			return
 		}
-		pages := make([]*page, pagesFor(m.size))
+		pages := make([]*leaf, pagesFor(m.size))
 		copy(pages, m.pages)
 		m.pages = pages
 	}
-	pg := m.pages[pi]
-	if pg == nil {
+	lf := m.pages[pi]
+	if lf == nil {
 		if w == 0 {
 			return
 		}
-		pg = new(page)
-		m.pages[pi] = pg
+		lf = new(leaf)
+		m.pages[pi] = lf
 	}
-	pg[addr&pageMask] = w
+	b := lf[addr>>blockShift&leafMask]
+	if b == nil {
+		if w == 0 {
+			return
+		}
+		b = new(block)
+		lf[addr>>blockShift&leafMask] = b
+	}
+	b[addr&blockMask] = w
 }
 
 // get returns the word at a bounds-checked word index.
 func (m *Memory) get(addr int) word.Word {
 	if pi := addr >> pageShift; pi < len(m.pages) {
-		if pg := m.pages[pi]; pg != nil {
-			return pg[addr&pageMask]
+		if lf := m.pages[pi]; lf != nil {
+			if b := lf[addr>>blockShift&leafMask]; b != nil {
+				return b[addr&blockMask]
+			}
 		}
 	}
 	return 0
@@ -186,23 +210,29 @@ func (m *Memory) FillCfut(addr int32, n int) error {
 	return nil
 }
 
-// Footprint reports the backing store's allocation: the page table's
-// entries and the pages materialized under it.
-func (m *Memory) Footprint() (tableEntries, pages int) {
-	for _, pg := range m.pages {
-		if pg != nil {
-			pages++
+// Footprint reports the backing store's allocation: the directory's
+// entries, the leaves under it and the blocks materialized under those.
+func (m *Memory) Footprint() (tableEntries, leaves, blocks int) {
+	for _, lf := range m.pages {
+		if lf == nil {
+			continue
+		}
+		leaves++
+		for _, b := range lf {
+			if b != nil {
+				blocks++
+			}
 		}
 	}
-	return len(m.pages), pages
+	return len(m.pages), leaves, blocks
 }
 
-// HeapBytes is the heap the backing store holds: one pointer per page
-// table entry plus every materialized page. The large-mesh tests pin it
-// per node.
+// HeapBytes is the heap the backing store holds: 8 B per directory entry,
+// 64 B per leaf and 128 B per block. The large-mesh tests pin it per
+// node.
 func (m *Memory) HeapBytes() int64 {
-	entries, pages := m.Footprint()
-	return int64(entries)*8 + int64(pages)*pageWords*8
+	entries, leaves, blocks := m.Footprint()
+	return int64(entries)*8 + int64(leaves)*leafSize*8 + int64(blocks)*blockWords*8
 }
 
 // Segment descriptors.

@@ -3,6 +3,7 @@ package mem
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"testing"
 	"testing/quick"
 
@@ -115,20 +116,18 @@ func TestSegProperty(t *testing.T) {
 }
 
 // TestPageTableGrowsOnFirstExternalWrite pins the lazy geometry: the
-// page table covers internal memory until a non-zero word is written
+// directory covers internal memory until a non-zero word is written
 // past it, a zero write changes nothing, and neither the digest nor
-// the checkpoint bytes depend on how far the table reaches; a restore
-// starts over from the internal-memory table.
+// the checkpoint bytes depend on how far the directory reaches; a
+// restore starts over from the internal-memory directory.
 func TestPageTableGrowsOnFirstExternalWrite(t *testing.T) {
 	const imemPages, allPages = DefaultImemWords / pageWords, (DefaultImemWords + DefaultEmemWords) / pageWords
-	check := func(what string, m *Memory, entries, pages int) {
+	check := func(what string, m *Memory, entries, leaves, blocks int, heap int64) {
 		t.Helper()
-		e, p := m.Footprint()
-		if e != entries || p != pages {
-			t.Errorf("%s: %d table entries, %d pages; want %d, %d", what, e, p, entries, pages)
-		}
-		if want := int64(entries*8 + pages*pageWords*8); m.HeapBytes() != want {
-			t.Errorf("%s: HeapBytes %d, want %d", what, m.HeapBytes(), want)
+		e, l, b := m.Footprint()
+		if e != entries || l != leaves || b != blocks || m.HeapBytes() != heap {
+			t.Errorf("%s: %d directory entries, %d leaves, %d blocks, %d heap bytes; want %d, %d, %d, %d",
+				what, e, l, b, m.HeapBytes(), entries, leaves, blocks, heap)
 		}
 	}
 	encode := func(m *Memory) []byte {
@@ -137,25 +136,29 @@ func TestPageTableGrowsOnFirstExternalWrite(t *testing.T) {
 		return e.Bytes()
 	}
 	m := New(Config{})
-	check("new", m, imemPages, 0)
+	check("new", m, imemPages, 0, 0, 256)
 	ext := int32(DefaultImemWords + 3*pageWords + 5)
 	if err := m.Write(ext, 0); err != nil {
 		t.Fatal(err)
 	}
-	check("zero write to external memory", m, imemPages, 0)
+	check("zero write to external memory", m, imemPages, 0, 0, 256)
 	if w, err := m.Read(ext); err != nil || w != 0 {
-		t.Fatalf("read past the table = %v, %v", w, err)
+		t.Fatalf("read past the directory = %v, %v", w, err)
 	}
 	if err := m.Write(70, word.Int(1)); err != nil {
 		t.Fatal(err)
 	}
-	check("internal write", m, imemPages, 1)
+	check("internal write", m, imemPages, 1, 1, 448)
+	if err := m.Write(90, 0); err != nil {
+		t.Fatal(err)
+	}
+	check("zero write to a nil block under a leaf", m, imemPages, 1, 1, 448)
 	short, shortDigest := encode(m), m.StateDigest(1)
 
 	if err := m.Write(ext, word.Int(2)); err != nil {
 		t.Fatal(err)
 	}
-	check("external write", m, allPages, 2)
+	check("external write", m, allPages, 2, 2, 4736)
 	if w, _ := m.Read(ext); w != word.Int(2) {
 		t.Fatalf("external word = %v", w)
 	}
@@ -164,51 +167,60 @@ func TestPageTableGrowsOnFirstExternalWrite(t *testing.T) {
 	if err := r.RestoreState(wire.NewDecoder(grown)); err != nil {
 		t.Fatal(err)
 	}
-	check("restored grown image", r, allPages, 2)
+	check("restored grown image", r, allPages, 2, 2, 4736)
 	if r.StateDigest(1) != m.StateDigest(1) || !bytes.Equal(encode(r), grown) {
 		t.Error("the grown image did not restore to itself")
 	}
 
-	// Zeroing the external word keeps its page and the grown table, but
-	// the image digests and encodes as it did before the table grew,
-	// and restores onto the internal-memory table alone.
+	// Zeroing the external word keeps its block and the grown
+	// directory, but the image digests and encodes as it did before the
+	// directory grew, and restores onto the internal-memory directory
+	// alone.
 	m.Write(ext, 0)
 	if m.StateDigest(1) != shortDigest || !bytes.Equal(encode(m), short) {
-		t.Error("a grown table holding a zero page differs from the short table")
+		t.Error("a grown directory holding a zero block differs from the short directory")
 	}
 	if err := r.RestoreState(wire.NewDecoder(encode(m))); err != nil {
 		t.Fatal(err)
 	}
-	check("restored short image", r, imemPages, 1)
+	check("restored short image", r, imemPages, 1, 1, 448)
 	if r.StateDigest(1) != shortDigest {
 		t.Error("the short image restored to a different digest")
 	}
 }
 
-// TestPageGeometry pins the page size in literal numbers: 128-word
-// pages, so words 127 and 128 land on two pages, a 32-entry table over
-// the default 4K-word SRAM, and 544 entries once DRAM is written.
+// TestPageGeometry pins the geometry in literal numbers: 128-word pages,
+// a 32-entry directory over the default 4K-word SRAM and 544 entries
+// once DRAM is written, and 16-word blocks under 8-pointer leaves, so
+// words 15 and 16 land in two blocks of one leaf and words 127 and 128
+// under two leaves. A directory entry costs 8 B, a leaf 64 B and a block
+// 128 B.
 func TestPageGeometry(t *testing.T) {
 	m := New(Config{})
-	check := func(what string, entries, pages int, heap int64) {
+	check := func(what string, entries, leaves, blocks int, heap int64) {
 		t.Helper()
-		e, p := m.Footprint()
-		if e != entries || p != pages || m.HeapBytes() != heap {
-			t.Errorf("%s: %d table entries, %d pages, %d heap bytes; want %d, %d, %d",
-				what, e, p, m.HeapBytes(), entries, pages, heap)
+		e, l, b := m.Footprint()
+		if e != entries || l != leaves || b != blocks || m.HeapBytes() != heap {
+			t.Errorf("%s: %d directory entries, %d leaves, %d blocks, %d heap bytes; want %d, %d, %d, %d",
+				what, e, l, b, m.HeapBytes(), entries, leaves, blocks, heap)
 		}
 	}
-	check("new", 32, 0, 32*8)
-	if err := m.Write(127, word.Int(1)); err != nil {
-		t.Fatal(err)
+	check("new", 32, 0, 0, 32*8)
+	for _, c := range []struct {
+		addr                    int32
+		entries, leaves, blocks int
+		heap                    int64
+	}{
+		{0, 32, 1, 1, 32*8 + 64 + 128},
+		{15, 32, 1, 1, 32*8 + 64 + 128},
+		{16, 32, 1, 2, 32*8 + 64 + 2*128},
+		{127, 32, 1, 3, 32*8 + 64 + 3*128},
+		{128, 32, 2, 4, 32*8 + 2*64 + 4*128},
+		{DefaultImemWords, 544, 3, 5, 544*8 + 3*64 + 5*128},
+	} {
+		if err := m.Write(c.addr, word.Int(1)); err != nil {
+			t.Fatal(err)
+		}
+		check(fmt.Sprintf("word %d", c.addr), c.entries, c.leaves, c.blocks, c.heap)
 	}
-	check("word 127", 32, 1, 32*8+1024)
-	if err := m.Write(128, word.Int(1)); err != nil {
-		t.Fatal(err)
-	}
-	check("word 128", 32, 2, 32*8+2*1024)
-	if err := m.Write(DefaultImemWords, word.Int(1)); err != nil {
-		t.Fatal(err)
-	}
-	check("first DRAM word", 544, 3, 544*8+3*1024)
 }

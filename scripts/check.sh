@@ -59,6 +59,11 @@ go test -run '^$' -fuzz '^FuzzQueue$' -fuzztime 10s ./internal/queue/
 # checkpoint bytes after every dispatch, resume, instruction count and
 # save/restore (docs/PERF.md, "Compact node state").
 go test -run '^$' -fuzz '^FuzzHandlerTable$' -fuzztime 10s ./internal/stats/
+# FuzzMemory: a node's page directory, leaves and 16-word blocks against
+# a flat map model — every word read, the blocks and leaves allocated,
+# digest and checkpoint bytes after every write, load, cfut fill and
+# save/restore (docs/PERF.md, "Compact node state").
+go test -run '^$' -fuzz '^FuzzMemory$' -fuzztime 10s ./internal/mem/
 # The other four targets, 10 s each beyond their seed corpus, which the
 # plain test passes replay: checkpoint decode + restore on mutated
 # bytes (FuzzRestore: each execution builds and restores a machine, so
